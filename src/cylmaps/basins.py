@@ -47,10 +47,18 @@ class IntermingleReport:
     seed: int
 
 
-def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total)) if total else 1
+def _run_chunked(work, total: int, threads: int) -> None:
+    """Call work(a, b) on contiguous spans covering range(total), one span
+    per thread of a pool when threads > 1."""
+    parts = max(1, min(threads, total)) if total else 1
     bounds = np.linspace(0, total, parts + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    if threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(lambda span: work(*span), spans))
+    else:
+        for span in spans:
+            work(*span)
 
 
 def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
@@ -63,19 +71,12 @@ def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
     gx, gy = np.meshgrid(xs, ys)  # shape (height, width)
     cells = np.empty((height, width), dtype=np.int8)
 
-    def work(rows):
-        a, b = rows
+    def work(a, b):
         cells[a:b] = classify_points(
             sys, gx[a:b].ravel(), gy[a:b].ravel(), n_max, delta
         ).reshape(b - a, width)
 
-    row_chunks = _chunks(height, threads)
-    if threads > 1 and len(row_chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, row_chunks))
-    else:
-        for rows in row_chunks:
-            work(rows)
+    _run_chunked(work, height, threads)
     return BasinRaster(width=width, height=height, cells=cells,
                        n_max=n_max, delta=delta, system=repr(sys))
 
@@ -109,45 +110,23 @@ def intermingle_probe(sys: CylinderSystem, num_boxes: int, box_side: float,
     substreams = np.random.SeedSequence(seed).spawn(num_boxes)
     outcome = np.empty(num_boxes, dtype=np.int8)
 
-    def probe_box(i: int):
-        rng = np.random.default_rng(substreams[i])
-        cx = rng.uniform(0.0, 1.0)
-        cy = rng.uniform(0.1, 0.9)
-        sx = (cx - box_side / 2.0 + rng.uniform(0.0, box_side, samples_per_box)) % 1.0
-        sy = np.clip(cy - box_side / 2.0 + rng.uniform(0.0, box_side, samples_per_box), 0.0, 1.0)
-        cls = classify_points(sys, sx, sy, n_max, delta)
-        saw0 = bool((cls == BasinClass.BASIN0).any())
-        saw1 = bool((cls == BasinClass.BASIN1).any())
-        if saw0 and saw1:
-            outcome[i] = 0
-        elif saw0:
-            outcome[i] = 1
-        elif saw1:
-            outcome[i] = 2
-        else:
-            outcome[i] = 3
+    def work(first, stop):
+        for i in range(first, stop):
+            rng = np.random.default_rng(substreams[i])
+            cx = rng.uniform(0.0, 1.0)
+            cy = rng.uniform(0.1, 0.9)
+            sx = (cx - box_side / 2.0 + rng.uniform(0.0, box_side, samples_per_box)) % 1.0
+            sy = np.clip(cy - box_side / 2.0 + rng.uniform(0.0, box_side, samples_per_box), 0.0, 1.0)
+            cls = classify_points(sys, sx, sy, n_max, delta)
+            saw0 = bool((cls == BasinClass.BASIN0).any())
+            saw1 = bool((cls == BasinClass.BASIN1).any())
+            outcome[i] = 3 - 2 * saw0 - saw1  # 0 both, 1 only0, 2 only1, 3 neither
 
-    def work(span):
-        for i in range(*span):
-            probe_box(i)
-
-    spans = _chunks(num_boxes, threads)
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, spans))
-    else:
-        for span in spans:
-            work(span)
-    return IntermingleReport(
-        boxes_total=num_boxes,
-        boxes_both=int(np.count_nonzero(outcome == 0)),
-        boxes_only0=int(np.count_nonzero(outcome == 1)),
-        boxes_only1=int(np.count_nonzero(outcome == 2)),
-        boxes_undecided=int(np.count_nonzero(outcome == 3)),
-        box_side=box_side,
-        samples_per_box=samples_per_box,
-        seed=seed,
-    )
+    _run_chunked(work, num_boxes, threads)
+    both, only0, only1, undecided = np.bincount(outcome, minlength=4).tolist()
+    return IntermingleReport(boxes_total=num_boxes, boxes_both=both, boxes_only0=only0,
+                             boxes_only1=only1, boxes_undecided=undecided,
+                             box_side=box_side, samples_per_box=samples_per_box, seed=seed)
 
 
 def write_ppm(raster: BasinRaster, palette=DEFAULT_PALETTE) -> bytes:

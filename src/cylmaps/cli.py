@@ -14,27 +14,25 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .basins import intermingle_csv, intermingle_probe, measure_fractions, rasterize, write_ppm
 from .cylinder import (
     CylinderSystem,
     CylPoint,
     backward_orbit_toward,
     canonical_fixed_angle,
-    estimate_separator_batch,
+    separator_csv,
+    separator_sweep,
 )
 from .errors import CylmapsError
 from .fiber import (
     CosineProfile,
     StepProfile,
-    eval_fiber,
     fractional_linear_family,
     inverse_kan_family,
     kan_family,
 )
 from .lyapunov import exponent_report
-from .measures import birkhoff_average, histogram_csv, jacobian_branch_sum, orbit_histogram, uniformity_stats
+from .measures import birkhoff_average, histogram_csv, jacobian_max_defect, orbit_histogram, uniformity_stats
 from .selftest import run_selftest
 from .walks import (
     arcsine_csv,
@@ -72,11 +70,7 @@ def _values(text: str) -> tuple:
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse step values {text!r}") from exc
-
-
-def _eps_list(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(","))
+        raise argparse.ArgumentTypeError(f"cannot parse comma-separated numbers {text!r}") from exc
 
 
 def _add_system_flags(sub, default_family="kan"):
@@ -104,8 +98,11 @@ def _build_system(args) -> CylinderSystem:
     return CylinderSystem(args.k, fractional_linear_family(profile))
 
 
-def _write(path: str, data: bytes) -> None:
-    Path(path).write_bytes(data)
+def _write(args, data) -> None:
+    """Write the artifact data() to --out, if given, and report it."""
+    if args.out:
+        Path(args.out).write_bytes(data())
+        print(f"{args.command} wrote {args.out}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", type=_values, default=(1.0, -1.0))
     p.add_argument("--n", type=_positive_int, default=10**4)
     p.add_argument("--walks", type=_positive_int, default=2000)
-    p.add_argument("--eps", type=_eps_list, default=(0.5, 0.25))
+    p.add_argument("--eps", type=_values, default=(0.5, 0.25))
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--out", default=None, help="write the frequency table here")
 
@@ -227,9 +224,7 @@ def _run_basins(args) -> int:
                        args.max_iter, args.delta, threads=args.threads)
     f0, f1, fu = measure_fractions(raster)
     print(f"basins frac0={f0!r} frac1={f1!r} undecided={fu!r}")
-    if args.out:
-        _write(args.out, write_ppm(raster))
-        print(f"basins wrote {args.out}")
+    _write(args, lambda: write_ppm(raster))
     return 0
 
 
@@ -240,32 +235,16 @@ def _run_intermingle(args) -> int:
     print(f"intermingle both={rep.boxes_both} only0={rep.boxes_only0} "
           f"only1={rep.boxes_only1} undecided={rep.boxes_undecided} "
           f"of {rep.boxes_total}")
-    if args.out:
-        _write(args.out, intermingle_csv(rep).encode())
-        print(f"intermingle wrote {args.out}")
+    _write(args, lambda: intermingle_csv(rep).encode())
     return 0
 
 
 def _run_separator(args) -> int:
-    sys_ = _build_system(args)
-    xs = np.random.default_rng(args.seed).uniform(0.0, 1.0, args.angles)
-    samples = estimate_separator_batch(sys_, xs, args.max_iter, args.delta, args.tol)
-    pushed = estimate_separator_batch(sys_, (sys_.k * xs) % 1.0, args.max_iter,
-                                      args.delta, args.tol)
+    samples, good, total = separator_sweep(_build_system(args), args.angles, args.max_iter,
+                                           args.delta, args.tol, seed=args.seed)
     decided = sum(s.decided for s in samples)
-    good = total = 0
-    for x, sx, skx in zip(xs, samples, pushed):
-        if sx.decided and skx.decided:
-            total += 1
-            if abs(skx.sigma - eval_fiber(sys_.family, float(x), sx.sigma)) < 1e-2:
-                good += 1
-    print(f"separator decided={decided}/{args.angles} "
-          f"functional_eq={good}/{total}")
-    if args.out:
-        lines = ["x,sigma,bracket,decided"]
-        lines += [f"{s.x!r},{s.sigma!r},{s.bracket!r},{int(s.decided)}" for s in samples]
-        _write(args.out, ("\n".join(lines) + "\n").encode())
-        print(f"separator wrote {args.out}")
+    print(f"separator decided={decided}/{args.angles} functional_eq={good}/{total}")
+    _write(args, lambda: separator_csv(samples).encode())
     return 0
 
 
@@ -276,19 +255,12 @@ def _run_histogram(args) -> int:
     rep = uniformity_stats(hist)
     print(f"histogram chi_square={rep.chi_square!r} dof={rep.dof} "
           f"max_rel_dev={rep.max_rel_dev!r}")
-    if args.out:
-        _write(args.out, histogram_csv(hist).encode())
-        print(f"histogram wrote {args.out}")
+    _write(args, lambda: histogram_csv(hist).encode())
     return 0
 
 
 def _run_jacobian_check(args) -> int:
-    sys_ = _build_system(args)
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.points):
-        p = CylPoint(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0)))
-        worst = max(worst, abs(jacobian_branch_sum(sys_, p) - 1.0))
+    worst = jacobian_max_defect(_build_system(args), args.points, seed=args.seed)
     print(f"jacobian-check points={args.points} max|sum-1|={worst!r}")
     return 0
 
@@ -307,9 +279,7 @@ def _run_walk(args) -> int:
     print(f"walk n={args.n} threshold={args.threshold!r} "
           f"a/n={float(stats.a_over_n[-1])!r} b/n={float(stats.b_over_n[-1])!r} "
           f"c/n={float(stats.c_over_n[-1])!r}")
-    if args.out:
-        _write(args.out, occupation_csv(stats, every=args.every).encode())
-        print(f"walk wrote {args.out}")
+    _write(args, lambda: occupation_csv(stats, every=args.every).encode())
     return 0
 
 
@@ -319,29 +289,19 @@ def _run_arcsine(args) -> int:
     for pt in points:
         print(f"arcsine eps={pt.eps!r} empirical={pt.empirical!r} "
               f"theoretical={pt.theoretical!r}")
-    if args.out:
-        _write(args.out, arcsine_csv(points).encode())
-        print(f"arcsine wrote {args.out}")
+    _write(args, lambda: arcsine_csv(points).encode())
     return 0
 
 
 def _run_equidist(args) -> int:
-    try:
-        exact = [Fraction(v) for v in args.values.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CylmapsError(f"cannot parse step values {args.values!r} as rationals: {exc}")
-    trace = simulate_walk(StepProfile(tuple(float(v) for v in exact)),
-                          args.t0, args.n, seed=args.seed)
+    values = args.values.split(",")  # cyclic_support_check refuses non-rationals
     if args.modulus == "pi":
-        modulus = math.pi
-        support = cyclic_support_check(exact, modulus_irrational=True)
+        modulus, support = math.pi, cyclic_support_check(values, modulus_irrational=True)
     else:
-        try:
-            frac = Fraction(args.modulus)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CylmapsError(f"cannot parse modulus {args.modulus!r}: {exc}")
-        modulus = float(frac)
-        support = cyclic_support_check(exact, modulus=frac)
+        support = cyclic_support_check(values, modulus=args.modulus)
+        modulus = float(Fraction(args.modulus))
+    trace = simulate_walk(StepProfile(tuple(float(Fraction(v)) for v in values)),
+                          args.t0, args.n, seed=args.seed)
     rep = circle_equidistribution(trace, modulus, args.bins)
     print(f"equidist modulus={args.modulus} cdf_deviation={rep.cdf_deviation!r} "
           f"cyclic_support={support}")

@@ -26,9 +26,7 @@ from .fiber import (
     KAN,
     FiberFamily,
     StepProfile,
-    _kan_apply,
-    _kan_invert,
-    _moebius_apply,
+    _apply_fiber,
     eval_fiber,
     invert_fiber,
 )
@@ -165,15 +163,6 @@ def canonical_fixed_angle(k: int) -> float:
 # the marked-angle hypothesis
 # ---------------------------------------------------------------------------
 
-def _iterated_fiber(sys: CylinderSystem, x: float, y: float, period: int) -> float:
-    """Fiber map of F^period over angle x (composition along the angle orbit)."""
-    xx, yy = x % 1.0, y
-    for _ in range(period):
-        yy = eval_fiber(sys.family, xx, yy)
-        xx = (sys.k * xx) % 1.0
-    return yy
-
-
 def check_kan_hypothesis(sys: CylinderSystem, x_minus: float, x_plus: float,
                          radius: float, grid: tuple = (33, 17),
                          period: int = 1, max_listed: int = 50) -> HypothesisReport:
@@ -202,7 +191,7 @@ def check_kan_hypothesis(sys: CylinderSystem, x_minus: float, x_plus: float,
         for dx in offsets:
             x = (center + float(dx)) % 1.0
             for y in ys:
-                fy = _iterated_fiber(sys, x, y, period)
+                fy = orbit(sys, CylPoint(x % 1.0, y), period)[-1].y
                 checked += 1
                 bad = (fy >= y) if want_down else (fy <= y)
                 if bad and len(violations) < max_listed:
@@ -217,15 +206,6 @@ def check_kan_hypothesis(sys: CylinderSystem, x_minus: float, x_plus: float,
 # ---------------------------------------------------------------------------
 # basin classification
 # ---------------------------------------------------------------------------
-
-def _apply_family_array(family: FiberFamily, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    a = family.displacement(x)
-    if family.kind == KAN:
-        return _kan_apply(a, y)
-    if family.kind == FRACTIONAL_LINEAR:
-        return _moebius_apply(a, y)
-    return _kan_invert(a, y)
-
 
 def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
                     delta: float) -> np.ndarray:
@@ -253,7 +233,7 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
             break
         idx = np.flatnonzero(active)
         xa, ya = x[idx], y[idx]
-        ya = _apply_family_array(sys.family, xa, ya)
+        ya = _apply_fiber(sys.family, xa, ya)
         xa = (sys.k * xa) % 1.0
         x[idx], y[idx] = xa, ya
         hit0 = ya < delta
@@ -319,6 +299,30 @@ def estimate_separator_batch(sys: CylinderSystem, xs, n_max: int, delta: float,
 def estimate_separator(sys: CylinderSystem, x: float, n_max: int, delta: float,
                        tol: float) -> SeparatorSample:
     return estimate_separator_batch(sys, [x], n_max, delta, tol)[0]
+
+
+def separator_sweep(sys: CylinderSystem, num_angles: int, n_max: int, delta: float,
+                    tol: float, seed: int) -> tuple[list[SeparatorSample], int, int]:
+    """Separator estimates at seeded uniform angles x, checked at k*x mod 1.
+
+    Returns (samples at x, good, pairs): of the pairs of angles decided at
+    both x and k*x, good satisfy the pushforward functional equation
+    sigma(kx) = f_x(sigma(x)) within 1e-2.
+    """
+    xs = np.random.default_rng(seed).uniform(0.0, 1.0, num_angles)
+    at_x = estimate_separator_batch(sys, xs, n_max, delta, tol)
+    at_kx = estimate_separator_batch(sys, (sys.k * xs) % 1.0, n_max, delta, tol)
+    pairs = [(sx, skx) for sx, skx in zip(at_x, at_kx) if sx.decided and skx.decided]
+    good = sum(abs(skx.sigma - eval_fiber(sys.family, sx.x, sx.sigma)) < 1e-2
+               for sx, skx in pairs)
+    return at_x, good, len(pairs)
+
+
+def separator_csv(samples: list[SeparatorSample]) -> str:
+    """CSV rows (x, sigma, bracket, decided) under a single header line."""
+    lines = ["x,sigma,bracket,decided"]
+    lines += [f"{s.x!r},{s.sigma!r},{s.bracket!r},{int(s.decided)}" for s in samples]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,6 @@ KAN = "kan"
 INVERSE_KAN = "inverse_kan"
 FRACTIONAL_LINEAR = "fractional_linear"
 
-_KINDS = (KAN, INVERSE_KAN, FRACTIONAL_LINEAR)
-
-
 # ---------------------------------------------------------------------------
 # displacement profiles p(x)
 # ---------------------------------------------------------------------------
@@ -108,7 +105,7 @@ class FiberFamily:
     profile: DisplacementProfile | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _KERNELS:
             raise PreconditionError(f"unknown fiber kind {self.kind!r}")
         if self.kind in (KAN, INVERSE_KAN):
             if not 0.0 < self.epsilon < 1.0:
@@ -150,99 +147,140 @@ class MoebiusMap:
 
 
 # ---------------------------------------------------------------------------
-# pointwise kernels (float or ndarray in, same shape out)
+# the kernel table: every fiber map of the package is evaluated through it
 # ---------------------------------------------------------------------------
+#
+# A kernel op(p, y, xp) evaluates one family at heights y (float or ndarray)
+# for coefficients p = coef(a) of the driving parameter a.  xp supplies sqrt:
+# numpy for arrays, math in scalar loops; both round it correctly.  Scalar
+# loops take their coefficients from one vectorised coef call, because
+# numpy's exp and expm1 round differently from math's.
 
-def _kan_apply(a, y):
+def _kan_apply(a, y, xp):
     # y + a*y*(1-y) is exact at y = 0 and y = 1 for every a
     return y + a * y * (1.0 - y)
 
 
-def _kan_derivative(a, y):
+def _kan_derivative(a, y, xp):
     return (1.0 + a) - 2.0 * a * y
 
 
-def _kan_invert(a, y):
+def _kan_invert(a, y, xp):
     # cancellation-stable root of a*u^2 - (1+a)*u + y = 0; both summands of
     # the denominator are positive for |a| < 1, so no subtraction occurs and
     # the a -> 0 limit degrades gracefully to u = y
     s = 1.0 + a
-    return 2.0 * y / (s + np.sqrt(s * s - 4.0 * a * y))
+    return 2.0 * y / (s + xp.sqrt(s * s - 4.0 * a * y))
 
 
-def _moebius_apply(c, y):
-    return np.exp(c) * y / (1.0 + np.expm1(c) * y)
+def _kan_schwarzian(a, y, xp):
+    d = _kan_derivative(a, y, xp)
+    return -6.0 * a * a / (d * d)
 
 
-def _moebius_derivative(c, y):
-    d = 1.0 + np.expm1(c) * y
-    return np.exp(c) / (d * d)
+def _inverse_kan_schwarzian(a, y, xp):
+    # S(q^-1)(y) = -S q(u) / q'(u)^2 at the preimage u = q^-1(y)
+    d = _kan_derivative(a, _kan_invert(a, y, xp), xp)
+    return 6.0 * a * a / (d * d * d * d)
 
 
-def _check_unit(y, what="y"):
-    if not 0.0 <= y <= 1.0:
-        raise DomainError(f"{what} must lie in [0, 1], got {y}")
+def _moebius_coef(c):
+    return np.stack((c, np.exp(c), np.expm1(c)))
+
+
+def _moebius_apply(p, y, xp):
+    _, e, em = p
+    return e * y / (1.0 + em * y)
+
+
+def _moebius_derivative(p, y, xp):
+    _, e, em = p
+    d = 1.0 + em * y
+    return e / (d * d)
+
+
+_KERNELS = {
+    KAN: dict(coef=lambda a: a, apply=_kan_apply, invert=_kan_invert,
+              derivative=_kan_derivative, schwarzian=_kan_schwarzian),
+    INVERSE_KAN: dict(
+        coef=lambda a: a, apply=_kan_invert, invert=_kan_apply,
+        derivative=lambda a, y, xp: 1.0 / _kan_derivative(a, _kan_invert(a, y, xp), xp),
+        schwarzian=_inverse_kan_schwarzian),
+    FRACTIONAL_LINEAR: dict(
+        coef=_moebius_coef, apply=_moebius_apply,
+        invert=lambda p, y, xp: _moebius_apply(_moebius_coef(-p[0]), y, xp),
+        derivative=_moebius_derivative, schwarzian=lambda p, y, xp: 0.0),
+}
+
+#: heights a scalar orbit loop collects before storing them into its array
+_ORBIT_CHUNK = 4096
+
+
+def _apply_fiber(family: FiberFamily, x, y):
+    """f_x(y) elementwise over arrays of angles and heights."""
+    kernels = _KERNELS[family.kind]
+    return kernels["apply"](kernels["coef"](family.displacement(x)), y, np)
+
+
+def _fiber_steps(family: FiberFamily, a):
+    """(apply, coefs) for scalar loops: apply(coefs[i], y, math) is the fiber
+    map at driving parameter a[i]."""
+    kernels = _KERNELS[family.kind]
+    return kernels["apply"], kernels["coef"](np.asarray(a, dtype=float)).T.tolist()
+
+
+def _fiber_orbit(family: FiberFamily, a: np.ndarray, y: float,
+                 out: np.ndarray) -> float:
+    """out[i] = y_i for y_0 = y, y_{i+1} = f(y_i) at driving parameter a[i];
+    returns the height after the last step.  Heights are stored a chunk at a
+    time: storing floats one by one costs more than the arithmetic, and one
+    list for the whole orbit would hold 32 bytes per step."""
+    xp = math
+    for lo in range(0, a.size, _ORBIT_CHUNK):
+        apply, coefs = _fiber_steps(family, a[lo:lo + _ORBIT_CHUNK])
+        heights = []
+        push = heights.append
+        for p in coefs:
+            push(y)
+            y = apply(p, y, xp)
+        out[lo:lo + len(heights)] = heights
+    return y
 
 
 # ---------------------------------------------------------------------------
 # scalar fiber operations
 # ---------------------------------------------------------------------------
 
+def _scalar(op: str, kind: str, a, y, what="y", ends_fixed=True) -> float:
+    """Table kernel op at one height y in [0, 1]; maps (ends_fixed) return
+    the endpoints exactly."""
+    if not 0.0 <= y <= 1.0:
+        raise DomainError(f"{what} must lie in [0, 1], got {y}")
+    if ends_fixed and (y == 0.0 or y == 1.0):
+        return 0.0 if y == 0.0 else 1.0
+    kernels = _KERNELS[kind]
+    return float(kernels[op](kernels["coef"](float(a)), y, np))
+
+
 def eval_fiber(family: FiberFamily, x: float, y: float) -> float:
     """f_x(y). Endpoints are returned exactly."""
-    _check_unit(y)
-    if y == 0.0:
-        return 0.0
-    if y == 1.0:
-        return 1.0
-    a = float(family.displacement(x))
-    if family.kind == KAN:
-        return float(_kan_apply(a, y))
-    if family.kind == INVERSE_KAN:
-        return float(_kan_invert(a, y))
-    return float(_moebius_apply(a, y))
+    return _scalar("apply", family.kind, family.displacement(x), y)
 
 
 def fiber_derivative(family: FiberFamily, x: float, y: float) -> float:
     """d f_x / dy, strictly positive on [0, 1]."""
-    _check_unit(y)
-    a = float(family.displacement(x))
-    if family.kind == KAN:
-        return float(_kan_derivative(a, y))
-    if family.kind == INVERSE_KAN:
-        u = float(_kan_invert(a, y))
-        return 1.0 / float(_kan_derivative(a, u))
-    return float(_moebius_derivative(a, y))
+    return _scalar("derivative", family.kind, family.displacement(x), y, ends_fixed=False)
 
 
 def invert_fiber(family: FiberFamily, x: float, y_image: float) -> float:
     """The unique y with f_x(y) = y_image."""
-    _check_unit(y_image, "y_image")
-    if y_image == 0.0:
-        return 0.0
-    if y_image == 1.0:
-        return 1.0
-    a = float(family.displacement(x))
-    if family.kind == KAN:
-        return float(_kan_invert(a, y_image))
-    if family.kind == INVERSE_KAN:
-        return float(_kan_apply(a, y_image))
-    return float(_moebius_apply(-a, y_image))
+    return _scalar("invert", family.kind, family.displacement(x), y_image, "y_image")
 
 
 def schwarzian_analytic(family: FiberFamily, x: float, y: float) -> float:
     """Closed-form S f_x(y): -6a^2/(q_a')^2, its sign flip for the inverse
     family (evaluated at the preimage), identically 0 for Moebius fibers."""
-    _check_unit(y)
-    a = float(family.displacement(x))
-    if family.kind == KAN:
-        d = float(_kan_derivative(a, y))
-        return -6.0 * a * a / (d * d)
-    if family.kind == INVERSE_KAN:
-        u = float(_kan_invert(a, y))
-        d = float(_kan_derivative(a, u))
-        return 6.0 * a * a / (d * d * d * d)
-    return 0.0
+    return _scalar("schwarzian", family.kind, family.displacement(x), y, ends_fixed=False)
 
 
 def schwarzian_numeric(f: Callable[[float], float], y: float,
@@ -299,9 +337,4 @@ def poincare_distance(y1: float, y2: float) -> float:
 
 def moebius_eval(m: MoebiusMap, y: float) -> float:
     """g_c(y); shifts the coordinate t by exactly c, endpoints fixed."""
-    _check_unit(y)
-    if y == 0.0:
-        return 0.0
-    if y == 1.0:
-        return 1.0
-    return float(_moebius_apply(m.c, y))
+    return _scalar("apply", FRACTIONAL_LINEAR, m.c, y)

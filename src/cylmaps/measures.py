@@ -16,7 +16,7 @@ import numpy as np
 
 from .cylinder import CylinderSystem, CylPoint, base_orbit_angles
 from .errors import DomainError, PreconditionError, WrongFamilyError
-from .fiber import INVERSE_KAN, KAN
+from .fiber import INVERSE_KAN, _fiber_orbit
 
 DEFAULT_BURN_IN = 1000
 
@@ -58,28 +58,7 @@ def orbit_points(sys: CylinderSystem, p0: CylPoint, n: int,
         raise DomainError("orbit statistics need an interior starting height")
     xs = base_orbit_angles(sys.k, p0.x, n, seed=seed)
     ys = np.empty(n, dtype=float)
-    if n == 0:
-        return xs, ys
-    a = np.asarray(sys.family.displacement(xs), dtype=float).tolist()
-    y = p0.y
-    kind = sys.family.kind
-    sqrt = math.sqrt
-    if kind == KAN:
-        for i in range(n):
-            ys[i] = y
-            ai = a[i]
-            y = y + ai * y * (1.0 - y)
-    elif kind == INVERSE_KAN:
-        for i in range(n):
-            ys[i] = y
-            s = 1.0 + a[i]
-            y = 2.0 * y / (s + sqrt(s * s - 4.0 * a[i] * y))
-    else:
-        ec = np.exp(np.asarray(a)).tolist()
-        em = np.expm1(np.asarray(a)).tolist()
-        for i in range(n):
-            ys[i] = y
-            y = ec[i] * y / (1.0 + em[i] * y)
+    _fiber_orbit(sys.family, sys.family.displacement(xs), p0.y, ys)
     return xs, ys
 
 
@@ -130,16 +109,34 @@ def jacobian_branch_sum(sys: CylinderSystem, p: CylPoint) -> float:
     )
 
 
-def birkhoff_average(sys: CylinderSystem, chi: str, p0: CylPoint, n: int,
-                     burn_in: int = DEFAULT_BURN_IN, seed=None) -> float:
-    """Orbit mean of the named test function after the burn-in prefix."""
-    if chi not in TEST_FUNCTIONS:
-        raise PreconditionError(
-            f"unknown test function {chi!r}; choose from {sorted(TEST_FUNCTIONS)}")
+def jacobian_max_defect(sys: CylinderSystem, points: int, seed: int) -> float:
+    """Largest |jacobian_branch_sum - 1| over seeded uniform random points."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(points):
+        p = CylPoint(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0)))
+        worst = max(worst, abs(jacobian_branch_sum(sys, p) - 1.0))
+    return worst
+
+
+def _birkhoff_averages(sys: CylinderSystem, chis, p0: CylPoint, n: int,
+                       burn_in: int = DEFAULT_BURN_IN, seed=None) -> list[float]:
+    """Orbit means of the named test functions over one orbit."""
+    for chi in chis:
+        if chi not in TEST_FUNCTIONS:
+            raise PreconditionError(
+                f"unknown test function {chi!r}; choose from {sorted(TEST_FUNCTIONS)}")
     if burn_in < 0 or n <= burn_in:
         raise PreconditionError("need n > burn_in >= 0")
     xs, ys = orbit_points(sys, p0, n, seed=seed)
-    return float(np.mean(TEST_FUNCTIONS[chi](xs[burn_in:], ys[burn_in:])))
+    return [float(np.mean(TEST_FUNCTIONS[chi](xs[burn_in:], ys[burn_in:])))
+            for chi in chis]
+
+
+def birkhoff_average(sys: CylinderSystem, chi: str, p0: CylPoint, n: int,
+                     burn_in: int = DEFAULT_BURN_IN, seed=None) -> float:
+    """Orbit mean of the named test function after the burn-in prefix."""
+    return _birkhoff_averages(sys, (chi,), p0, n, burn_in, seed)[0]
 
 
 def histogram_csv(hist: Histogram2D) -> str:

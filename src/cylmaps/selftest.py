@@ -22,6 +22,8 @@ from .cylinder import (
     backward_orbit_toward,
     check_kan_hypothesis,
     estimate_separator_batch,
+    separator_csv,
+    separator_sweep,
 )
 from .fiber import (
     MoebiusMap,
@@ -36,7 +38,7 @@ from .fiber import (
     schwarzian_numeric,
 )
 from .lyapunov import exponent_report, kan_exponent_closed_form, transverse_exponent_quadrature
-from .measures import birkhoff_average, histogram_csv, jacobian_branch_sum, orbit_histogram, uniformity_stats
+from .measures import _birkhoff_averages, histogram_csv, jacobian_max_defect, orbit_histogram, uniformity_stats
 from .walks import (
     arcsine_csv,
     arcsine_ensemble,
@@ -164,11 +166,7 @@ def check_cross_ratio_monotonicity(artifacts=None) -> CheckResult:
 def check_jacobian_branch_sum(artifacts=None) -> CheckResult:
     """Sum of the k inverse-branch Jacobians equals 1 at random points."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(1000):
-        p = CylPoint(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0)))
-        worst = max(worst, abs(jacobian_branch_sum(INV3, p) - 1.0))
+    worst = jacobian_max_defect(INV3, 1000, seed=11)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 0.1
     return _result("jacobian_branch_sum", t0, ok, f"max|sum-1|={worst:.2e}")
@@ -215,24 +213,11 @@ def check_backward_orbit(artifacts=None) -> CheckResult:
 def check_separator(artifacts=None) -> CheckResult:
     """Bisection separator satisfies its pushforward functional equation."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(42)
-    xs = rng.uniform(0.0, 1.0, 200)
-    at_x = estimate_separator_batch(KAN3, xs, 5000, 1e-6, 1e-3)
-    at_kx = estimate_separator_batch(KAN3, (3.0 * xs) % 1.0, 5000, 1e-6, 1e-3)
-    good = total = 0
-    for x, sx, skx in zip(xs, at_x, at_kx):
-        if not (sx.decided and skx.decided):
-            continue
-        total += 1
-        if abs(skx.sigma - eval_fiber(KAN3.family, float(x), sx.sigma)) < 1e-2:
-            good += 1
+    samples, good, total = separator_sweep(KAN3, 200, 5000, 1e-6, 1e-3, seed=42)
     edge0 = estimate_separator_batch(KAN3, [0.0], 5000, 1e-6, 1e-3)[0]
     edge5 = estimate_separator_batch(KAN3, [0.5], 5000, 1e-6, 1e-3)[0]
     if artifacts is not None:
-        lines = ["x,sigma,bracket,decided"]
-        for s in at_x:
-            lines.append(f"{s.x!r},{s.sigma!r},{s.bracket!r},{int(s.decided)}")
-        artifacts["separator.csv"] = ("\n".join(lines) + "\n").encode()
+        artifacts["separator.csv"] = separator_csv(samples).encode()
     elapsed = time.perf_counter() - t0
     frac = good / total if total else 0.0
     ok = (total > 0 and frac >= 0.9 and edge0.sigma < 0.01
@@ -248,9 +233,8 @@ def check_asymptotic_measure(artifacts=None) -> CheckResult:
     start = CylPoint(0.1234, 0.4)
     hist = orbit_histogram(INV3, start, 10**6, 16, 16, burn_in=1000, seed=7)
     rep = uniformity_stats(hist)
-    avg_y = birkhoff_average(INV3, "y", start, 10**6, seed=8)
-    avg_y2 = birkhoff_average(INV3, "y_squared", start, 10**6, seed=8)
-    avg_cos = birkhoff_average(INV3, "cos_x", start, 10**6, seed=8)
+    avg_y, avg_y2, avg_cos = _birkhoff_averages(
+        INV3, ("y", "y_squared", "cos_x"), start, 10**6, seed=8)
     kan_hist = orbit_histogram(KAN3, start, 10**6, 16, 16, burn_in=1000, seed=7)
     interior = float(kan_hist.counts[:, 2:14].sum() / kan_hist.total)
     if artifacts is not None:

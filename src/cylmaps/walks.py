@@ -23,6 +23,7 @@ from .fiber import (
     FRACTIONAL_LINEAR,
     DisplacementProfile,
     StepProfile,
+    _fiber_steps,
     poincare_coord,
 )
 
@@ -119,6 +120,10 @@ def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
         raise PreconditionError("arcsine statistics need a zero-mean step profile")
     if n < 1 or num_walks < 1:
         raise PreconditionError("need n >= 1 and num_walks >= 1")
+    eps_list = list(eps_list)
+    for eps in eps_list:
+        if not 0.0 < eps <= 1.0:
+            raise PreconditionError(f"eps must lie in (0, 1], got {eps}")
     values = np.asarray(profile.values, dtype=float)
     final_frac = np.empty(num_walks, dtype=float)
     for w, sub in enumerate(np.random.SeedSequence(seed).spawn(num_walks)):
@@ -127,8 +132,6 @@ def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
         final_frac[w] = np.count_nonzero(t > 0.0) / n
     out = []
     for eps in eps_list:
-        if not 0.0 < eps <= 1.0:
-            raise PreconditionError(f"eps must lie in (0, 1], got {eps}")
         emp = float(np.count_nonzero(final_frac > 1.0 - eps) / num_walks)
         theo = (2.0 / math.pi) * math.asin(math.sqrt(eps))
         out.append(ArcsinePoint(eps=float(eps), empirical=emp, theoretical=theo))
@@ -159,7 +162,7 @@ def _as_fraction(value, what: str) -> Fraction:
             f"{what} must be an exact rational (int, Fraction or string), not a float")
     try:
         return Fraction(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise PreconditionError(f"cannot read {what} {value!r} as a rational") from exc
 
 
@@ -199,25 +202,18 @@ def fl_orbit_as_walk(sys: CylinderSystem, p0, n: int, seed: int) -> WalkTrace:
     profile = _require_step(sys.family.profile)
     if not 0.0 < p0.y < 1.0:
         raise DomainError("walk extraction needs an interior starting height")
+    if n < 0:
+        raise PreconditionError("walk length must be >= 0")
     digits = np.random.default_rng(seed).integers(0, sys.k, size=n)
-    values = profile.values
+    apply, coefs = _fiber_steps(sys.family, profile.values)
     t = np.empty(n + 1, dtype=float)
     t[0] = poincare_coord(p0.y)
     y = p0.y
-    exp, expm1 = math.exp, math.expm1
-    for i in range(n):
-        c = values[digits[i]]
-        if 0.0 < y < 1.0:
-            y = exp(c) * y / (1.0 + expm1(c) * y)
-        if y <= 0.0:
-            y = 0.0
-            t[i + 1] = -math.inf
-        elif y >= 1.0:
-            y = 1.0
-            t[i + 1] = math.inf
-        else:
-            t[i + 1] = poincare_coord(y)
-    return WalkTrace(t=t, steps_used=values, seed=seed)
+    for i, digit in enumerate(digits.tolist(), 1):
+        if 0.0 < y < 1.0:  # a height that reaches a boundary stays there
+            y = apply(coefs[digit], y, math)
+        t[i] = -math.inf if y <= 0.0 else math.inf if y >= 1.0 else poincare_coord(y)
+    return WalkTrace(t=t, steps_used=profile.values, seed=seed)
 
 
 def occupation_csv(stats: OccupationStats, every: int = 1) -> str:

@@ -175,6 +175,27 @@ def test_classify_scalar_matches_batch():
         assert single == batch[i]
 
 
+def test_classify_points_matches_scalar_fiber_loop():
+    def classify_by_eval_fiber(sys_, x, y, n_max, delta):
+        for _ in range(n_max + 1):
+            if y < delta:
+                return BasinClass.BASIN0
+            if y > 1.0 - delta:
+                return BasinClass.BASIN1
+            x, y = (sys_.k * x) % 1.0, eval_fiber(sys_.family, x, y)
+        return BasinClass.UNDECIDED
+
+    grid = (np.arange(12) + 0.5) / 12
+    xs, ys = (g.ravel() for g in np.meshgrid(grid, grid))
+    for family in (kan_family(0.5), inverse_kan_family(0.5),
+                   fractional_linear_family(StepProfile((1.0, -1.0, 0.5)))):
+        sys_ = CylinderSystem(3, family)
+        batch = classify_points(sys_, xs, ys, 200, 1e-6)
+        scalar = [classify_by_eval_fiber(sys_, float(x), float(y), 200, 1e-6)
+                  for x, y in zip(xs, ys)]
+        assert batch.tolist() == scalar
+
+
 def test_classify_budget_monotone():
     rng = np.random.default_rng(23)
     xs = rng.uniform(0.0, 1.0, 256)

@@ -104,6 +104,16 @@ def test_arcsine_rejects_drift():
         arcsine_ensemble(StepProfile((1.0, 1.0, -1.0)), 100, 10, [0.5], seed=1)
 
 
+def test_arcsine_checks_eps_before_simulating(monkeypatch):
+    def no_walks(*args, **kwargs):
+        raise AssertionError("walks simulated before eps was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_walks)
+    for bad in (0.0, 1.5):
+        with pytest.raises(PreconditionError):
+            arcsine_ensemble(PM1, 10, 5, [0.5, bad], seed=1)
+
+
 def test_wildness_running_range():
     covered = 0
     for sub in np.random.SeedSequence(7).spawn(20):
@@ -156,6 +166,10 @@ def test_cyclic_support_exact_arithmetic():
         cyclic_support_check([1.0, -1.0], modulus=2)
     with pytest.raises(PreconditionError):
         cyclic_support_check([1, -1], modulus=0)
+    with pytest.raises(PreconditionError):
+        cyclic_support_check(["1/0"], modulus=2)
+    with pytest.raises(PreconditionError):
+        cyclic_support_check([1, -1], modulus="1/0")
 
 
 def test_fl_orbit_matches_walk_increments():
@@ -183,3 +197,20 @@ def test_fl_orbit_gates():
     flp = CylinderSystem(2, fractional_linear_family(StepProfile((1.0, -1.0))))
     with pytest.raises(DomainError):
         fl_orbit_as_walk(flp, CylPoint(0.3, 1.0), 10, seed=1)
+    with pytest.raises(PreconditionError):
+        fl_orbit_as_walk(flp, CylPoint(0.3, 0.5), -1, seed=1)
+
+
+def test_fl_orbit_saturated_height_stays_on_the_boundary():
+    # steps of +-45 round heights onto y = 1 (or 0); the next -45 step must
+    # not be applied there, since 1 + expm1(-45) * 1 is exactly 0
+    sys2 = CylinderSystem(2, fractional_linear_family(StepProfile((45.0, -45.0))))
+    saturated = 0
+    for seed in range(10):
+        t = fl_orbit_as_walk(sys2, CylPoint(0.3, 0.5), 50, seed=seed).t
+        hits = np.flatnonzero(np.isinf(t))
+        if hits.size:
+            saturated += 1
+            assert (t[hits[0]:] == t[hits[0]]).all()
+            assert np.isfinite(t[:hits[0]]).all()
+    assert saturated > 0
