@@ -4,8 +4,10 @@ and portable PPM output.
 Rasterization classifies every cell center with the first-hitting
 classifier; the probe draws random boxes and reports how many contain
 samples of both basins, which is the desk-scale reading of "every open set
-meets both basins in positive measure".  Both are embarrassingly parallel;
-results land in disjoint slots so thread count never changes the output.
+meets both basins in positive measure".  Each hands the classifier one
+batch of rows (the probe: all boxes, one row of samples each), one span of
+rows per thread; a point's class does not depend on the rest of its batch,
+so thread count never changes the output.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,18 +50,19 @@ class IntermingleReport:
     seed: int
 
 
-def _run_chunked(work, total: int, threads: int) -> None:
-    """Call work(a, b) on contiguous spans covering range(total), one span
-    per thread of a pool when threads > 1."""
-    parts = max(1, min(threads, total)) if total else 1
-    bounds = np.linspace(0, total, parts + 1).astype(int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: work(*span), spans))
+def _classify_rows(sys: CylinderSystem, xs: np.ndarray, ys: np.ndarray, n_max: int,
+                   delta: float, threads: int) -> np.ndarray:
+    """int8 classes of the 2-D point arrays (xs, ys), of their shape; one
+    classifier call per contiguous span of rows, on a pool when threads > 1."""
+    parts = max(1, min(threads, len(xs)))
+    cuts = np.linspace(0, len(xs), parts + 1).astype(int)[1:-1]
+    classify = partial(classify_points, sys, n_max=n_max, delta=delta)
+    if parts == 1:
+        classes = [classify(xs, ys)]
     else:
-        for span in spans:
-            work(*span)
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            classes = list(pool.map(classify, np.split(xs, cuts), np.split(ys, cuts)))
+    return np.concatenate(classes).reshape(xs.shape)
 
 
 def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
@@ -69,14 +73,7 @@ def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
     xs = (np.arange(width, dtype=float) + 0.5) / width
     ys = (np.arange(height, dtype=float) + 0.5) / height
     gx, gy = np.meshgrid(xs, ys)  # shape (height, width)
-    cells = np.empty((height, width), dtype=np.int8)
-
-    def work(a, b):
-        cells[a:b] = classify_points(
-            sys, gx[a:b].ravel(), gy[a:b].ravel(), n_max, delta
-        ).reshape(b - a, width)
-
-    _run_chunked(work, height, threads)
+    cells = _classify_rows(sys, gx, gy, n_max, delta, threads)
     return BasinRaster(width=width, height=height, cells=cells,
                        n_max=n_max, delta=delta, system=repr(sys))
 
@@ -107,22 +104,18 @@ def intermingle_probe(sys: CylinderSystem, num_boxes: int, box_side: float,
         raise PreconditionError("need at least one sample per box")
     if not 0.0 < box_side < 0.5:
         raise PreconditionError(f"box side must lie in (0, 0.5), got {box_side}")
-    substreams = np.random.SeedSequence(seed).spawn(num_boxes)
-    outcome = np.empty(num_boxes, dtype=np.int8)
-
-    def work(first, stop):
-        for i in range(first, stop):
-            rng = np.random.default_rng(substreams[i])
-            cx = rng.uniform(0.0, 1.0)
-            cy = rng.uniform(0.1, 0.9)
-            sx = (cx - box_side / 2.0 + rng.uniform(0.0, box_side, samples_per_box)) % 1.0
-            sy = np.clip(cy - box_side / 2.0 + rng.uniform(0.0, box_side, samples_per_box), 0.0, 1.0)
-            cls = classify_points(sys, sx, sy, n_max, delta)
-            saw0 = bool((cls == BasinClass.BASIN0).any())
-            saw1 = bool((cls == BasinClass.BASIN1).any())
-            outcome[i] = 3 - 2 * saw0 - saw1  # 0 both, 1 only0, 2 only1, 3 neither
-
-    _run_chunked(work, num_boxes, threads)
+    sx = np.empty((num_boxes, samples_per_box))
+    sy = np.empty((num_boxes, samples_per_box))
+    for i, sub in enumerate(np.random.SeedSequence(seed).spawn(num_boxes)):
+        rng = np.random.default_rng(sub)
+        cx = rng.uniform(0.0, 1.0)
+        cy = rng.uniform(0.1, 0.9)
+        sx[i] = (cx - box_side / 2.0 + rng.uniform(0.0, box_side, samples_per_box)) % 1.0
+        sy[i] = np.clip(cy - box_side / 2.0 + rng.uniform(0.0, box_side, samples_per_box), 0.0, 1.0)
+    cls = _classify_rows(sys, sx, sy, n_max, delta, threads)
+    saw0 = (cls == BasinClass.BASIN0).any(axis=1)
+    saw1 = (cls == BasinClass.BASIN1).any(axis=1)
+    outcome = 3 - 2 * saw0 - saw1  # 0 both, 1 only0, 2 only1, 3 neither
     both, only0, only1, undecided = np.bincount(outcome, minlength=4).tolist()
     return IntermingleReport(boxes_total=num_boxes, boxes_both=both, boxes_only0=only0,
                              boxes_only1=only1, boxes_undecided=undecided,

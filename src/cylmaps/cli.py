@@ -89,12 +89,15 @@ def _build_system(args) -> CylinderSystem:
         return CylinderSystem(args.k, inverse_kan_family(args.epsilon))
     desc = args.profile or "step:" + ",".join(["1"] + ["-1"] * (args.k - 1))
     kind, _, rest = desc.partition(":")
-    if kind == "cosine":
-        profile = CosineProfile(float(rest))
-    elif kind == "step":
-        profile = StepProfile(_values(rest))
-    else:
-        raise CylmapsError(f"unknown profile {desc!r}")
+    try:
+        if kind == "cosine":
+            profile = CosineProfile(float(rest))
+        elif kind == "step":
+            profile = StepProfile(tuple(float(v) for v in rest.split(",")))
+        else:
+            raise CylmapsError(f"unknown profile {desc!r}")
+    except ValueError as exc:
+        raise CylmapsError(f"cannot parse profile {desc!r}: {exc}") from exc
     return CylinderSystem(args.k, fractional_linear_family(profile))
 
 

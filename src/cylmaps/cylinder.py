@@ -172,8 +172,8 @@ def check_kan_hypothesis(sys: CylinderSystem, x_minus: float, x_plus: float,
     passes iff the period-fold fiber map satisfies f(y) < y throughout the
     x_minus neighborhood and f(y) > y throughout the x_plus neighborhood.
     """
-    if radius <= 0.0:
-        raise PreconditionError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise PreconditionError("radius must be positive and finite")
     if period < 1:
         raise PreconditionError("period must be >= 1")
     for label, xm in (("x_minus", x_minus), ("x_plus", x_plus)):
@@ -183,24 +183,21 @@ def check_kan_hypothesis(sys: CylinderSystem, x_minus: float, x_plus: float,
     nx, ny = grid
     if nx < 1 or ny < 1:
         raise PreconditionError("grid counts must be >= 1")
-    ys = [(j + 1.0) / (ny + 1.0) for j in range(ny)]
-    violations = []
-    checked = 0
-    for center, want_down in ((x_minus, True), (x_plus, False)):
-        offsets = np.linspace(-radius, radius, nx) if nx > 1 else np.array([0.0])
-        for dx in offsets:
-            x = (center + float(dx)) % 1.0
-            for y in ys:
-                fy = orbit(sys, CylPoint(x % 1.0, y), period)[-1].y
-                checked += 1
-                bad = (fy >= y) if want_down else (fy <= y)
-                if bad and len(violations) < max_listed:
-                    side = "x_minus" if want_down else "x_plus"
-                    violations.append((side, x, y, fy))
-                elif bad:
-                    violations.append(None)  # counted, not listed
-    listed = tuple(v for v in violations if v is not None)
-    return HypothesisReport(passed=not violations, checked=checked, violations=listed)
+    offsets = np.linspace(-radius, radius, nx) if nx > 1 else np.zeros(1)
+    # sample order: x_minus then x_plus, angle offset, then height
+    angles = (np.array([[x_minus], [x_plus]]) + offsets) % 1.0
+    shape = (2, nx, ny)
+    x0 = np.broadcast_to(angles[:, :, None], shape).ravel()
+    y0 = np.broadcast_to((np.arange(ny) + 1.0) / (ny + 1.0), shape).ravel()
+    x, y = x0 % 1.0, y0
+    for _ in range(period):
+        y = _apply_fiber(sys.family, x, y)
+        x = (sys.k * x) % 1.0
+    down = np.repeat([True, False], nx * ny)  # x_minus must push down
+    bad = np.flatnonzero(np.where(down, y >= y0, y <= y0))
+    violations = tuple(("x_minus" if down[i] else "x_plus", float(x0[i]), float(y0[i]),
+                        float(y[i])) for i in bad[:max(max_listed, 0)])
+    return HypothesisReport(passed=not bad.size, checked=y.size, violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +211,9 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     Returns an int8 array of BasinClass values.  A point is Basin0 the first
     time its height drops below delta, Basin1 the first time it exceeds
     1 - delta, Undecided when the budget n_max runs out first.  Heights that
-    are exactly 0 or 1 classify immediately.
+    are exactly 0 or 1 classify immediately.  A point's class does not depend
+    on the other points in the batch, so callers may classify any union of
+    questions in one call.
     """
     if not 0.0 < delta < 0.5:
         raise PreconditionError(f"delta must lie in (0, 0.5), got {delta}")
@@ -227,20 +226,20 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     out = np.full(x.shape, BasinClass.UNDECIDED, dtype=np.int8)
     out[y < delta] = BasinClass.BASIN0
     out[y > 1.0 - delta] = BasinClass.BASIN1
-    active = out == BasinClass.UNDECIDED
+    # the undecided points only, as (slot in out, angle, height)
+    idx = np.flatnonzero(out == BasinClass.UNDECIDED)
+    x, y = x[idx], y[idx]
     for _ in range(n_max):
-        if not active.any():
+        if not idx.size:
             break
-        idx = np.flatnonzero(active)
-        xa, ya = x[idx], y[idx]
-        ya = _apply_fiber(sys.family, xa, ya)
-        xa = (sys.k * xa) % 1.0
-        x[idx], y[idx] = xa, ya
-        hit0 = ya < delta
-        hit1 = ya > 1.0 - delta
+        y = _apply_fiber(sys.family, x, y)
+        x = (sys.k * x) % 1.0
+        hit0 = y < delta
+        hit1 = y > 1.0 - delta
         out[idx[hit0]] = BasinClass.BASIN0
         out[idx[hit1]] = BasinClass.BASIN1
-        active[idx[hit0 | hit1]] = False
+        keep = ~(hit0 | hit1)
+        idx, x, y = idx[keep], x[keep], y[keep]
     return out
 
 
@@ -265,15 +264,16 @@ def estimate_separator_batch(sys: CylinderSystem, xs, n_max: int, delta: float,
     """
     if sys.family.kind != KAN:
         raise WrongFamilyError("separator estimation applies to the quadratic (negative-curvature) family")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise PreconditionError("bracket tolerance must be positive")
     xs = np.array(xs, dtype=float).ravel()
     m = xs.size
     lo = np.zeros(m)
     hi = np.ones(m)
     decided = np.ones(m, dtype=bool)
-    for probe in (delta, 1.0 - delta):
-        cls = classify_points(sys, xs, np.full(m, probe), n_max, delta)
+    probes = (delta, 1.0 - delta)
+    seeds = classify_points(sys, np.tile(xs, 2), np.repeat(probes, m), n_max, delta)
+    for probe, cls in zip(probes, seeds.reshape(2, m)):
         lo[(cls == BasinClass.BASIN0) & (probe > lo)] = probe
         hi[(cls == BasinClass.BASIN1) & (probe < hi)] = probe
     active = (hi - lo) > tol
@@ -310,8 +310,9 @@ def separator_sweep(sys: CylinderSystem, num_angles: int, n_max: int, delta: flo
     sigma(kx) = f_x(sigma(x)) within 1e-2.
     """
     xs = np.random.default_rng(seed).uniform(0.0, 1.0, num_angles)
-    at_x = estimate_separator_batch(sys, xs, n_max, delta, tol)
-    at_kx = estimate_separator_batch(sys, (sys.k * xs) % 1.0, n_max, delta, tol)
+    both = estimate_separator_batch(sys, np.concatenate([xs, (sys.k * xs) % 1.0]),
+                                    n_max, delta, tol)
+    at_x, at_kx = both[:num_angles], both[num_angles:]
     pairs = [(sx, skx) for sx, skx in zip(at_x, at_kx) if sx.decided and skx.decided]
     good = sum(abs(skx.sigma - eval_fiber(sys.family, sx.x, sx.sigma)) < 1e-2
                for sx, skx in pairs)

@@ -290,7 +290,7 @@ def schwarzian_numeric(f: Callable[[float], float], y: float,
     The derivatives f', f'', f''' are estimated on the stencil
     y - 2h .. y + 2h, so y must be at least 2h away from both endpoints.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise PreconditionError("stencil step h must be positive")
     if y - 2.0 * h < 0.0 or y + 2.0 * h > 1.0:
         raise DomainError(f"stencil [y-2h, y+2h] leaves [0, 1] at y={y}, h={h}")

@@ -214,8 +214,7 @@ def check_separator(artifacts=None) -> CheckResult:
     """Bisection separator satisfies its pushforward functional equation."""
     t0 = time.perf_counter()
     samples, good, total = separator_sweep(KAN3, 200, 5000, 1e-6, 1e-3, seed=42)
-    edge0 = estimate_separator_batch(KAN3, [0.0], 5000, 1e-6, 1e-3)[0]
-    edge5 = estimate_separator_batch(KAN3, [0.5], 5000, 1e-6, 1e-3)[0]
+    edge0, edge5 = estimate_separator_batch(KAN3, [0.0, 0.5], 5000, 1e-6, 1e-3)
     if artifacts is not None:
         artifacts["separator.csv"] = separator_csv(samples).encode()
     elapsed = time.perf_counter() - t0

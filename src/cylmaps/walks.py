@@ -95,7 +95,7 @@ def simulate_walk(profile: StepProfile, t0: float, n: int, seed: int) -> WalkTra
 
 def occupation_ratios(trace: WalkTrace, threshold: float) -> OccupationStats:
     """Counts over i = 1..n of t_i > N (a), |t_i| <= N (b), t_i < -N (c)."""
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise PreconditionError("threshold must be >= 0")
     tt = trace.t[1:]
     n = np.arange(1, tt.size + 1, dtype=float)
@@ -141,7 +141,7 @@ def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
 def circle_equidistribution(trace: WalkTrace, modulus: float,
                             bins: int) -> CircleWalkReport:
     """Max deviation of the empirical CDF of (t_i/L mod 1) from uniform."""
-    if modulus <= 0.0:
+    if not modulus > 0.0:
         raise PreconditionError("modulus must be positive")
     if bins < 2:
         raise PreconditionError("need at least 2 bins")

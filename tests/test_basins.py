@@ -8,6 +8,7 @@ from cylmaps import (
     CylinderSystem,
     PreconditionError,
     StepProfile,
+    classify_points,
     fractional_linear_family,
     intermingle_probe,
     inverse_kan_family,
@@ -82,6 +83,28 @@ def test_probe_thread_invariance():
     a = intermingle_probe(SYS3, 24, 1.0 / 64.0, 200, 2000, 1e-6, seed=9)
     b = intermingle_probe(SYS3, 24, 1.0 / 64.0, 200, 2000, 1e-6, seed=9, threads=4)
     assert a == b
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_probe_matches_per_box_loop(seed, threads):
+    def per_box(sys_, num_boxes, side, samples, n_max, delta, seed):
+        counts = [0, 0, 0, 0]  # both, only0, only1, neither
+        for sub in np.random.SeedSequence(seed).spawn(num_boxes):
+            rng = np.random.default_rng(sub)
+            cx = rng.uniform(0.0, 1.0)
+            cy = rng.uniform(0.1, 0.9)
+            sx = (cx - side / 2.0 + rng.uniform(0.0, side, samples)) % 1.0
+            sy = np.clip(cy - side / 2.0 + rng.uniform(0.0, side, samples), 0.0, 1.0)
+            cls = classify_points(sys_, sx, sy, n_max, delta)
+            saw0 = bool((cls == BasinClass.BASIN0).any())
+            saw1 = bool((cls == BasinClass.BASIN1).any())
+            counts[3 - 2 * saw0 - saw1] += 1
+        return counts
+
+    rep = intermingle_probe(SYS3, 40, 1.0 / 64.0, 20, 120, 1e-6, seed=seed, threads=threads)
+    got = [rep.boxes_both, rep.boxes_only0, rep.boxes_only1, rep.boxes_undecided]
+    assert got == per_box(SYS3, 40, 1.0 / 64.0, 20, 120, 1e-6, seed)
 
 
 def test_probe_is_regime_specific():

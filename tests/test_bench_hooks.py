@@ -1,0 +1,68 @@
+"""The benchmark's traced run rebinds public names of the package.
+
+``perfbench/tracer.py`` wraps ``basins.classify_points``,
+``cylinder.classify_points``, ``FiberFamily.displacement`` and other public
+names, and reads classifier rounds off the displacement calls.  These tests
+import the tracer unchanged and check that the package still offers what it
+hooks: every rebound name exists, the classifier is looked up through the
+module global at call time, it calls ``displacement`` once per round on the
+undecided points only, and each question reaches it as one batch.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from cylmaps import CylinderSystem, basins, kan_family
+
+SYS3 = CylinderSystem(3, kan_family(0.5))
+CLASSIFY = "cylinder.classify_points"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        yield importlib.import_module("tracer")
+
+
+def test_tracer_finds_every_hooked_name(tracer):
+    tr = tracer.Tracer()
+    assert tr.restored()
+
+
+def test_traced_raster_spans_one_classifier_call_per_thread(tracer):
+    plain = [basins.rasterize(SYS3, 32, 32, 2000, 1e-6, threads=t).cells for t in (1, 2)]
+    tr = tracer.Tracer()
+    with tr:
+        traced = [basins.rasterize(SYS3, 32, 32, 2000, 1e-6, threads=t).cells for t in (1, 2)]
+    assert tr.restored()
+    assert all((a == b).all() for a, b in zip(plain, traced))
+    (chunks1, _, steps1), (chunks2, _, steps2) = tracer.raster_counts(tr.spans)
+    assert (chunks1, chunks2) == (1, 2)
+    assert steps1 == steps2 > 0
+
+
+def test_traced_classifier_steps_only_undecided_points(tracer):
+    tr = tracer.Tracer()
+    with tr:
+        basins.rasterize(SYS3, 32, 32, 2000, 1e-6)
+    assert tr.restored()
+    (span,) = [s for s in tr.spans if s.name == CLASSIFY]
+    counts = [s.work["elements"] for s in sorted(tr.spans, key=lambda s: s.start)
+              if s.name == "fiber.displacement" and s.parent is span]
+    assert counts[0] == 32 * 32  # every cell centre starts undecided
+    assert all(a >= b > 0 for a, b in zip(counts, counts[1:]))
+    assert counts[-1] >= span.work["undecided"]
+
+
+def test_traced_probe_is_one_classifier_call(tracer):
+    tr = tracer.Tracer()
+    with tr:
+        rep = basins.intermingle_probe(SYS3, 20, 1.0 / 64.0, 30, 2000, 1e-6, seed=1)
+    assert tr.restored()
+    calls = [s for s in tr.spans if s.name == CLASSIFY]
+    assert len(calls) == 1
+    assert calls[0].work["points"] == 20 * 30
+    assert rep == basins.intermingle_probe(SYS3, 20, 1.0 / 64.0, 30, 2000, 1e-6, seed=1)

@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from cylmaps.cli import main
 
 
@@ -41,6 +43,14 @@ def test_usage_error_on_unknown_flag():
     proc = subprocess.run([sys.executable, "-m", "cylmaps", "lyap",
                            "--frobnicate", "1"], capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("profile", ["cosine:abc", "step:", "step:1,x", "wave:1"])
+def test_usage_error_on_malformed_profile(profile, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lyap", "--family", "fractional-linear", "--profile", profile])
+    assert exit_info.value.code == 2
+    assert repr(profile) in capsys.readouterr().err
 
 
 def test_basins_writes_ppm(tmp_path, capsys):

@@ -15,6 +15,7 @@ from cylmaps import (
     base_orbit_angles,
     canonical_fixed_angle,
     check_kan_hypothesis,
+    circle_equidistribution,
     classify_point,
     classify_points,
     estimate_separator,
@@ -23,7 +24,10 @@ from cylmaps import (
     fractional_linear_family,
     inverse_kan_family,
     kan_family,
+    occupation_ratios,
     orbit,
+    schwarzian_numeric,
+    simulate_walk,
     step,
 )
 
@@ -150,6 +154,38 @@ def test_hypothesis_angle_gate():
         check_kan_hypothesis(SYS3, x_minus=0.4, x_plus=0.0, radius=0.05)
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.1, float("nan"), float("inf")])
+def test_hypothesis_radius_gate(radius):
+    with pytest.raises(PreconditionError):
+        check_kan_hypothesis(SYS3, x_minus=0.5, x_plus=0.0, radius=radius)
+
+
+@pytest.mark.parametrize("sys_, kwargs", [
+    (SYS3, dict(x_minus=0.5, x_plus=0.0, radius=0.1)),
+    (SYS3, dict(x_minus=0.5, x_plus=0.0, radius=0.3)),
+    (SYS3, dict(x_minus=0.5, x_plus=0.0, radius=0.45, grid=(5, 3), max_listed=4)),
+    (SYS2, dict(x_minus=1.0 / 3.0, x_plus=0.0, radius=0.02, period=2)),
+    (CylinderSystem(4, kan_family(0.5)), dict(x_minus=2.0 / 3.0, x_plus=0.0, radius=0.05)),
+    (CylinderSystem(3, inverse_kan_family(0.5)), dict(x_minus=0.5, x_plus=0.0, radius=0.1)),
+])
+def test_hypothesis_matches_scalar_orbit_loop(sys_, kwargs):
+    def by_orbit(sys_, x_minus, x_plus, radius, grid=(33, 17), period=1, max_listed=50):
+        nx, ny = grid
+        bad = []
+        for center, want_down in ((x_minus, True), (x_plus, False)):
+            for dx in (np.linspace(-radius, radius, nx) if nx > 1 else [0.0]):
+                x = (center + float(dx)) % 1.0
+                for j in range(ny):
+                    y = (j + 1.0) / (ny + 1.0)
+                    fy = orbit(sys_, CylPoint(x % 1.0, y), period)[-1].y
+                    if (fy >= y) if want_down else (fy <= y):
+                        bad.append(("x_minus" if want_down else "x_plus", x, y, fy))
+        return not bad, 2 * nx * ny, tuple(bad[:max_listed])
+
+    rep = check_kan_hypothesis(sys_, **kwargs)
+    assert (rep.passed, rep.checked, rep.violations) == by_orbit(sys_, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -251,6 +287,14 @@ def test_separator_functional_equation():
     assert ok / total >= 0.9
 
 
+def test_separator_batch_is_a_union_of_its_parts():
+    a = np.random.default_rng(5).uniform(0.0, 1.0, 12)
+    b = np.array([0.0, 0.5, 0.25])
+    joint = estimate_separator_batch(SYS3, np.concatenate([a, b]), 3000, 1e-6, 1e-3)
+    assert joint == (estimate_separator_batch(SYS3, a, 3000, 1e-6, 1e-3)
+                     + estimate_separator_batch(SYS3, b, 3000, 1e-6, 1e-3))
+
+
 def test_separator_family_gate():
     with pytest.raises(WrongFamilyError):
         estimate_separator(CylinderSystem(3, inverse_kan_family(0.5)), 0.1, 100, 1e-6, 1e-3)
@@ -290,3 +334,22 @@ def test_base_orbit_angles_fixed_point_is_constant():
     assert (ang == 0.5).all()
     ang0 = base_orbit_angles(3, 0.0, 500)
     assert (ang0 == 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# positivity gates refuse NaN
+# ---------------------------------------------------------------------------
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimate_separator_batch(SYS3, [0.1], 100, 1e-6, _NAN),
+    lambda: occupation_ratios(simulate_walk(StepProfile((1.0, -1.0)), 0.0, 10, seed=1), _NAN),
+    lambda: circle_equidistribution(
+        simulate_walk(StepProfile((1.0, -1.0)), 0.0, 10, seed=1), _NAN, 16),
+    lambda: schwarzian_numeric(lambda y: y, 0.5, h=_NAN),
+], ids=["separator_tol", "occupation_threshold", "equidist_modulus", "schwarzian_step"])
+def test_positivity_gates_refuse_nan(call):
+    with pytest.raises(PreconditionError):
+        call()
