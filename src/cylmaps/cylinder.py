@@ -214,11 +214,17 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     are exactly 0 or 1 classify immediately.  A point's class does not depend
     on the other points in the batch, so callers may classify any union of
     questions in one call.
+
+    Even k is refused: the float base orbit k*x mod 1 then sheds low bits each
+    step and collapses onto x = 0, whose fiber alone would decide every class.
     """
     if not 0.0 < delta < 0.5:
         raise PreconditionError(f"delta must lie in (0, 0.5), got {delta}")
     if n_max < 0:
         raise PreconditionError("iteration budget must be >= 0")
+    if sys.k % 2 == 0:
+        raise PreconditionError(
+            f"classification needs an odd base multiplier k, got {sys.k}")
     x = np.array(xs, dtype=float).ravel()
     y = np.array(ys, dtype=float).ravel()
     if x.shape != y.shape:

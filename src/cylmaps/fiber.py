@@ -222,25 +222,18 @@ def _apply_fiber(family: FiberFamily, x, y):
     return kernels["apply"](kernels["coef"](family.displacement(x)), y, np)
 
 
-def _fiber_steps(family: FiberFamily, a):
-    """(apply, coefs) for scalar loops: apply(coefs[i], y, math) is the fiber
-    map at driving parameter a[i]."""
-    kernels = _KERNELS[family.kind]
-    return kernels["apply"], kernels["coef"](np.asarray(a, dtype=float)).T.tolist()
-
-
 def _fiber_orbit(family: FiberFamily, a: np.ndarray, y: float,
                  out: np.ndarray) -> float:
     """out[i] = y_i for y_0 = y, y_{i+1} = f(y_i) at driving parameter a[i];
     returns the height after the last step.  Heights are stored a chunk at a
     time: storing floats one by one costs more than the arithmetic, and one
     list for the whole orbit would hold 32 bytes per step."""
-    xp = math
+    kernels = _KERNELS[family.kind]
+    apply, xp = kernels["apply"], math
     for lo in range(0, a.size, _ORBIT_CHUNK):
-        apply, coefs = _fiber_steps(family, a[lo:lo + _ORBIT_CHUNK])
         heights = []
         push = heights.append
-        for p in coefs:
+        for p in kernels["coef"](a[lo:lo + _ORBIT_CHUNK]).T.tolist():
             push(y)
             y = apply(p, y, xp)
         out[lo:lo + len(heights)] = heights

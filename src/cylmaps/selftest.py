@@ -31,6 +31,7 @@ from .fiber import (
     cross_ratio,
     eval_fiber,
     fiber_derivative,
+    fractional_linear_family,
     inverse_kan_family,
     kan_family,
     moebius_eval,
@@ -44,13 +45,17 @@ from .walks import (
     arcsine_ensemble,
     circle_equidistribution,
     cyclic_support_check,
+    fl_orbit_as_walk,
     occupation_csv,
     occupation_ratios,
-    simulate_walk,
 )
 
 KAN3 = CylinderSystem(3, kan_family(0.5))
 INV3 = CylinderSystem(3, inverse_kan_family(0.5))
+PM1 = StepProfile((1.0, -1.0))
+#: the zero-curvature cylinder map; its orbits from y = 1/2 walk from t = 0
+FLAT2 = CylinderSystem(2, fractional_linear_family(PM1))
+MID = CylPoint(0.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -249,21 +254,20 @@ def check_asymptotic_measure(artifacts=None) -> CheckResult:
 
 
 def check_random_walk(artifacts=None) -> CheckResult:
-    """Band-occupation decay, arcsine frequencies, and running-ratio wildness."""
+    """Band-occupation decay and wildness of zero-curvature orbits; arcsine law."""
     t0 = time.perf_counter()
-    pm1 = StepProfile((1.0, -1.0))
-    single = occupation_ratios(simulate_walk(pm1, 0.0, 10**6, seed=0), 1.0)
+    single = occupation_ratios(fl_orbit_as_walk(FLAT2, MID, 10**6, seed=0), 1.0)
     single_final = float(single.b_over_n[-1])
     finals = []
     for sub in np.random.SeedSequence(2024).spawn(100):
-        tr = simulate_walk(pm1, 0.0, 10**6, seed=int(sub.generate_state(1)[0]))
+        tr = fl_orbit_as_walk(FLAT2, MID, 10**6, seed=int(sub.generate_state(1)[0]))
         finals.append(float(occupation_ratios(tr, 1.0).b_over_n[-1]))
     median_final = float(np.median(finals))
-    arcs = arcsine_ensemble(pm1, 10**4, 2000, [0.5, 0.25], seed=11)
+    arcs = arcsine_ensemble(PM1, 10**4, 2000, [0.5, 0.25], seed=11)
     by_eps = {p.eps: p for p in arcs}
     covered = 0
     for sub in np.random.SeedSequence(7).spawn(20):
-        tr = simulate_walk(pm1, 0.0, 10**6, seed=int(sub.generate_state(1)[0]))
+        tr = fl_orbit_as_walk(FLAT2, MID, 10**6, seed=int(sub.generate_state(1)[0]))
         ratios = occupation_ratios(tr, 0.0).a_over_n
         if ratios.max() >= 0.95 and ratios.min() <= 0.05:
             covered += 1
@@ -283,9 +287,9 @@ def check_random_walk(artifacts=None) -> CheckResult:
 
 
 def check_equidistribution(artifacts=None) -> CheckResult:
-    """Reduction mod pi equidistributes; reduction mod 2 sits on two atoms."""
+    """A zero-curvature orbit mod pi equidistributes; mod 2 it sits on two atoms."""
     t0 = time.perf_counter()
-    tr = simulate_walk(StepProfile((1.0, -1.0)), 0.0, 10**6, seed=123)
+    tr = fl_orbit_as_walk(FLAT2, MID, 10**6, seed=123)
     irr = circle_equidistribution(tr, math.pi, 256)
     rat = circle_equidistribution(tr, 2.0, 256)
     support_pi = cyclic_support_check([1, -1], modulus_irrational=True)

@@ -23,7 +23,6 @@ from .fiber import (
     FRACTIONAL_LINEAR,
     DisplacementProfile,
     StepProfile,
-    _fiber_steps,
     poincare_coord,
 )
 
@@ -81,6 +80,8 @@ def simulate_walk(profile: StepProfile, t0: float, n: int, seed: int) -> WalkTra
     representable t throughout.
     """
     profile = _require_step(profile)
+    if not math.isfinite(t0):
+        raise PreconditionError(f"walk start must be finite, got {t0}")
     if n < 0:
         raise PreconditionError("walk length must be >= 0")
     digits = np.random.default_rng(seed).integers(0, profile.k, size=n)
@@ -98,12 +99,15 @@ def occupation_ratios(trace: WalkTrace, threshold: float) -> OccupationStats:
     if not threshold >= 0.0:
         raise PreconditionError("threshold must be >= 0")
     tt = trace.t[1:]
+    if np.isnan(tt).any():
+        raise PreconditionError("trace contains NaN")
     n = np.arange(1, tt.size + 1, dtype=float)
-    a = np.cumsum(tt > threshold)
-    c = np.cumsum(tt < -threshold)
-    b = np.cumsum(np.abs(tt) <= threshold)
-    return OccupationStats(threshold=threshold, a_over_n=a / n,
-                           b_over_n=b / n, c_over_n=c / n)
+    a = np.cumsum(tt > threshold, dtype=float)
+    c = np.cumsum(tt < -threshold, dtype=float)
+    b = n - a - c  # the counts partition 1..n, and floats hold them exactly
+    for ratio in (a, b, c):
+        ratio /= n
+    return OccupationStats(threshold=threshold, a_over_n=a, b_over_n=b, c_over_n=c)
 
 
 def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
@@ -124,11 +128,9 @@ def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
     for eps in eps_list:
         if not 0.0 < eps <= 1.0:
             raise PreconditionError(f"eps must lie in (0, 1], got {eps}")
-    values = np.asarray(profile.values, dtype=float)
     final_frac = np.empty(num_walks, dtype=float)
     for w, sub in enumerate(np.random.SeedSequence(seed).spawn(num_walks)):
-        rng = np.random.default_rng(sub)
-        t = np.cumsum(values[rng.integers(0, profile.k, size=n)])
+        t = simulate_walk(profile, 0.0, n, sub).t[1:]
         final_frac[w] = np.count_nonzero(t > 0.0) / n
     out = []
     for eps in eps_list:
@@ -188,14 +190,13 @@ def cyclic_support_check(step_values, modulus=None,
 
 
 def fl_orbit_as_walk(sys: CylinderSystem, p0, n: int, seed: int) -> WalkTrace:
-    """Run the fractional-linear cylinder orbit and record t(y_i).
+    """The fractional-linear cylinder orbit from p0, recorded as t(y_i).
 
-    The base digits come from the same seeded stream as
-    :func:`simulate_walk`, so for equal seeds the recorded increments equal
-    the walk increments up to floating error.  If the height saturates to a
-    boundary at float precision the remaining entries are +-inf; the
-    coordinate is far better conditioned near y = 0 (tiny floats keep full
-    relative precision) than near y = 1.
+    In t = log(y/(1-y)) every Moebius fiber is the translation t -> t + c,
+    and a step profile reads c off the base digit.  The orbit is therefore
+    conjugate to the walk of :func:`simulate_walk` started at t(p0.y), with
+    the base digits drawn from the same seeded stream, and t is carried
+    exactly in that coordinate: it never meets the rounding of 1 - y.
     """
     if sys.family.kind != FRACTIONAL_LINEAR:
         raise WrongFamilyError("walk extraction needs a fractional-linear system")
@@ -204,16 +205,7 @@ def fl_orbit_as_walk(sys: CylinderSystem, p0, n: int, seed: int) -> WalkTrace:
         raise DomainError("walk extraction needs an interior starting height")
     if n < 0:
         raise PreconditionError("walk length must be >= 0")
-    digits = np.random.default_rng(seed).integers(0, sys.k, size=n)
-    apply, coefs = _fiber_steps(sys.family, profile.values)
-    t = np.empty(n + 1, dtype=float)
-    t[0] = poincare_coord(p0.y)
-    y = p0.y
-    for i, digit in enumerate(digits.tolist(), 1):
-        if 0.0 < y < 1.0:  # a height that reaches a boundary stays there
-            y = apply(coefs[digit], y, math)
-        t[i] = -math.inf if y <= 0.0 else math.inf if y >= 1.0 else poincare_coord(y)
-    return WalkTrace(t=t, steps_used=profile.values, seed=seed)
+    return simulate_walk(profile, poincare_coord(p0.y), n, seed)
 
 
 def occupation_csv(stats: OccupationStats, every: int = 1) -> str:

@@ -6,9 +6,12 @@ import pytest
 from cylmaps import (
     BasinClass,
     CylinderSystem,
+    CylPoint,
     PreconditionError,
     StepProfile,
+    classify_point,
     classify_points,
+    estimate_separator_batch,
     fractional_linear_family,
     intermingle_probe,
     inverse_kan_family,
@@ -113,12 +116,27 @@ def test_probe_is_regime_specific():
     rep = intermingle_probe(inv, 20, 1.0 / 64.0, 100, 5000, 1e-6, seed=4)
     assert rep.boxes_both == 0
     assert rep.boxes_undecided == 20
-    # the zero-curvature walk shows no intermingling either, provided the
-    # step size keeps the walk from reaching t = log(delta) inside the
-    # budget (|log 1e-6| / 0.1 = 138 step units, ~19000 steps typical)
+    # the zero-curvature probe at k = 2 is refused: its float base orbit
+    # collapses onto x = 0, where every step is +0.1, so it would report
+    # "Basin1 only" in every box whatever the dynamics
     flat = CylinderSystem(2, fractional_linear_family(StepProfile((0.1, -0.1))))
-    rep2 = intermingle_probe(flat, 20, 1.0 / 64.0, 100, 5000, 1e-6, seed=4)
-    assert rep2.boxes_both == 0
+    with pytest.raises(PreconditionError):
+        intermingle_probe(flat, 20, 1.0 / 64.0, 100, 5000, 1e-6, seed=4)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("entry", [
+    lambda sys: rasterize(sys, 8, 8, 100, 1e-6),
+    lambda sys: intermingle_probe(sys, 4, 1.0 / 64.0, 10, 100, 1e-6, seed=1),
+    lambda sys: estimate_separator_batch(sys, [0.1, 0.3], 100, 1e-6, 1e-3),
+    lambda sys: classify_point(sys, CylPoint(0.3, 0.5), 100, 1e-6),
+], ids=["raster", "probe", "separator", "point"])
+def test_classification_refuses_even_k(entry, k):
+    # the float orbit k*x mod 1 collapses onto x = 0 for even k; at k = 4 the
+    # raster of kan(0.5) read (0, 1, 0) and the probe found no box with both
+    # basins, against Kan's theorem
+    with pytest.raises(PreconditionError, match="odd base multiplier"):
+        entry(CylinderSystem(k, kan_family(0.5)))
 
 
 def test_probe_gates():

@@ -6,7 +6,8 @@ names, and reads classifier rounds off the displacement calls.  These tests
 import the tracer unchanged and check that the package still offers what it
 hooks: every rebound name exists, the classifier is looked up through the
 module global at call time, it calls ``displacement`` once per round on the
-undecided points only, and each question reaches it as one batch.
+undecided points only, and each question reaches it as one batch; every
+walk of an ensemble is drawn by ``walks.simulate_walk``.
 """
 
 import importlib
@@ -14,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from cylmaps import CylinderSystem, basins, kan_family
+from cylmaps import CylinderSystem, StepProfile, basins, kan_family, walks
 
 SYS3 = CylinderSystem(3, kan_family(0.5))
+PM1 = StepProfile((1.0, -1.0))
 CLASSIFY = "cylinder.classify_points"
 
 
@@ -66,3 +68,14 @@ def test_traced_probe_is_one_classifier_call(tracer):
     assert len(calls) == 1
     assert calls[0].work["points"] == 20 * 30
     assert rep == basins.intermingle_probe(SYS3, 20, 1.0 / 64.0, 30, 2000, 1e-6, seed=1)
+
+
+def test_traced_arcsine_draws_every_walk_through_simulate_walk(tracer):
+    tr = tracer.Tracer()
+    with tr:
+        walks.arcsine_ensemble(PM1, 100, 5, [0.5], 0)
+    assert tr.restored()
+    (ensemble,) = [s for s in tr.spans if s.name == "walks.arcsine_ensemble"]
+    drawn = [s for s in tr.spans if s.name == "walks.simulate_walk"]
+    assert len(drawn) == 5
+    assert all(s.parent is ensemble and s.work["steps"] == 100 for s in drawn)

@@ -53,6 +53,18 @@ def test_usage_error_on_malformed_profile(profile, capsys):
     assert repr(profile) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["basins", "--k", "4", "--width", "8", "--height", "8"],
+    ["walk", "--t0", "nan"],
+    ["walk", "--t0", "inf"],
+], ids=["basins-even-k", "walk-nan", "walk-inf"])
+def test_usage_error_on_refused_input(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_basins_writes_ppm(tmp_path, capsys):
     out = tmp_path / "b.ppm"
     code, text = run_cli(["basins", "--width", "32", "--height", "16",

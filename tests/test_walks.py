@@ -12,16 +12,19 @@ from cylmaps import (
     DomainError,
     PreconditionError,
     StepProfile,
+    WalkTrace,
     WrongFamilyError,
     arcsine_ensemble,
     average_displacement,
     circle_equidistribution,
     CosineProfile,
     cyclic_support_check,
+    eval_fiber,
     fl_orbit_as_walk,
     fractional_linear_family,
     kan_family,
     occupation_ratios,
+    poincare_coord,
     poincare_coord_inv,
     simulate_walk,
 )
@@ -201,16 +204,95 @@ def test_fl_orbit_gates():
         fl_orbit_as_walk(flp, CylPoint(0.3, 0.5), -1, seed=1)
 
 
-def test_fl_orbit_saturated_height_stays_on_the_boundary():
-    # steps of +-45 round heights onto y = 1 (or 0); the next -45 step must
-    # not be applied there, since 1 + expm1(-45) * 1 is exactly 0
-    sys2 = CylinderSystem(2, fractional_linear_family(StepProfile((45.0, -45.0))))
-    saturated = 0
+def test_fl_orbit_large_steps_stay_finite():
+    # steps of +-45 used to round heights onto y = 1 (or 0) within a few
+    # steps; in t the orbit is the walk itself and never saturates
+    profile = StepProfile((45.0, -45.0))
+    sys2 = CylinderSystem(2, fractional_linear_family(profile))
     for seed in range(10):
         t = fl_orbit_as_walk(sys2, CylPoint(0.3, 0.5), 50, seed=seed).t
-        hits = np.flatnonzero(np.isinf(t))
-        if hits.size:
-            saturated += 1
-            assert (t[hits[0]:] == t[hits[0]]).all()
-            assert np.isfinite(t[:hits[0]]).all()
-    assert saturated > 0
+        assert np.isfinite(t).all()
+        assert np.array_equal(t, simulate_walk(profile, 0.0, 50, seed=seed).t)
+
+
+def test_fl_orbit_equals_walk_bitwise():
+    # the +-1 walk of seed 3 climbs to t ~ 326 and falls to -745 in 1e6
+    # steps, far past where 1 - y rounds away
+    sys2 = CylinderSystem(2, fractional_linear_family(PM1))
+    orbit = fl_orbit_as_walk(sys2, CylPoint(0.3, 0.5), 10**6, seed=3)
+    assert np.array_equal(orbit.t, simulate_walk(PM1, 0.0, 10**6, seed=3).t)
+
+
+@pytest.mark.parametrize("values,seed", [
+    ((1.0, -1.0), 3), ((0.25, -0.25), 11), ((0.9, 0.9, -0.9), 1), ((1.0, 1.0, -1.0), 1),
+])
+def test_fl_orbit_follows_the_fiber_maps(values, seed):
+    # iterate the fiber maps in y, driven by the walk's digits, while the
+    # height is far from where 1 - y rounds away; t(y_i) must track t_i
+    profile = StepProfile(values)
+    k = profile.k
+    family = fractional_linear_family(profile)
+    n = 2000
+    t = fl_orbit_as_walk(CylinderSystem(k, family), CylPoint(0.3, 0.5), n, seed=seed).t
+    digits = np.random.default_rng(seed).integers(0, k, size=n)
+    y, steps = 0.5, 0
+    for i, digit in enumerate(digits.tolist(), 1):
+        if abs(t[i]) > 10.0:
+            break
+        y = eval_fiber(family, (digit + 0.5) / k, y)
+        assert abs(poincare_coord(y) - t[i]) < 1e-9
+        steps += 1
+    assert steps >= 10
+
+
+def _occupation_reference(trace, threshold):
+    # the three-cumsum form the partition identity replaced
+    tt = trace.t[1:]
+    n = np.arange(1, tt.size + 1, dtype=float)
+    a = np.cumsum(tt > threshold)
+    c = np.cumsum(tt < -threshold)
+    b = np.cumsum(np.abs(tt) <= threshold)
+    return a / n, b / n, c / n
+
+
+@pytest.mark.parametrize("values", [
+    (1.0, -1.0), (0.25, -0.25), (2.0, -1.0, -1.0), (1.0, 1.0, -1.0)])
+def test_occupation_matches_three_count_reference(values):
+    for seed in (0, 5, 9):
+        tr = simulate_walk(StepProfile(values), 0.0, 20000, seed=seed)
+        for threshold in (0.0, 1.0, 2.5):
+            st = occupation_ratios(tr, threshold)
+            ref = _occupation_reference(tr, threshold)
+            for got, want in zip((st.a_over_n, st.b_over_n, st.c_over_n), ref):
+                assert np.array_equal(got, want)
+
+
+def _arcsine_finals_reference(profile, n, num_walks, seed):
+    # the ensemble's own draw-and-sum, before it called simulate_walk
+    values = np.asarray(profile.values, dtype=float)
+    finals = []
+    for sub in np.random.SeedSequence(seed).spawn(num_walks):
+        rng = np.random.default_rng(sub)
+        t = np.cumsum(values[rng.integers(0, profile.k, size=n)])
+        finals.append(np.count_nonzero(t > 0.0) / n)
+    return np.array(finals)
+
+
+@pytest.mark.parametrize("n,num_walks", [(10**4, 2000), (7, 50), (1, 3)])
+def test_arcsine_matches_draw_and_sum_reference(n, num_walks):
+    eps_list = [0.5, 0.25, 0.1, 1.0]
+    finals = _arcsine_finals_reference(PM1, n, num_walks, 11)
+    for pt in arcsine_ensemble(PM1, n, num_walks, eps_list, seed=11):
+        assert pt.empirical == float(np.count_nonzero(finals > 1.0 - pt.eps) / num_walks)
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+def test_simulate_walk_refuses_non_finite_start(t0):
+    with pytest.raises(PreconditionError):
+        simulate_walk(PM1, t0, 10, seed=1)
+
+
+def test_occupation_refuses_nan_trace():
+    t = np.array([0.0, 1.0, math.nan, 1.0])
+    with pytest.raises(PreconditionError):
+        occupation_ratios(WalkTrace(t=t, steps_used=PM1.values, seed=0), 1.0)
