@@ -218,8 +218,8 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     Even k is refused: the float base orbit k*x mod 1 then sheds low bits each
     step and collapses onto x = 0, whose fiber alone would decide every class.
     """
-    if not 0.0 < delta < 0.5:
-        raise PreconditionError(f"delta must lie in (0, 0.5), got {delta}")
+    if not 0.0 < delta < 0.5 or 1.0 - delta == 1.0:
+        raise PreconditionError(f"delta must lie in (0, 0.5) with 1 - delta < 1, got {delta}")
     if n_max < 0:
         raise PreconditionError("iteration budget must be >= 0")
     if sys.k % 2 == 0:

@@ -152,9 +152,7 @@ class MoebiusMap:
 #
 # A kernel op(p, y, xp) evaluates one family at heights y (float or ndarray)
 # for coefficients p = coef(a) of the driving parameter a.  xp supplies sqrt:
-# numpy for arrays, math in scalar loops; both round it correctly.  Scalar
-# loops take their coefficients from one vectorised coef call, because
-# numpy's exp and expm1 round differently from math's.
+# numpy for arrays, math in scalar loops; both round it correctly.
 
 def _kan_apply(a, y, xp):
     # y + a*y*(1-y) is exact at y = 0 and y = 1 for every a
@@ -184,19 +182,19 @@ def _inverse_kan_schwarzian(a, y, xp):
     return 6.0 * a * a / (d * d * d * d)
 
 
-def _moebius_coef(c):
-    return np.stack((c, np.exp(c), np.expm1(c)))
+def _moebius_apply(w, y, xp):
+    # g_c(y) with w = e^-c: the denominator is never smaller than the
+    # numerator, so no image leaves [0, 1], and w = 1 returns y exactly
+    return y / (y + w * (1.0 - y))
 
 
-def _moebius_apply(p, y, xp):
-    _, e, em = p
-    return e * y / (1.0 + em * y)
+def _moebius_invert(w, y, xp):
+    return y * w / (y * w + (1.0 - y))
 
 
-def _moebius_derivative(p, y, xp):
-    _, e, em = p
-    d = 1.0 + em * y
-    return e / (d * d)
+def _moebius_derivative(w, y, xp):
+    d = y + w * (1.0 - y)
+    return w / (d * d)
 
 
 _KERNELS = {
@@ -207,9 +205,8 @@ _KERNELS = {
         derivative=lambda a, y, xp: 1.0 / _kan_derivative(a, _kan_invert(a, y, xp), xp),
         schwarzian=_inverse_kan_schwarzian),
     FRACTIONAL_LINEAR: dict(
-        coef=_moebius_coef, apply=_moebius_apply,
-        invert=lambda p, y, xp: _moebius_apply(_moebius_coef(-p[0]), y, xp),
-        derivative=_moebius_derivative, schwarzian=lambda p, y, xp: 0.0),
+        coef=lambda c: np.exp(-c), apply=_moebius_apply, invert=_moebius_invert,
+        derivative=_moebius_derivative, schwarzian=lambda w, y, xp: 0.0),
 }
 
 #: heights a scalar orbit loop collects before storing them into its array
@@ -223,21 +220,28 @@ def _apply_fiber(family: FiberFamily, x, y):
 
 
 def _fiber_orbit(family: FiberFamily, a: np.ndarray, y: float,
-                 out: np.ndarray) -> float:
-    """out[i] = y_i for y_0 = y, y_{i+1} = f(y_i) at driving parameter a[i];
-    returns the height after the last step.  Heights are stored a chunk at a
-    time: storing floats one by one costs more than the arithmetic, and one
-    list for the whole orbit would hold 32 bytes per step."""
-    kernels = _KERNELS[family.kind]
-    apply, xp = kernels["apply"], math
+                 out: np.ndarray) -> None:
+    """out[i] = y_i for y_0 = y, y_{i+1} = f(y_i) at driving parameter a[i],
+    for the quadratic kinds, whose coefficient is a itself.  Heights are
+    stored a chunk at a time: storing floats one by one costs more than the
+    arithmetic, and one list for the whole orbit would hold 32 bytes per step."""
+    apply, xp = _KERNELS[family.kind]["apply"], math
     for lo in range(0, a.size, _ORBIT_CHUNK):
         heights = []
         push = heights.append
-        for p in kernels["coef"](a[lo:lo + _ORBIT_CHUNK]).T.tolist():
+        for p in a[lo:lo + _ORBIT_CHUNK].tolist():
             push(y)
             y = apply(p, y, xp)
         out[lo:lo + len(heights)] = heights
-    return y
+
+
+def _translation_orbit(t0: float, steps: np.ndarray) -> np.ndarray:
+    """t_0 = t0, t_{i+1} = t_i + steps[i]: Moebius fibers translating t by c."""
+    t = np.empty(steps.size + 1, dtype=float)
+    t[0] = t0
+    np.cumsum(steps, out=t[1:])
+    t[1:] += t0
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +319,9 @@ def poincare_coord(y: float) -> float:
     return math.log(y) - math.log1p(-y)
 
 
-def poincare_coord_inv(t: float) -> float:
+def poincare_coord_inv(t):
     """Inverse of the arclength coordinate, y = e^t/(1+e^t), overflow-safe."""
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
+    return np.exp(-np.logaddexp(0.0, -t))
 
 
 def poincare_distance(y1: float, y2: float) -> float:

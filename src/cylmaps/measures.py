@@ -16,7 +16,8 @@ import numpy as np
 
 from .cylinder import CylinderSystem, CylPoint, base_orbit_angles
 from .errors import DomainError, PreconditionError, WrongFamilyError
-from .fiber import INVERSE_KAN, _fiber_orbit
+from .fiber import (FRACTIONAL_LINEAR, INVERSE_KAN, _fiber_orbit, _translation_orbit,
+                    poincare_coord, poincare_coord_inv)
 
 DEFAULT_BURN_IN = 1000
 
@@ -52,13 +53,16 @@ def orbit_points(sys: CylinderSystem, p0: CylPoint, n: int,
     """Arrays of the first n orbit points (x_i, y_i), i = 0..n-1.
 
     Angles come from :func:`cylmaps.cylinder.base_orbit_angles`; the heights
-    always follow the true fiber maps driven by those angles.
+    follow the fiber maps driven by those angles, Moebius ones carried in t.
     """
     if not 0.0 < p0.y < 1.0:
         raise DomainError("orbit statistics need an interior starting height")
     xs = base_orbit_angles(sys.k, p0.x, n, seed=seed)
+    a = sys.family.displacement(xs)
+    if sys.family.kind == FRACTIONAL_LINEAR:
+        return xs, poincare_coord_inv(_translation_orbit(poincare_coord(p0.y), a)[:n])
     ys = np.empty(n, dtype=float)
-    _fiber_orbit(sys.family, sys.family.displacement(xs), p0.y, ys)
+    _fiber_orbit(sys.family, a, p0.y, ys)
     return xs, ys
 
 

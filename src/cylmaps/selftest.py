@@ -53,7 +53,8 @@ from .walks import (
 KAN3 = CylinderSystem(3, kan_family(0.5))
 INV3 = CylinderSystem(3, inverse_kan_family(0.5))
 PM1 = StepProfile((1.0, -1.0))
-#: the zero-curvature cylinder map; its orbits from y = 1/2 walk from t = 0
+#: the zero-curvature cylinder map; its orbits from y = 1/2 walk from t = 0.
+#: fl_orbit_as_walk does not read MID.x: its digits are those of a typical angle
 FLAT2 = CylinderSystem(2, fractional_linear_family(PM1))
 MID = CylPoint(0.0, 0.5)
 

@@ -19,12 +19,8 @@ import numpy as np
 
 from .cylinder import CylinderSystem
 from .errors import DomainError, PreconditionError, WrongFamilyError
-from .fiber import (
-    FRACTIONAL_LINEAR,
-    DisplacementProfile,
-    StepProfile,
-    poincare_coord,
-)
+from .fiber import (FRACTIONAL_LINEAR, DisplacementProfile, StepProfile, _translation_orbit,
+                    poincare_coord)
 
 
 @dataclass(frozen=True)
@@ -86,12 +82,7 @@ def simulate_walk(profile: StepProfile, t0: float, n: int, seed: int) -> WalkTra
         raise PreconditionError("walk length must be >= 0")
     digits = np.random.default_rng(seed).integers(0, profile.k, size=n)
     steps = np.asarray(profile.values, dtype=float)[digits]
-    t = np.empty(n + 1, dtype=float)
-    t[0] = t0
-    if n:
-        np.cumsum(steps, out=t[1:])
-        t[1:] += t0
-    return WalkTrace(t=t, steps_used=profile.values, seed=seed)
+    return WalkTrace(t=_translation_orbit(t0, steps), steps_used=profile.values, seed=seed)
 
 
 def occupation_ratios(trace: WalkTrace, threshold: float) -> OccupationStats:
@@ -190,13 +181,15 @@ def cyclic_support_check(step_values, modulus=None,
 
 
 def fl_orbit_as_walk(sys: CylinderSystem, p0, n: int, seed: int) -> WalkTrace:
-    """The fractional-linear cylinder orbit from p0, recorded as t(y_i).
+    """The fractional-linear orbit from height p0.y, recorded as t(y_i).
 
     In t = log(y/(1-y)) every Moebius fiber is the translation t -> t + c,
-    and a step profile reads c off the base digit.  The orbit is therefore
-    conjugate to the walk of :func:`simulate_walk` started at t(p0.y), with
-    the base digits drawn from the same seeded stream, and t is carried
-    exactly in that coordinate: it never meets the rounding of 1 - y.
+    and a step profile reads c off the base digit.  The digits are i.i.d.
+    from ``seed``: the orbit over a Lebesgue-typical angle.  p0.x is not read:
+    a float angle runs out of digits after 53 bits, and the fixed angle x = 0
+    would drift by values[0] every step.  The result is the walk of
+    :func:`simulate_walk` from t(p0.y), with t carried exactly: it never
+    meets the rounding of 1 - y.
     """
     if sys.family.kind != FRACTIONAL_LINEAR:
         raise WrongFamilyError("walk extraction needs a fractional-linear system")

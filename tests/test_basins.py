@@ -139,6 +139,21 @@ def test_classification_refuses_even_k(entry, k):
         entry(CylinderSystem(k, kan_family(0.5)))
 
 
+@pytest.mark.parametrize("entry", [
+    lambda sys, delta: rasterize(sys, 8, 8, 100, delta),
+    lambda sys, delta: intermingle_probe(sys, 4, 1.0 / 64.0, 10, 100, delta, seed=1),
+    lambda sys, delta: estimate_separator_batch(sys, [0.1, 0.3], 100, delta, 1e-3),
+    lambda sys, delta: classify_point(sys, CylPoint(0.3, 0.5), 100, delta),
+], ids=["raster", "probe", "separator", "point"])
+def test_classification_refuses_delta_below_float_resolution(entry):
+    # 1 - 1e-17 rounds to 1.0 and no height exceeds 1.0: the 32x32 raster read
+    # frac1 = 0 and the separator decided 0 of 20 angles
+    for delta in (1e-17, 2.0**-54):
+        with pytest.raises(PreconditionError, match="1 - delta"):
+            entry(SYS3, delta)
+    entry(SYS3, 2.0**-53)  # 1 - 2^-53 is the float just below 1
+
+
 def test_probe_gates():
     with pytest.raises(PreconditionError):
         intermingle_probe(SYS3, 10, 1.0 / 64.0, 0, 100, 1e-6, seed=1)

@@ -57,7 +57,9 @@ def test_usage_error_on_malformed_profile(profile, capsys):
     ["basins", "--k", "4", "--width", "8", "--height", "8"],
     ["walk", "--t0", "nan"],
     ["walk", "--t0", "inf"],
-], ids=["basins-even-k", "walk-nan", "walk-inf"])
+    ["basins", "--width", "32", "--height", "32", "--delta", "1e-17"],
+    ["separator", "--angles", "20", "--delta", "1e-17"],
+], ids=["basins-even-k", "walk-nan", "walk-inf", "basins-delta", "separator-delta"])
 def test_usage_error_on_refused_input(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)

@@ -62,6 +62,14 @@ def test_step_boundary_rows_exact():
         assert step(SYS3, CylPoint(x, 1.0)) == CylPoint((3 * x) % 1.0, 1.0)
 
 
+def test_step_keeps_moebius_heights_on_the_cylinder():
+    # e^c*y / (1 + (e^c - 1)*y) put this image at 1 + 2^-52, and CylPoint refused it
+    sys = CylinderSystem(2, fractional_linear_family(StepProfile((0.96, 0.96))))
+    p = step(sys, CylPoint(0.0, 1.0 - 2.0**-52))
+    assert isinstance(p, CylPoint)
+    assert p.y <= 1.0
+
+
 def test_step_mod_one():
     assert step(SYS2, CylPoint(0.75, 0.5)).x == 0.5
 

@@ -120,15 +120,57 @@ def test_birkhoff_unknown_function_gate():
 def test_orbit_points_heights_follow_fibers():
     from cylmaps import CosineProfile, eval_fiber, fractional_linear_family
 
-    # bit-exact for every kind, across the scalar loop's chunk boundary at
-    # 4096.  The Moebius orbit saturates to y = 1.0 at step 1868; from there
-    # the loop's formula steps just past 1 while eval_fiber keeps endpoints,
-    # so only steps from interior heights are compared.
-    for family in (INV3.family, KAN3.family, fractional_linear_family(CosineProfile(0.8))):
+    # bit-exact for the quadratic kinds, across the scalar loop's chunk
+    # boundary at 4096
+    for family in (INV3.family, KAN3.family):
         xs, ys = orbit_points(CylinderSystem(3, family), START, 4200, seed=3)
         for i in range(4199):
             if 0.0 < ys[i] < 1.0:
                 assert ys[i + 1] == eval_fiber(family, float(xs[i]), float(ys[i]))
+    # Moebius heights are carried in t and read back through
+    # poincare_coord_inv, so one fiber step from each stored height lands on
+    # the next to rounding, also where the orbit sits at y = 1.0 (step 1868)
+    family = fractional_linear_family(CosineProfile(0.8))
+    xs, ys = orbit_points(CylinderSystem(3, family), START, 4200, seed=3)
+    for i in range(4199):
+        assert ys[i + 1] == pytest.approx(eval_fiber(family, float(xs[i]), float(ys[i])),
+                                          abs=1e-12)
+
+
+def test_moebius_orbit_stays_on_the_cylinder():
+    from cylmaps import CosineProfile, eval_fiber, fractional_linear_family, poincare_coord
+
+    # the y-space loop stepped 25,654 of these heights above 1 (up to 1036.65),
+    # and the histogram then binned 44,891 of its 100,000 points
+    family = fractional_linear_family(CosineProfile(0.8))
+    sys = CylinderSystem(3, family)
+    xs, ys = orbit_points(sys, START, 10**5, seed=3)
+    assert ((0.0 <= ys) & (ys <= 1.0)).all()
+    h = orbit_histogram(sys, START, 10**5, 8, 8, burn_in=0, seed=3)
+    assert int(h.counts.sum()) == h.total == 10**5
+    # while |t| <= 10, iterating the fiber maps in y tracks the orbit
+    y, i = START.y, 0
+    while abs(poincare_coord(y)) <= 10.0:
+        assert abs(y - ys[i]) <= 1e-9
+        y = eval_fiber(family, float(xs[i]), y)
+        i += 1
+    assert i > 10
+
+
+@pytest.mark.parametrize("n", [0, 1, 10**5])
+def test_moebius_orbit_is_the_exact_partial_sum(n):
+    from cylmaps import StepProfile, fractional_linear_family, poincare_coord_inv
+
+    # +-1 steps from y = 1/2 (t = 0): t_i is an integer partial sum, read off
+    # the returned angles.  The y-space loop stalled 144 heights at 1 - 2^-53
+    # and resumed from t ~ 36.7 instead of the true height.
+    sys = CylinderSystem(2, fractional_linear_family(StepProfile((1.0, -1.0))))
+    xs, ys = orbit_points(sys, CylPoint(0.3, 0.5), n, seed=3)
+    assert xs.shape == ys.shape == (n,)
+    t = 0
+    for i in range(n):
+        assert ys[i] == poincare_coord_inv(float(t))
+        t += 1 if xs[i] < 0.5 else -1
 
 
 def test_histogram_csv_roundtrip():
