@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .cylinder import BasinClass, CylinderSystem, classify_points
+from .cylinder import BasinClass, CylinderSystem, _mod1, classify_points
 from .errors import PreconditionError
 
 #: Basin0 blue, Basin1 amber, Undecided black; fixed so renders are bytewise stable
@@ -110,7 +110,7 @@ def intermingle_probe(sys: CylinderSystem, num_boxes: int, box_side: float,
         rng = np.random.default_rng(sub)
         cx = rng.uniform(0.0, 1.0)
         cy = rng.uniform(0.1, 0.9)
-        sx[i] = (cx - box_side / 2.0 + rng.uniform(0.0, box_side, samples_per_box)) % 1.0
+        sx[i] = _mod1(cx - box_side / 2.0 + rng.uniform(0.0, box_side, samples_per_box))
         sy[i] = np.clip(cy - box_side / 2.0 + rng.uniform(0.0, box_side, samples_per_box), 0.0, 1.0)
     cls = _classify_rows(sys, sx, sy, n_max, delta, threads)
     saw0 = (cls == BasinClass.BASIN0).any(axis=1)

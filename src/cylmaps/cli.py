@@ -321,12 +321,17 @@ def _run_backward(args) -> int:
     return 0
 
 
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
 def _run_selftest(args) -> int:
     results, artifacts = run_selftest(threads=args.threads)
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        extra = f"; {r.timing}" if r.timing else ""
-        print(f"selftest [{status}] {r.name}: {r.detail} ({r.seconds:.2f}s{extra})")
+        print(f"selftest [{_verdict(r.correct)}] {r.name}: {r.detail} ({r.seconds:.2f}s)")
+        for b in r.bounds:
+            print(f"selftest [{_verdict(b.passed)}] {r.name} {b.label} took "
+                  f"{b.seconds:.3g}s, bound < {b.limit:g}s")
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)

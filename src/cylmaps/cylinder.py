@@ -92,6 +92,14 @@ class HypothesisReport:
     violations: tuple
 
 
+def _mod1(v: np.ndarray) -> np.ndarray:
+    """v mod 1, in place on a float array the caller owns.  v - floor(v) rounds
+    the same exact real as numpy's remainder(v, 1.0), so the two agree bit for
+    bit (a zero comes out +0.0; NaN and +-inf give NaN)."""
+    v -= np.floor(v)
+    return v
+
+
 def circle_distance(u: float, v: float) -> float:
     d = abs(u - v) % 1.0
     return min(d, 1.0 - d)
@@ -185,14 +193,14 @@ def check_kan_hypothesis(sys: CylinderSystem, x_minus: float, x_plus: float,
         raise PreconditionError("grid counts must be >= 1")
     offsets = np.linspace(-radius, radius, nx) if nx > 1 else np.zeros(1)
     # sample order: x_minus then x_plus, angle offset, then height
-    angles = (np.array([[x_minus], [x_plus]]) + offsets) % 1.0
+    angles = _mod1(np.array([[x_minus], [x_plus]]) + offsets)
     shape = (2, nx, ny)
     x0 = np.broadcast_to(angles[:, :, None], shape).ravel()
     y0 = np.broadcast_to((np.arange(ny) + 1.0) / (ny + 1.0), shape).ravel()
-    x, y = x0 % 1.0, y0
+    x, y = x0, y0
     for _ in range(period):
         y = _apply_fiber(sys.family, x, y)
-        x = (sys.k * x) % 1.0
+        x = _mod1(sys.k * x)
     down = np.repeat([True, False], nx * ny)  # x_minus must push down
     bad = np.flatnonzero(np.where(down, y >= y0, y <= y0))
     violations = tuple(("x_minus" if down[i] else "x_plus", float(x0[i]), float(y0[i]),
@@ -213,7 +221,9 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     1 - delta, Undecided when the budget n_max runs out first.  Heights that
     are exactly 0 or 1 classify immediately.  A point's class does not depend
     on the other points in the batch, so callers may classify any union of
-    questions in one call.
+    questions in one call.  Each round steps the angles in place as
+    k*x - floor(k*x), which is k*x mod 1 bit for bit; xs and ys are copied
+    first and never written.
 
     Even k is refused: the float base orbit k*x mod 1 then sheds low bits each
     step and collapses onto x = 0, whose fiber alone would decide every class.
@@ -239,7 +249,8 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
         if not idx.size:
             break
         y = _apply_fiber(sys.family, x, y)
-        x = (sys.k * x) % 1.0
+        x *= sys.k
+        _mod1(x)
         hit0 = y < delta
         hit1 = y > 1.0 - delta
         out[idx[hit0]] = BasinClass.BASIN0
@@ -316,7 +327,7 @@ def separator_sweep(sys: CylinderSystem, num_angles: int, n_max: int, delta: flo
     sigma(kx) = f_x(sigma(x)) within 1e-2.
     """
     xs = np.random.default_rng(seed).uniform(0.0, 1.0, num_angles)
-    both = estimate_separator_batch(sys, np.concatenate([xs, (sys.k * xs) % 1.0]),
+    both = estimate_separator_batch(sys, np.concatenate([xs, _mod1(sys.k * xs)]),
                                     n_max, delta, tol)
     at_x, at_kx = both[:num_angles], both[num_angles:]
     pairs = [(sx, skx) for sx, skx in zip(at_x, at_kx) if sx.decided and skx.decided]

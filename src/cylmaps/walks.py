@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cylinder import CylinderSystem
+from .cylinder import CylinderSystem, _mod1
 from .errors import DomainError, PreconditionError, WrongFamilyError
 from .fiber import (FRACTIONAL_LINEAR, DisplacementProfile, StepProfile, _translation_orbit,
                     poincare_coord)
@@ -142,7 +142,8 @@ def circle_equidistribution(trace: WalkTrace, modulus: float,
         raise PreconditionError("empty trace")
     if not np.isfinite(trace.t).all():
         raise PreconditionError("trace contains non-finite entries")
-    tau = np.sort(np.mod(trace.t / modulus, 1.0))
+    tau = _mod1(trace.t / modulus)
+    tau.sort()
     edges = np.arange(1, bins + 1, dtype=float) / bins
     ecdf = np.searchsorted(tau, edges, side="right") / tau.size
     return CircleWalkReport(modulus=float(modulus), bins=bins,

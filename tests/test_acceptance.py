@@ -15,7 +15,9 @@ from cylmaps import selftest
 
 
 def _report(result):
-    line = f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}"
+    line = f"[{'PASS' if result.correct else 'FAIL'}] {result.name}: {result.detail}"
+    for b in result.bounds:  # a slow host fails a bound, not the numbers
+        line += f"; [{'PASS' if b.passed else 'FAIL'}] {b.label} {b.seconds:.3g}s < {b.limit:g}s"
     print(line)
     assert result.passed, line
 

@@ -139,3 +139,24 @@ def test_birkhoff_command(capsys):
     assert code == 0
     value = float(out.split("average=")[1])
     assert abs(value - 0.5) < 0.05
+
+
+def test_selftest_prints_a_verdict_per_time_bound(monkeypatch, capsys):
+    import cylmaps.cli as cli
+    from cylmaps.selftest import CheckResult, TimeBound
+
+    slow = CheckResult("slow_host", True, "value=1", 2.0,
+                       (TimeBound("elapsed", 2.0, 1.0), TimeBound("core", 0.5, 1.0)))
+    wrong = CheckResult("wrong_number", False, "value=2", 0.1, (TimeBound("elapsed", 0.1, 1.0),))
+    assert not slow.passed and not wrong.passed
+    assert CheckResult("fine", True, "", 0.1, (TimeBound("elapsed", 0.1, 1.0),)).passed
+    monkeypatch.setattr(cli, "run_selftest", lambda threads: ([slow, wrong], {}))
+    code, out = run_cli(["selftest"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert "selftest [PASS] slow_host: value=1 (2.00s)" in lines
+    assert "selftest [FAIL] slow_host elapsed took 2s, bound < 1s" in lines
+    assert "selftest [PASS] slow_host core took 0.5s, bound < 1s" in lines
+    assert "selftest [FAIL] wrong_number: value=2 (0.10s)" in lines
+    assert "selftest [PASS] wrong_number elapsed took 0.1s, bound < 1s" in lines
+    assert lines[-1] == "selftest FAILED: slow_host, wrong_number"

@@ -5,6 +5,7 @@ import pytest
 
 from cylmaps import (
     BasinClass,
+    CosineProfile,
     CylinderSystem,
     CylPoint,
     DomainError,
@@ -30,6 +31,8 @@ from cylmaps import (
     simulate_walk,
     step,
 )
+from cylmaps.cylinder import _mod1
+from cylmaps.fiber import _apply_fiber
 
 SYS3 = CylinderSystem(3, kan_family(0.5))
 SYS2 = CylinderSystem(2, kan_family(0.5))
@@ -238,6 +241,89 @@ def test_classify_points_matches_scalar_fiber_loop():
         scalar = [classify_by_eval_fiber(sys_, float(x), float(y), 200, 1e-6)
                   for x, y in zip(xs, ys)]
         assert batch.tolist() == scalar
+
+
+def _remainder_cases():
+    """Adversarial inputs for x mod 1, including k*x at odd and even k."""
+    rng = np.random.default_rng(2024)
+    n = 20_000
+    u = rng.uniform(0.0, 1.0, n)
+    tiny = np.array([2.0 ** -53, 2.0 ** -54, 2.0 ** -55, 1e-17, 1e-300, 5e-324])
+    parts = [
+        rng.uniform(0.0, 3.0, n),
+        -rng.uniform(0.0, 3.0, n),              # (-3, 0]
+        rng.normal(0.0, 1e6, n),
+        -np.exp(rng.uniform(-700.0, 5.0, n)),
+        np.exp(rng.uniform(-700.0, 60.0, n)),
+        np.array([0.0, -0.0, 5e-324, -5e-324, 2.0 ** 53, -(2.0 ** 53),
+                  1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), 1.0, -1.0, 3.0, -3.0]),
+        -tiny,                                   # rounds up to 1.0 or just below
+        -tiny - 2.0,
+    ]
+    parts += [k * u for k in (2, 3, 5, 7)] + [k * (u - 1.0) for k in (2, 3, 5, 7)]
+    return np.concatenate(parts)
+
+
+def test_mod1_matches_float_remainder_bit_for_bit():
+    v = _remainder_cases()
+    buf = v.copy()
+    got = _mod1(buf)
+    assert got is buf  # in place
+    want = np.mod(v, 1.0)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    scalar = np.array([float(a) % 1.0 for a in v])
+    assert np.array_equal(got.view(np.uint64), scalar.view(np.uint64))
+    zeros = got == 0.0
+    assert zeros.sum() > 10 and not np.signbit(got[zeros]).any()
+    assert (got[v < 0] == 1.0).any()  # tiny negatives round up to 1.0 both ways
+    assert ((got >= 0.0) & (got <= 1.0)).all()
+    bad = np.array([np.nan, np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_mod1(bad.copy())).all()
+        assert np.isnan(np.mod(bad, 1.0)).all()
+
+
+def test_classify_points_matches_the_remainder_round_loop():
+    def classify_by_remainder(sys_, xs, ys, n_max, delta):
+        # the classifier round written with numpy's float remainder
+        x = np.array(xs, dtype=float).ravel()
+        y = np.array(ys, dtype=float).ravel()
+        out = np.full(x.shape, BasinClass.UNDECIDED, dtype=np.int8)
+        out[y < delta] = BasinClass.BASIN0
+        out[y > 1.0 - delta] = BasinClass.BASIN1
+        idx = np.flatnonzero(out == BasinClass.UNDECIDED)
+        x, y = x[idx], y[idx]
+        for _ in range(n_max):
+            if not idx.size:
+                break
+            y = _apply_fiber(sys_.family, x, y)
+            x = (sys_.k * x) % 1.0
+            hit0 = y < delta
+            hit1 = y > 1.0 - delta
+            out[idx[hit0]] = BasinClass.BASIN0
+            out[idx[hit1]] = BasinClass.BASIN1
+            keep = ~(hit0 | hit1)
+            idx, x, y = idx[keep], x[keep], y[keep]
+        return out
+
+    rng = np.random.default_rng(606)
+    xs = rng.uniform(-2.0, 3.0, 4000)
+    ys = rng.uniform(0.0, 1.0, 4000)
+    xs_before, ys_before = xs.copy(), ys.copy()
+    for k in (3, 5):
+        for family in (kan_family(0.5), inverse_kan_family(0.5),
+                       fractional_linear_family(CosineProfile(0.8))):
+            sys_ = CylinderSystem(k, family)
+            seen = set()
+            # inverse-Kan fibres repel both boundaries: at delta = 1e-6 every
+            # point stays undecided, at delta = 0.01 many decide
+            for delta in (1e-6, 0.01):
+                got = classify_points(sys_, xs, ys, 300, delta)
+                assert np.array_equal(got, classify_by_remainder(sys_, xs, ys, 300, delta))
+                seen.update(got.tolist())
+            assert seen == {0, 1, 2}
+            assert np.array_equal(xs.view(np.uint64), xs_before.view(np.uint64))
+            assert np.array_equal(ys.view(np.uint64), ys_before.view(np.uint64))
 
 
 def test_classify_budget_monotone():

@@ -138,6 +138,18 @@ def test_equidistribution_dichotomy():
     assert cyclic_support_check([1, -1], modulus_irrational=True) is False
 
 
+def test_equidistribution_matches_a_sorted_remainder():
+    tr = simulate_walk(StepProfile((1.0, -1.0, 0.25)), -3.5, 10**5, seed=5)
+    t_before = tr.t.copy()
+    for modulus, bins in ((math.pi, 256), (2.0, 64), (0.3, 16)):
+        tau = np.sort(np.mod(tr.t / modulus, 1.0))
+        edges = np.arange(1, bins + 1, dtype=float) / bins
+        ecdf = np.searchsorted(tau, edges, side="right") / tau.size
+        rep = circle_equidistribution(tr, modulus, bins)
+        assert rep.cdf_deviation == float(np.abs(ecdf - edges).max())
+    assert np.array_equal(tr.t, t_before)
+
+
 def test_equidistribution_gates():
     tr = simulate_walk(PM1, 0.0, 100, seed=1)
     with pytest.raises(PreconditionError):
