@@ -5,8 +5,9 @@ k >= 2 and a fiber family from :mod:`cylmaps.fiber`.  Both boundary circles
 {y = 0} and {y = 1} are invariant; this module provides forward orbits,
 backward orbits steered toward a marked angle, the push/pull hypothesis
 check near marked periodic angles, first-hitting classification of points
-into the two boundary basins, and bisection estimates of the fiberwise
-separator height sigma(x).
+into the two boundary basins, and estimates of the fiberwise separator
+height sigma(x) by a pull-back along the base orbit, certified by the
+classifier.
 
 Angles live in [0, 1) and are reduced mod 1.  All operations are pure;
 the vectorized classifiers write only into caller-disjoint slots, so they
@@ -26,6 +27,7 @@ from .fiber import (
     KAN,
     FiberFamily,
     StepProfile,
+    _KERNELS,
     _apply_fiber,
     eval_fiber,
     invert_fiber,
@@ -36,6 +38,9 @@ _FIXED_ANGLE_TOL = 1e-9
 
 #: float orbits of x -> k*x mod 1 degenerate after about this many steps
 EXACT_ORBIT_PREFIX = 50
+
+#: depth of the separator's first pull-back; each further pass doubles it
+_PULLBACK_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -75,12 +80,22 @@ class BasinClass(IntEnum):
 
 @dataclass(frozen=True)
 class SeparatorSample:
-    """One bisection estimate of the separator height over angle x."""
+    """One pull-back estimate of the separator height over angle x: the
+    bracket [lo, hi], certified when decided (lo classifies Basin0, hi
+    Basin1)."""
 
     x: float
-    sigma: float
-    bracket: float
+    lo: float
+    hi: float
     decided: bool
+
+    @property
+    def sigma(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def bracket(self) -> float:
+        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -212,6 +227,18 @@ def check_kan_hypothesis(sys: CylinderSystem, x_minus: float, x_plus: float,
 # basin classification
 # ---------------------------------------------------------------------------
 
+def _check_classification(sys: CylinderSystem, n_max: int, delta: float) -> None:
+    """The refusals of :func:`classify_points`, for callers that must raise
+    them before doing any work of their own."""
+    if not 0.0 < delta < 0.5 or 1.0 - delta == 1.0:
+        raise PreconditionError(f"delta must lie in (0, 0.5) with 1 - delta < 1, got {delta}")
+    if n_max < 0:
+        raise PreconditionError("iteration budget must be >= 0")
+    if sys.k % 2 == 0:
+        raise PreconditionError(
+            f"classification needs an odd base multiplier k, got {sys.k}")
+
+
 def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
                     delta: float) -> np.ndarray:
     """First-hitting classification of many points at once.
@@ -228,13 +255,7 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     Even k is refused: the float base orbit k*x mod 1 then sheds low bits each
     step and collapses onto x = 0, whose fiber alone would decide every class.
     """
-    if not 0.0 < delta < 0.5 or 1.0 - delta == 1.0:
-        raise PreconditionError(f"delta must lie in (0, 0.5) with 1 - delta < 1, got {delta}")
-    if n_max < 0:
-        raise PreconditionError("iteration budget must be >= 0")
-    if sys.k % 2 == 0:
-        raise PreconditionError(
-            f"classification needs an odd base multiplier k, got {sys.k}")
+    _check_classification(sys, n_max, delta)
     x = np.array(xs, dtype=float).ravel()
     y = np.array(ys, dtype=float).ravel()
     if x.shape != y.shape:
@@ -272,45 +293,72 @@ def classify_point(sys: CylinderSystem, p: CylPoint, n_max: int,
 
 def estimate_separator_batch(sys: CylinderSystem, xs, n_max: int, delta: float,
                              tol: float) -> list[SeparatorSample]:
-    """Bisection estimates of sigma(x) for a batch of angles.
+    """Certified pull-back estimates of sigma(x) for a batch of angles.
 
-    Maintains per-angle brackets [lo, hi] with lo classified Basin0 and hi
-    Basin1, seeded from the trivial bracket [0, 1] sharpened by probes at
-    delta and 1 - delta.  Any Undecided classification flags the sample
-    (decided=False) instead of guessing.
+    sigma is invariant, sigma(k*x) = f_x(sigma(x)), so pulling a height back
+    along the base orbit, f_{x_0}^-1(... f_{x_{n-1}}^-1(y)), tends to sigma(x)
+    as the depth n grows.  lo is pulled back from the float below delta and
+    hi from the float above 1 - delta, along the classifier's own float
+    orbit, each clamped at every step to the heights the classifier has not
+    decided the other way.  Depth starts at _PULLBACK_DEPTH and doubles up
+    to n_max; an angle stops once hi - lo <= tol.  One classifier call then
+    certifies each bracket and a copy widened by a quarter of its slack to
+    tol, since rounding can put an end that sits at the threshold on its
+    wrong side.  A sample is decided only when lo is Basin0, hi Basin1 and
+    hi - lo <= tol; fibers are increasing, so classes are monotone in y and
+    the bracket then contains the classifier's threshold.  The stored
+    parameters take 8 * depth bytes per open angle.
     """
     if sys.family.kind != KAN:
         raise WrongFamilyError("separator estimation applies to the quadratic (negative-curvature) family")
     if not tol > 0.0:
         raise PreconditionError("bracket tolerance must be positive")
+    _check_classification(sys, n_max, delta)
+    invert = _KERNELS[KAN]["invert"]  # its coefficient is the parameter a itself
     xs = np.array(xs, dtype=float).ravel()
     m = xs.size
-    lo = np.zeros(m)
-    hi = np.ones(m)
-    decided = np.ones(m, dtype=bool)
-    probes = (delta, 1.0 - delta)
-    seeds = classify_points(sys, np.tile(xs, 2), np.repeat(probes, m), n_max, delta)
-    for probe, cls in zip(probes, seeds.reshape(2, m)):
-        lo[(cls == BasinClass.BASIN0) & (probe > lo)] = probe
-        hi[(cls == BasinClass.BASIN1) & (probe < hi)] = probe
-    active = (hi - lo) > tol
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        idx = np.flatnonzero(active)
-        cls = classify_points(sys, xs[idx], mid[idx], n_max, delta)
-        sel0 = idx[cls == BasinClass.BASIN0]
-        sel1 = idx[cls == BasinClass.BASIN1]
-        dead = idx[cls == BasinClass.UNDECIDED]
-        lo[sel0] = mid[sel0]
-        hi[sel1] = mid[sel1]
-        decided[dead] = False
-        active[dead] = False
-        active[(hi - lo) <= tol] = False
-    return [
-        SeparatorSample(x=float(xs[i]), sigma=float(0.5 * (lo[i] + hi[i])),
-                        bracket=float(hi[i] - lo[i]), decided=bool(decided[i]))
-        for i in range(m)
-    ]
+    # row 0 is the lo end of every bracket, row 1 the hi end
+    below_delta, above_top = np.nextafter(delta, 0.0), np.nextafter(1.0 - delta, 1.0)
+    targets = np.array([[below_delta], [above_top]])
+    lowest = np.array([[below_delta], [delta]])
+    highest = np.array([[1.0 - delta], [above_top]])
+    ends = np.repeat(targets, m, axis=1)
+    open_ = np.arange(m)
+    x = xs.copy()
+    params = np.empty((0, m))  # a at x_0 .. x_{depth-1}, one column per open angle
+    depth = min(_PULLBACK_DEPTH, n_max)
+    while open_.size:
+        grown = np.empty((depth - len(params), open_.size))
+        for row in grown:
+            row[:] = sys.family.displacement(x)
+            x *= sys.k
+            _mod1(x)
+        params = np.concatenate([params, grown])
+        y = np.repeat(targets, open_.size, axis=1)
+        for a in params[::-1]:
+            y = invert(a, y, np)
+            np.clip(y, lowest, highest, out=y)
+        ends[:, open_] = y
+        if depth == n_max:
+            break
+        keep = y[1] - y[0] > tol
+        open_, x, params = open_[keep], x[keep], params[:, keep]
+        depth = min(2 * depth, n_max)
+    # rows of trial: lo, widened lo, hi, widened hi
+    lo, hi = ends
+    cand = np.flatnonzero(hi - lo <= tol)
+    slack = 0.25 * (tol - (hi[cand] - lo[cand]))
+    trial = np.stack([lo[cand], np.maximum(lo[cand] - slack, 0.0),
+                      hi[cand], np.minimum(hi[cand] + slack, 1.0)])
+    cls = classify_points(sys, np.tile(xs[cand], 4), trial.ravel(), n_max, delta).reshape(4, -1)
+    basin0, basin1 = cls[:2] == BasinClass.BASIN0, cls[2:] == BasinClass.BASIN1
+    lo[cand] = np.where(basin0[0], trial[0], trial[1])
+    hi[cand] = np.where(basin1[0], trial[2], trial[3])
+    decided = np.zeros(m, dtype=bool)
+    decided[cand] = basin0.any(axis=0) & basin1.any(axis=0)
+    return [SeparatorSample(x=float(xs[i]), lo=float(lo[i]), hi=float(hi[i]),
+                            decided=bool(decided[i]))
+            for i in range(m)]
 
 
 def estimate_separator(sys: CylinderSystem, x: float, n_max: int, delta: float,

@@ -39,6 +39,18 @@ FRACTIONAL_LINEAR = "fractional_linear"
 # displacement profiles p(x)
 # ---------------------------------------------------------------------------
 
+def _cosine(amplitude: float, x):
+    """amplitude * cos(2*pi*x), bit for bit, in one scratch array: the fresh
+    product 2*pi*x takes the cosine and the scaling in place.  A scalar or
+    0-d x gives a numpy scalar."""
+    t = np.multiply(2.0 * np.pi, x, dtype=float)
+    if not t.ndim:
+        return amplitude * np.cos(t)
+    np.cos(t, out=t)
+    t *= amplitude
+    return t
+
+
 @dataclass(frozen=True)
 class CosineProfile:
     """p(x) = amplitude * cos(2*pi*x); zero mean."""
@@ -50,7 +62,7 @@ class CosineProfile:
             raise PreconditionError("cosine amplitude must be finite")
 
     def displacement(self, x):
-        return self.amplitude * np.cos(2.0 * np.pi * np.asarray(x, dtype=float))
+        return _cosine(self.amplitude, x)
 
     def mean(self) -> float:
         return 0.0
@@ -75,8 +87,8 @@ class StepProfile:
         return len(self.values)
 
     def displacement(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.minimum((x * self.k).astype(int), self.k - 1)
+        # the digit of x mod 1: floor(k*x) mod k, so x = 1.0 reads values[0]
+        idx = (np.floor(np.multiply(x, self.k, dtype=float)) % self.k).astype(int)
         return np.asarray(self.values, dtype=float)[idx]
 
     def mean(self) -> float:
@@ -121,7 +133,7 @@ class FiberFamily:
         """Driving parameter at angle x: a for quadratic kinds, c for Moebius."""
         if self.kind == FRACTIONAL_LINEAR:
             return self.profile.displacement(x)
-        return self.epsilon * np.cos(2.0 * np.pi * np.asarray(x, dtype=float))
+        return _cosine(self.epsilon, x)
 
 
 def kan_family(epsilon: float) -> FiberFamily:

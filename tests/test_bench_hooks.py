@@ -6,16 +6,18 @@ names, and reads classifier rounds off the displacement calls.  These tests
 import the tracer unchanged and check that the package still offers what it
 hooks: every rebound name exists, the classifier is looked up through the
 module global at call time, it calls ``displacement`` once per round on the
-undecided points only, and each question reaches it as one batch; every
-walk of an ensemble is drawn by ``walks.simulate_walk``.
+undecided points only, and each question reaches it as one batch; the
+separator certifies all its brackets in one classifier call; every walk of an
+ensemble is drawn by ``walks.simulate_walk``.
 """
 
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cylmaps import CylinderSystem, StepProfile, basins, kan_family, walks
+from cylmaps import CylinderSystem, StepProfile, basins, cylinder, kan_family, walks
 
 SYS3 = CylinderSystem(3, kan_family(0.5))
 PM1 = StepProfile((1.0, -1.0))
@@ -68,6 +70,34 @@ def test_traced_probe_is_one_classifier_call(tracer):
     assert len(calls) == 1
     assert calls[0].work["points"] == 20 * 30
     assert rep == basins.intermingle_probe(SYS3, 20, 1.0 / 64.0, 30, 2000, 1e-6, seed=1)
+
+
+def test_traced_separator_is_one_classifier_call(tracer):
+    xs = np.random.default_rng(42).uniform(0.0, 1.0, 200)
+    tr = tracer.Tracer()
+    with tr:
+        samples = cylinder.estimate_separator_batch(SYS3, xs, 5000, 1e-6, 1e-3)
+    assert tr.restored()
+    assert samples == cylinder.estimate_separator_batch(SYS3, xs, 5000, 1e-6, 1e-3)
+    (sep,) = [s for s in tr.spans if s.name == "cylinder.estimate_separator_batch"]
+    (certify,) = [s for s in tr.spans if s.name == CLASSIFY]
+    # each bracket is certified at its two ends and at two widened ends
+    assert certify.parent is sep and certify.work["points"] == 4 * 200
+    # the forward pass reads the driving parameters directly under the separator
+    disp = [s for s in tr.spans if s.name == "fiber.displacement"]
+    forward = [s for s in disp if s.parent is sep]
+    rounds = [s for s in disp if s.parent is certify]
+    assert forward and rounds and len(forward) + len(rounds) == len(disp)
+    m = tracer.layer_metrics(tr.spans)
+    assert m["cylinder.estimate_separator_batch.calls"] == 1
+    assert m["cylinder.estimate_separator_batch.angles"] == 200
+    assert m["cylinder.estimate_separator_batch.classify_calls"] == 1
+    assert m["cylinder.classify_points.rounds"] == len(rounds)
+    assert (m["cylinder.estimate_separator_batch.point_steps"]
+            == m["cylinder.classify_points.point_steps"]
+            == sum(s.work["elements"] for s in rounds))
+    assert m["fiber.displacement.calls"] == len(disp)
+    assert m["fiber.displacement.elements"] == sum(s.work["elements"] for s in disp)
 
 
 def test_traced_arcsine_draws_every_walk_through_simulate_walk(tracer):

@@ -9,6 +9,7 @@ from cylmaps import (
     CylinderSystem,
     CylPoint,
     DomainError,
+    FiberFamily,
     PreconditionError,
     StepProfile,
     WrongFamilyError,
@@ -31,7 +32,7 @@ from cylmaps import (
     simulate_walk,
     step,
 )
-from cylmaps.cylinder import _mod1
+from cylmaps.cylinder import _mod1, separator_sweep
 from cylmaps.fiber import _apply_fiber
 
 SYS3 = CylinderSystem(3, kan_family(0.5))
@@ -336,6 +337,16 @@ def test_classify_budget_monotone():
     assert (small[decided] == large[decided]).all()
 
 
+def test_classify_points_reads_a_step_fibre_at_the_angle_mod_1():
+    # -0.25 and 0.75 are one circle point, and so are 1.5 and 0.5; a step
+    # fibre is read off the digit of x mod 1, so each pair gets one class
+    sys_ = CylinderSystem(3, fractional_linear_family(StepProfile((3.0, -3.0, 0.5))))
+    got = classify_points(sys_, [-0.25, 0.75, 1.5, 0.5], [0.5] * 4, 1, 0.1)
+    assert got.tolist() == [2, 2, 0, 0]
+    # x = 1.0 is the angle 0, whose fibre pushes up by 3
+    assert classify_points(sys_, [1.0, 0.0], [0.5, 0.5], 1, 0.1).tolist() == [1, 1]
+
+
 def test_involution_symmetry_odd_k():
     # T(x, y) = (x + 1/2, 1 - y) conjugates the map to itself for odd k.
     # Dyadic starting points keep the base orbit (and hence the mirror)
@@ -392,6 +403,108 @@ def test_separator_batch_is_a_union_of_its_parts():
 def test_separator_family_gate():
     with pytest.raises(WrongFamilyError):
         estimate_separator(CylinderSystem(3, inverse_kan_family(0.5)), 0.1, 100, 1e-6, 1e-3)
+
+
+def _bisection_separator(sys_, xs, n_max, delta, tol):
+    """Bisection of the classifier threshold: per-angle brackets [lo, hi],
+    seeded by probes at delta and 1 - delta, each pass classifying the
+    midpoints of the brackets still wider than tol."""
+    xs = np.array(xs, dtype=float).ravel()
+    m = xs.size
+    lo = np.zeros(m)
+    hi = np.ones(m)
+    decided = np.ones(m, dtype=bool)
+    probes = (delta, 1.0 - delta)
+    seeds = classify_points(sys_, np.tile(xs, 2), np.repeat(probes, m), n_max, delta)
+    for probe, cls in zip(probes, seeds.reshape(2, m)):
+        lo[(cls == BasinClass.BASIN0) & (probe > lo)] = probe
+        hi[(cls == BasinClass.BASIN1) & (probe < hi)] = probe
+    active = (hi - lo) > tol
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        idx = np.flatnonzero(active)
+        cls = classify_points(sys_, xs[idx], mid[idx], n_max, delta)
+        sel0 = idx[cls == BasinClass.BASIN0]
+        sel1 = idx[cls == BasinClass.BASIN1]
+        dead = idx[cls == BasinClass.UNDECIDED]
+        lo[sel0] = mid[sel0]
+        hi[sel1] = mid[sel1]
+        decided[dead] = False
+        active[dead] = False
+        active[(hi - lo) <= tol] = False
+    return lo, hi, decided
+
+
+def _sweep_angles(seed, n=200):
+    """The angles of a separator sweep: n seeded angles and their k*x images."""
+    xs = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+    return np.concatenate([xs, _mod1(3 * xs), [0.0, 0.5]])
+
+
+@pytest.mark.parametrize("seed, n, eps, delta, tol", [
+    (42, 200, 0.5, 1e-6, 1e-3), (7, 200, 0.5, 1e-6, 1e-3), (2024, 200, 0.5, 1e-6, 1e-3),
+    # the classifier decides within a few steps, so pulled-back ends meet at
+    # the threshold and rounding decides their classes: the widened bracket
+    # must certify them
+    (42, 100, 0.5, 0.1, 1e-3),
+    # a tolerance far below the c07 one: bisection needs 20 passes
+    (42, 100, 0.5, 1e-6, 1e-9),
+], ids=["c07-seed42", "c07-seed7", "c07-seed2024", "delta0.1", "tol1e-9"])
+def test_separator_brackets_are_certified_and_meet_bisection(seed, n, eps, delta, tol):
+    sys_ = CylinderSystem(3, kan_family(eps))
+    xs = _sweep_angles(seed, n)
+    got = estimate_separator_batch(sys_, xs, 5000, delta, tol)
+    assert [s.x for s in got] == xs.tolist()
+    lo = np.array([s.lo for s in got])
+    hi = np.array([s.hi for s in got])
+    dec = np.array([s.decided for s in got])
+    assert dec.mean() >= 0.95
+    assert all(s.lo <= s.sigma <= s.hi and s.bracket == s.hi - s.lo for s in got)
+    # every decided bracket is at most tol wide, with lo in Basin0 and hi in Basin1
+    assert (hi[dec] - lo[dec] <= tol).all()
+    assert (classify_points(sys_, xs[dec], lo[dec], 5000, delta) == BasinClass.BASIN0).all()
+    assert (classify_points(sys_, xs[dec], hi[dec], 5000, delta) == BasinClass.BASIN1).all()
+    # both brackets hold the monotone classifier threshold, so they meet
+    blo, bhi, bdec = _bisection_separator(sys_, xs, 5000, delta, tol)
+    both = dec & bdec
+    assert both.mean() >= 0.95
+    assert (np.maximum(lo, blo)[both] <= np.minimum(hi, bhi)[both]).all()
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.9])
+def test_separator_heights_stay_in_the_interval_at_the_finest_delta(eps):
+    # 1 - 2^-53 is the height just below 1, where the quadratic root can round
+    # above 1; no bracket end may leave [0, 1], and the sweep must not raise
+    sys_ = CylinderSystem(3, kan_family(eps))
+    for s in estimate_separator_batch(sys_, _sweep_angles(42, 50), 3000, 2.0**-53, 1e-3):
+        assert 0.0 <= s.lo <= s.sigma <= s.hi <= 1.0
+    separator_sweep(sys_, 20, 3000, 2.0**-53, 1e-3, seed=3)
+
+
+def test_separator_depth_is_capped_by_the_budget():
+    xs = _sweep_angles(42, 50)
+    flat = estimate_separator_batch(SYS3, xs, 0, 1e-6, 1e-3)
+    ends = (np.nextafter(1e-6, 0.0), np.nextafter(1.0 - 1e-6, 1.0))
+    assert all(not s.decided and (s.lo, s.hi) == ends for s in flat)
+    short = estimate_separator_batch(SYS3, xs, 300, 1e-6, 1e-3)
+    full = estimate_separator_batch(SYS3, xs, 5000, 1e-6, 1e-3)
+    assert sum(s.decided for s in short) < sum(s.decided for s in full)
+    assert all(s.bracket <= 1e-3 for s in short if s.decided)
+
+
+@pytest.mark.parametrize("sys_, delta, tol, error", [
+    (CylinderSystem(3, inverse_kan_family(0.5)), 1e-6, 1e-3, WrongFamilyError),
+    (SYS3, 1e-6, float("nan"), PreconditionError),
+    (SYS2, 1e-6, 1e-3, PreconditionError),
+    (CylinderSystem(4, kan_family(0.5)), 1e-6, 1e-3, PreconditionError),
+    (SYS3, 1e-17, 1e-3, PreconditionError),
+], ids=["family", "tol", "k2", "k4", "delta"])
+def test_separator_refuses_before_any_pass(monkeypatch, sys_, delta, tol, error):
+    def no_pass(self, x):
+        raise AssertionError("a pass ran before the refusal")
+    monkeypatch.setattr(FiberFamily, "displacement", no_pass)
+    with pytest.raises(error):
+        estimate_separator_batch(sys_, [0.1, 0.3], 100, delta, tol)
 
 
 # ---------------------------------------------------------------------------

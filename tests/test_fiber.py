@@ -63,6 +63,38 @@ def test_step_profile_mean():
     assert CosineProfile(0.75).mean() == 0.0
 
 
+def test_cosine_displacement_matches_the_allocating_expression_bit_for_bit():
+    # the cosine is evaluated in place in one scratch array; it must keep the
+    # bits of amplitude * cos(2*pi*x) computed with a fresh array per step
+    rng = np.random.default_rng(77)
+    inputs = [rng.uniform(0.0, 1.0, 100_000), rng.uniform(-3.0, 4.0, 10_000),
+              np.array([0.0, 0.5, 1.0 - 2.0**-53, -0.0, 0.25, 1.0]),
+              rng.uniform(0.0, 1.0, (7, 3)),
+              0.0, 0.5, 1.0 - 2.0**-53, 0.3, np.float64(0.7), np.array(0.1234)]
+    cases = [(CosineProfile(amp), amp) for amp in (0.5, 0.99, -0.3, math.log(2.0))]
+    cases += [(kan_family(eps), eps) for eps in (0.5, 0.9)]
+    for owner, amp in cases:
+        for x in inputs:
+            want = amp * np.cos(2.0 * np.pi * np.asarray(x, dtype=float))
+            got = owner.displacement(x)
+            assert np.shape(got) == np.shape(want)
+            assert (np.asarray(got).view(np.uint64) == np.asarray(want).view(np.uint64)).all()
+    # scalar callers read the same parameter
+    a = float(0.5 * np.cos(2.0 * np.pi * 0.3))
+    assert eval_fiber(KAN05, 0.3, 0.4) == 0.4 + a * 0.4 * (1.0 - 0.4)
+
+
+def test_step_profile_reads_the_digit_of_x_mod_1():
+    prof = StepProfile((3.0, -3.0, 0.5))
+    xs = np.array([-0.25, 0.75, 1.5, 0.5, 1.0, 0.0, -1.0, 1.0 - 2.0**-53, 2.0 / 3.0])
+    assert prof.displacement(xs).tolist() == [0.5, 0.5, -3.0, -3.0, 3.0, 3.0, 3.0, 0.5, 0.5]
+    assert prof.displacement(1.0) == 3.0  # x = 1.0 is the angle 0
+    # inside [0, 1) the digit is min(int(k*x), k - 1), as it always was
+    x = np.random.default_rng(8).uniform(0.0, 1.0, 50_000)
+    assert (prof.displacement(x) == np.asarray(prof.values)[
+        np.minimum((x * 3).astype(int), 2)]).all()
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
