@@ -24,13 +24,7 @@ from .cylinder import (
     separator_sweep,
 )
 from .errors import CylmapsError
-from .fiber import (
-    CosineProfile,
-    StepProfile,
-    fractional_linear_family,
-    inverse_kan_family,
-    kan_family,
-)
+from .fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN, CosineProfile, FiberFamily, StepProfile
 from .lyapunov import exponent_report
 from .measures import birkhoff_average, histogram_csv, jacobian_max_defect, orbit_histogram, uniformity_stats
 from .selftest import run_selftest
@@ -73,32 +67,35 @@ def _values(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"cannot parse comma-separated numbers {text!r}") from exc
 
 
+def _profile(text: str):
+    kind, _, rest = text.partition(":")
+    try:
+        if kind == "cosine":
+            return CosineProfile(float(rest))
+        if kind == "step":
+            return StepProfile(tuple(float(v) for v in rest.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot parse profile {text!r}: {exc}") from exc
+    raise argparse.ArgumentTypeError(f"unknown profile {text!r}")
+
+
+_KINDS = {"kan": KAN, "inverse-kan": INVERSE_KAN, "fractional-linear": FRACTIONAL_LINEAR}
+
+
 def _add_system_flags(sub, default_family="kan"):
-    sub.add_argument("--family", choices=("kan", "inverse-kan", "fractional-linear"),
-                     default=default_family)
+    sub.add_argument("--family", choices=tuple(_KINDS), default=default_family)
     sub.add_argument("--epsilon", type=_epsilon, default=0.5)
     sub.add_argument("--k", type=_positive_int, default=3)
-    sub.add_argument("--profile", default=None,
-                     help="fractional-linear profile: 'cosine:AMP' or 'step:V1,V2,...'")
+    sub.add_argument("--profile", type=_profile, default=None,
+                     help="displacement profile of any family, 'cosine:AMP' or "
+                          "'step:V1,V2,...'; overrides --epsilon")
 
 
 def _build_system(args) -> CylinderSystem:
-    if args.family == "kan":
-        return CylinderSystem(args.k, kan_family(args.epsilon))
-    if args.family == "inverse-kan":
-        return CylinderSystem(args.k, inverse_kan_family(args.epsilon))
-    desc = args.profile or "step:" + ",".join(["1"] + ["-1"] * (args.k - 1))
-    kind, _, rest = desc.partition(":")
-    try:
-        if kind == "cosine":
-            profile = CosineProfile(float(rest))
-        elif kind == "step":
-            profile = StepProfile(tuple(float(v) for v in rest.split(",")))
-        else:
-            raise CylmapsError(f"unknown profile {desc!r}")
-    except ValueError as exc:
-        raise CylmapsError(f"cannot parse profile {desc!r}: {exc}") from exc
-    return CylinderSystem(args.k, fractional_linear_family(profile))
+    kind = _KINDS[args.family]
+    default = (StepProfile((1.0,) + (-1.0,) * (args.k - 1)) if kind == FRACTIONAL_LINEAR
+               else CosineProfile(args.epsilon))
+    return CylinderSystem(args.k, FiberFamily(kind, args.profile or default))
 
 
 def _write(args, data) -> None:

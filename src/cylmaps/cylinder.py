@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, WrongFamilyError
 from .fiber import (
-    FRACTIONAL_LINEAR,
     KAN,
     FiberFamily,
     StepProfile,
@@ -54,10 +53,9 @@ class CylinderSystem:
         if not isinstance(self.k, (int, np.integer)) or self.k < 2:
             raise PreconditionError(f"base multiplier k must be an integer >= 2, got {self.k}")
         prof = self.family.profile
-        if self.family.kind == FRACTIONAL_LINEAR and isinstance(prof, StepProfile):
-            if prof.k != self.k:
-                raise PreconditionError(
-                    f"step profile has {prof.k} values but the base multiplier is {self.k}")
+        if isinstance(prof, StepProfile) and prof.k != self.k:
+            raise PreconditionError(
+                f"step profile has {prof.k} values but the base multiplier is {self.k}")
 
 
 @dataclass(frozen=True)

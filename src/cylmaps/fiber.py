@@ -4,13 +4,16 @@ Three families of orientation-preserving diffeomorphisms f_x of the unit
 interval, indexed by an angle x on the circle R/Z, one per curvature regime:
 
 * ``kan``               -- quadratic maps  q_a(y) = y + a*y*(1-y)  with
-  a = epsilon*cos(2*pi*x); curvature invariant negative wherever a != 0.
+  a = p(x); curvature invariant negative wherever a != 0.
 * ``inverse_kan``       -- the inverses q_a^{-1}; curvature invariant
   positive wherever a != 0.
 * ``fractional_linear`` -- Moebius maps g_c(y) = e^c*y / (1 + (e^c-1)*y)
-  with c = p(x) given by a displacement profile; curvature invariant is
-  identically zero, so in the coordinate t(y) = log(y/(1-y)) every fiber
-  acts as the translation t -> t + c.
+  with c = p(x); curvature invariant is identically zero, so in the
+  coordinate t(y) = log(y/(1-y)) every fiber acts as the translation
+  t -> t + c.
+
+Every family is a kind plus a displacement profile p(x): a cosine, as in
+``kan_family(epsilon)``, or one value per base-k digit of x.
 
 The curvature invariant is the third-order expression
 S f = f'''/f' - (3/2)(f''/f')^2, computed here in closed form per family
@@ -39,18 +42,6 @@ FRACTIONAL_LINEAR = "fractional_linear"
 # displacement profiles p(x)
 # ---------------------------------------------------------------------------
 
-def _cosine(amplitude: float, x):
-    """amplitude * cos(2*pi*x), bit for bit, in one scratch array: the fresh
-    product 2*pi*x takes the cosine and the scaling in place.  A scalar or
-    0-d x gives a numpy scalar."""
-    t = np.multiply(2.0 * np.pi, x, dtype=float)
-    if not t.ndim:
-        return amplitude * np.cos(t)
-    np.cos(t, out=t)
-    t *= amplitude
-    return t
-
-
 @dataclass(frozen=True)
 class CosineProfile:
     """p(x) = amplitude * cos(2*pi*x); zero mean."""
@@ -62,10 +53,21 @@ class CosineProfile:
             raise PreconditionError("cosine amplitude must be finite")
 
     def displacement(self, x):
-        return _cosine(self.amplitude, x)
+        """amplitude * cos(2*pi*x), bit for bit, in one scratch array: the
+        fresh product 2*pi*x takes the cosine and the scaling in place.  A
+        scalar or 0-d x gives a numpy scalar."""
+        t = np.multiply(2.0 * np.pi, x, dtype=float)
+        if not t.ndim:
+            return self.amplitude * np.cos(t)
+        np.cos(t, out=t)
+        t *= self.amplitude
+        return t
 
     def mean(self) -> float:
         return 0.0
+
+    def bound(self) -> float:
+        return abs(self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,9 @@ class StepProfile:
     def mean(self) -> float:
         return math.fsum(self.values) / self.k
 
+    def bound(self) -> float:
+        return max(abs(v) for v in self.values)
+
 
 DisplacementProfile = Union[CosineProfile, StepProfile]
 
@@ -106,46 +111,44 @@ DisplacementProfile = Union[CosineProfile, StepProfile]
 class FiberFamily:
     """A one-parameter family x -> f_x of interval diffeomorphisms.
 
-    For the quadratic kinds the driving parameter is a = epsilon*cos(2*pi*x)
-    with 0 < epsilon < 1, which keeps every q_a a diffeomorphism. The
-    fractional-linear kind instead carries a displacement profile and uses
-    c = p(x) as the translation length in the t coordinate.
+    Every kind reads its driving parameter off the displacement profile:
+    a = p(x) for the quadratic kinds, where sup|p| < 1 keeps every q_a a
+    diffeomorphism, and c = p(x), the translation length in the t
+    coordinate, for the fractional-linear kind.
     """
 
     kind: str
-    epsilon: float = 0.0
-    profile: DisplacementProfile | None = None
+    profile: DisplacementProfile
 
     def __post_init__(self):
         if self.kind not in _KERNELS:
             raise PreconditionError(f"unknown fiber kind {self.kind!r}")
-        if self.kind in (KAN, INVERSE_KAN):
-            if not 0.0 < self.epsilon < 1.0:
-                raise PreconditionError(
-                    f"epsilon must lie in (0, 1), got {self.epsilon}")
-            if self.profile is not None:
-                raise PreconditionError("quadratic kinds take no profile")
-        else:
-            if self.profile is None:
-                raise PreconditionError("fractional_linear needs a profile")
+        if not isinstance(self.profile, (CosineProfile, StepProfile)):
+            raise PreconditionError(f"{self.kind} needs a cosine or step profile")
+        if self.kind != FRACTIONAL_LINEAR and not self.profile.bound() < 1.0:
+            raise PreconditionError(f"{self.kind} needs sup|p| < 1, got {self.profile.bound()}")
 
     def displacement(self, x):
         """Driving parameter at angle x: a for quadratic kinds, c for Moebius."""
-        if self.kind == FRACTIONAL_LINEAR:
-            return self.profile.displacement(x)
-        return _cosine(self.epsilon, x)
+        return self.profile.displacement(x)
+
+
+def _cosine_profile(epsilon: float) -> CosineProfile:
+    if not 0.0 < epsilon < 1.0:
+        raise PreconditionError(f"epsilon must lie in (0, 1), got {epsilon}")
+    return CosineProfile(epsilon)
 
 
 def kan_family(epsilon: float) -> FiberFamily:
-    return FiberFamily(KAN, epsilon=epsilon)
+    return FiberFamily(KAN, _cosine_profile(epsilon))
 
 
 def inverse_kan_family(epsilon: float) -> FiberFamily:
-    return FiberFamily(INVERSE_KAN, epsilon=epsilon)
+    return FiberFamily(INVERSE_KAN, _cosine_profile(epsilon))
 
 
 def fractional_linear_family(profile: DisplacementProfile) -> FiberFamily:
-    return FiberFamily(FRACTIONAL_LINEAR, profile=profile)
+    return FiberFamily(FRACTIONAL_LINEAR, profile)
 
 
 @dataclass(frozen=True)

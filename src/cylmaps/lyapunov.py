@@ -1,10 +1,10 @@
 """Transverse Lyapunov exponents of the two boundary circles.
 
 The exponent along the invariant circle {y = iota} is the circle average
-of log f'_x(iota).  For the smooth cosine-driven families the composite
-trapezoid rule on the periodic integrand converges spectrally; step
-profiles are integrated exactly as finite means.  A Birkhoff-average
-estimator along base orbits is provided as the dynamical counterpart.
+of log f'_x(iota).  For cosine profiles the composite trapezoid rule on
+the periodic integrand converges spectrally; step profiles of every kind
+are integrated exactly as finite means over the k digits.  A Birkhoff
+average along base orbits is provided as the dynamical counterpart.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class ExponentReport:
 def _log_boundary_derivative(family: FiberFamily, boundary: int, x) -> np.ndarray:
     """log f'_x(boundary) for an array of angles, in closed form.
 
-    Quadratic family: f'(0) = 1+a, f'(1) = 1-a with a = eps*cos(2 pi x);
+    Quadratic family: f'(0) = 1+a, f'(1) = 1-a with a = p(x);
     the inverse family reciprocates both; Moebius fibers give exactly +-c.
     """
     if boundary not in (0, 1):
@@ -53,14 +53,15 @@ def _log_boundary_derivative(family: FiberFamily, boundary: int, x) -> np.ndarra
 
 def transverse_exponent_quadrature(family: FiberFamily, boundary: int,
                                    nodes: int) -> float:
-    """Circle average of log f'_x(boundary) by the periodic trapezoid rule."""
+    """Circle average of log f'_x(boundary) by the periodic trapezoid rule;
+    a step profile takes one node per digit, which gives the exact mean."""
     if nodes < 16:
         raise PreconditionError(f"need at least 16 quadrature nodes, got {nodes}")
-    if family.kind == FRACTIONAL_LINEAR and isinstance(family.profile, StepProfile):
-        # piecewise-constant integrand: the mean of the step values is exact
-        mean = family.profile.mean()
-        return mean if boundary == 0 else -mean
-    x = np.arange(nodes, dtype=float) / nodes
+    if isinstance(family.profile, StepProfile):
+        # digit midpoints: at k = 22 the node 15/22 would read digit 14
+        x = (np.arange(family.profile.k) + 0.5) / family.profile.k
+    else:
+        x = np.arange(nodes, dtype=float) / nodes
     return float(np.mean(_log_boundary_derivative(family, boundary, x)))
 
 

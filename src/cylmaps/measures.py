@@ -96,19 +96,19 @@ def uniformity_stats(hist: Histogram2D) -> UniformityReport:
 
 
 def jacobian_branch_sum(sys: CylinderSystem, p: CylPoint) -> float:
-    """Sum of the k inverse-branch Jacobians of F at p; identically 1.
+    """Sum of the k inverse-branch Jacobians of F at p: 1 + (1-2y)*mean(a_j).
 
     Each inverse branch of the inverse-quadratic system sends (x, y) to
-    ((x+j)/k, y + eps*cos(2 pi (x+j)/k) y (1-y)) and contributes the
-    Jacobian (1 + eps*cos(2 pi (x+j)/k)(1-2y))/k.  The k cosines sum to
-    zero, so the total is 1: Lebesgue measure is invariant.
+    ((x+j)/k, y + a_j y (1-y)) with a_j = p((x+j)/k) and contributes the
+    Jacobian (1 + a_j (1-2y))/k.  For a cosine profile the k values a_j sum
+    to zero, so the total is 1 and Lebesgue measure is invariant; a step
+    profile gives a_j = values[j], so the total is 1 only for zero mean.
     """
     if sys.family.kind != INVERSE_KAN:
         raise WrongFamilyError("the branch-Jacobian identity applies to the inverse-quadratic family")
-    eps = sys.family.epsilon
     k = sys.k
     return math.fsum(
-        (1.0 + eps * math.cos(2.0 * math.pi * (p.x + j) / k) * (1.0 - 2.0 * p.y)) / k
+        (1.0 + float(sys.family.displacement((p.x + j) / k)) * (1.0 - 2.0 * p.y)) / k
         for j in range(k)
     )
 

@@ -45,10 +45,11 @@ def test_usage_error_on_unknown_flag():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("family", ["kan", "inverse-kan", "fractional-linear"])
 @pytest.mark.parametrize("profile", ["cosine:abc", "step:", "step:1,x", "wave:1"])
-def test_usage_error_on_malformed_profile(profile, capsys):
+def test_usage_error_on_malformed_profile(profile, family, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(["lyap", "--family", "fractional-linear", "--profile", profile])
+        main(["lyap", "--family", family, "--profile", profile])
     assert exit_info.value.code == 2
     assert repr(profile) in capsys.readouterr().err
 

@@ -33,7 +33,7 @@ from cylmaps import (
     step,
 )
 from cylmaps.cylinder import _mod1, separator_sweep
-from cylmaps.fiber import _apply_fiber
+from cylmaps.fiber import INVERSE_KAN, KAN, _apply_fiber
 
 SYS3 = CylinderSystem(3, kan_family(0.5))
 SYS2 = CylinderSystem(2, kan_family(0.5))
@@ -45,6 +45,17 @@ def test_system_validation():
     with pytest.raises(PreconditionError):
         CylinderSystem(3, fractional_linear_family(StepProfile((1.0, -1.0))))
     CylinderSystem(2, fractional_linear_family(StepProfile((1.0, -1.0))))
+
+
+def test_quadratic_kinds_take_a_profile_with_sup_below_one():
+    for bad in (StepProfile((1.0, 0.0, 0.0)), CosineProfile(-1.0), None):
+        with pytest.raises(PreconditionError):
+            FiberFamily(KAN, bad)
+    with pytest.raises(PreconditionError):
+        FiberFamily(INVERSE_KAN, StepProfile((0.5, -1.5, 0.0)))
+    FiberFamily(KAN, StepProfile((0.99, -0.99, 0.0)))
+    with pytest.raises(PreconditionError):
+        CylinderSystem(4, FiberFamily(KAN, StepProfile((0.5, -0.5, 0.0))))
 
 
 def test_point_validation():
@@ -206,6 +217,18 @@ def test_classify_reference_points():
     assert classify_point(SYS3, CylPoint(0.0, 0.9), 5000, 1e-6) == BasinClass.BASIN1
     assert classify_point(SYS3, CylPoint(0.3, 0.0), 0, 1e-6) == BasinClass.BASIN0
     assert classify_point(SYS3, CylPoint(0.3, 0.5), 0, 1e-6) == BasinClass.UNDECIDED
+
+
+def test_step_profile_kan_classifies_half_and_half():
+    # y -> 1 - y conjugates q_a to q_-a and swaps digits 0 and 1, so each
+    # basin of this system has measure 1/2
+    sys = CylinderSystem(3, FiberFamily(KAN, StepProfile((0.5, -0.5, 0.0))))
+    rng = np.random.default_rng(2024)
+    cls = classify_points(sys, rng.uniform(0.0, 1.0, 20_000), rng.uniform(0.0, 1.0, 20_000),
+                          5000, 1e-6)
+    f0, f1, undecided = np.bincount(cls, minlength=3) / cls.size
+    assert undecided == 0
+    assert abs(f0 - f1) < 0.03
 
 
 def test_classify_delta_gate():

@@ -8,6 +8,7 @@ import pytest
 from cylmaps import (
     CylinderSystem,
     CosineProfile,
+    FiberFamily,
     PreconditionError,
     StepProfile,
     exponent_report,
@@ -18,6 +19,7 @@ from cylmaps import (
     transverse_exponent_birkhoff,
     transverse_exponent_quadrature,
 )
+from cylmaps.fiber import INVERSE_KAN, KAN
 
 EXPECTED_KAN_05 = -0.06933646419507394  # log((1 + sqrt(0.75))/2)
 
@@ -81,6 +83,25 @@ def test_step_profile_integrates_as_mean():
     got = transverse_exponent_quadrature(sys3.family, 0, 64)
     assert got == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert transverse_exponent_quadrature(sys3.family, 1, 64) == pytest.approx(-1.0 / 3.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("nodes", [16, 4096])
+def test_step_profile_kan_exponents_are_exact_finite_means(nodes):
+    mean = (math.log1p(0.5) + math.log1p(-0.5)) / 3
+    kan = exponent_report(CylinderSystem(3, FiberFamily(KAN, StepProfile((0.5, -0.5, 0.0)))), nodes)
+    assert kan.lyap0 == kan.lyap1 == mean
+    assert kan.sum_sign == -1
+    inv = exponent_report(CylinderSystem(3, FiberFamily(INVERSE_KAN, StepProfile((0.5, -0.5, 0.0)))),
+                          nodes)
+    assert inv.lyap0 == inv.lyap1 == -mean
+    assert inv.sum_sign == 1
+
+
+def test_step_profile_quadrature_reads_every_digit_once():
+    # at k = 22 the angle 15/22 reads digit 14: the nodes must sit inside the digits
+    values = tuple(np.linspace(-0.9, 0.9, 22))
+    got = transverse_exponent_quadrature(FiberFamily(KAN, StepProfile(values)), 0, 64)
+    assert got == pytest.approx(math.fsum(math.log1p(v) for v in values) / 22, abs=1e-15)
 
 
 def test_birkhoff_fixed_angle_is_exceptional():

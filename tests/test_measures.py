@@ -7,7 +7,9 @@ from cylmaps import (
     CylinderSystem,
     CylPoint,
     DomainError,
+    FiberFamily,
     PreconditionError,
+    StepProfile,
     WrongFamilyError,
     birkhoff_average,
     inverse_kan_family,
@@ -16,6 +18,7 @@ from cylmaps import (
     orbit_histogram,
     uniformity_stats,
 )
+from cylmaps.fiber import INVERSE_KAN
 from cylmaps.measures import Histogram2D, histogram_csv, orbit_points
 
 INV3 = CylinderSystem(3, inverse_kan_family(0.5))
@@ -81,6 +84,14 @@ def test_jacobian_branch_sum_identity():
 def test_jacobian_branch_values_at_zero_amplitude():
     tiny = CylinderSystem(4, inverse_kan_family(1e-15))
     assert jacobian_branch_sum(tiny, CylPoint(0.3, 0.3)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_jacobian_branch_sum_of_a_step_profile_is_one_plus_the_weighted_mean():
+    # 1 + (1 - 2y) * mean(values) = 1 + 0.8 * 0.25
+    sys = CylinderSystem(3, FiberFamily(INVERSE_KAN, StepProfile((0.5, 0.5, -0.25))))
+    assert jacobian_branch_sum(sys, CylPoint(0.2, 0.1)) == pytest.approx(1.2, abs=1e-15)
+    flat = CylinderSystem(3, FiberFamily(INVERSE_KAN, StepProfile((0.5, -0.25, -0.25))))
+    assert abs(jacobian_branch_sum(flat, CylPoint(0.2, 0.1)) - 1.0) < 1e-15
 
 
 def test_jacobian_wrong_family():
