@@ -5,9 +5,11 @@ Rasterization classifies every cell center with the first-hitting
 classifier; the probe draws random boxes and reports how many contain
 samples of both basins, which is the desk-scale reading of "every open set
 meets both basins in positive measure".  Each hands the classifier one
-batch of rows (the probe: all boxes, one row of samples each), one span of
-rows per thread; a point's class does not depend on the rest of its batch,
-so thread count never changes the output.
+batch of rows, one span of rows per thread: the raster one row per grid
+column, so each thread gets a span of columns and every column's cells,
+which share an angle, share one base orbit; the probe one row of samples
+per box.  A point's class does not depend on the rest of its batch, so
+thread count never changes the output.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
         raise PreconditionError("raster dimensions must be >= 1")
     xs = (np.arange(width, dtype=float) + 0.5) / width
     ys = (np.arange(height, dtype=float) + 0.5) / height
-    gx, gy = np.meshgrid(xs, ys)  # shape (height, width)
-    cells = _classify_rows(sys, gx, gy, n_max, delta, threads)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")  # shape (width, height): a column per row
+    cells = np.ascontiguousarray(_classify_rows(sys, gx, gy, n_max, delta, threads).T)
     return BasinRaster(width=width, height=height, cells=cells,
                        n_max=n_max, delta=delta, system=repr(sys))
 

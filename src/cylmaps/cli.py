@@ -23,7 +23,7 @@ from .cylinder import (
     separator_csv,
     separator_sweep,
 )
-from .errors import CylmapsError
+from .errors import CylmapsError, PreconditionError
 from .fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN, CosineProfile, FiberFamily, StepProfile
 from .lyapunov import exponent_report
 from .measures import birkhoff_average, histogram_csv, jacobian_max_defect, orbit_histogram, uniformity_stats
@@ -84,7 +84,8 @@ _KINDS = {"kan": KAN, "inverse-kan": INVERSE_KAN, "fractional-linear": FRACTIONA
 
 def _add_system_flags(sub, default_family="kan"):
     sub.add_argument("--family", choices=tuple(_KINDS), default=default_family)
-    sub.add_argument("--epsilon", type=_epsilon, default=0.5)
+    sub.add_argument("--epsilon", type=_epsilon, default=None,
+                     help="cosine amplitude of the quadratic families (default 0.5)")
     sub.add_argument("--k", type=_positive_int, default=3)
     sub.add_argument("--profile", type=_profile, default=None,
                      help="displacement profile of any family, 'cosine:AMP' or "
@@ -93,8 +94,13 @@ def _add_system_flags(sub, default_family="kan"):
 
 def _build_system(args) -> CylinderSystem:
     kind = _KINDS[args.family]
-    default = (StepProfile((1.0,) + (-1.0,) * (args.k - 1)) if kind == FRACTIONAL_LINEAR
-               else CosineProfile(args.epsilon))
+    if kind == FRACTIONAL_LINEAR:
+        if args.epsilon is not None and args.profile is None:
+            raise PreconditionError("--epsilon sets the quadratic families; give "
+                                    "fractional-linear a --profile")
+        default = StepProfile((1.0,) + (-1.0,) * (args.k - 1))
+    else:
+        default = CosineProfile(0.5 if args.epsilon is None else args.epsilon)
     return CylinderSystem(args.k, FiberFamily(kind, args.profile or default))
 
 

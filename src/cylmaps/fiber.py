@@ -212,16 +212,47 @@ def _moebius_derivative(w, y, xp):
     return w / (d * d)
 
 
+# A step kernel step(p, y) is its family's apply kernel on arrays, written
+# into p, a coefficient array the caller owns: the same operations rounded
+# in the same order, with one or two scratch arrays instead of four to eight.
+
+def _kan_step(a, y):
+    a *= y
+    a *= 1.0 - y
+    a += y
+    return a
+
+
+def _kan_invert_step(a, y):
+    q = 4.0 * a
+    q *= y
+    a += 1.0  # s = 1 + a
+    r = a * a
+    r -= q
+    np.sqrt(r, out=r)
+    r += a
+    np.multiply(2.0, y, out=a)
+    a /= r
+    return a
+
+
+def _moebius_step(w, y):
+    w *= 1.0 - y
+    w += y
+    return np.divide(y, w, out=w)
+
+
 _KERNELS = {
-    KAN: dict(coef=lambda a: a, apply=_kan_apply, invert=_kan_invert,
+    KAN: dict(coef=lambda a: a, apply=_kan_apply, step=_kan_step, invert=_kan_invert,
               derivative=_kan_derivative, schwarzian=_kan_schwarzian),
     INVERSE_KAN: dict(
-        coef=lambda a: a, apply=_kan_invert, invert=_kan_apply,
+        coef=lambda a: a, apply=_kan_invert, step=_kan_invert_step, invert=_kan_apply,
         derivative=lambda a, y, xp: 1.0 / _kan_derivative(a, _kan_invert(a, y, xp), xp),
         schwarzian=_inverse_kan_schwarzian),
     FRACTIONAL_LINEAR: dict(
-        coef=lambda c: np.exp(-c), apply=_moebius_apply, invert=_moebius_invert,
-        derivative=_moebius_derivative, schwarzian=lambda w, y, xp: 0.0),
+        coef=lambda c: np.exp(-c), apply=_moebius_apply, step=_moebius_step,
+        invert=_moebius_invert, derivative=_moebius_derivative,
+        schwarzian=lambda w, y, xp: 0.0),
 }
 
 #: heights a scalar orbit loop collects before storing them into its array

@@ -5,10 +5,12 @@
 names, and reads classifier rounds off the displacement calls.  These tests
 import the tracer unchanged and check that the package still offers what it
 hooks: every rebound name exists, the classifier is looked up through the
-module global at call time, it calls ``displacement`` once per round on the
-undecided points only, and each question reaches it as one batch; the
-separator certifies all its brackets in one classifier call; every walk of an
-ensemble is drawn by ``walks.simulate_walk``.
+module global at call time, it calls ``displacement`` once per round on one
+angle per run of equal angles that still has an undecided point (one per
+raster column), the same angle-steps at any thread count, and each question
+reaches it as one batch; the separator certifies all its brackets in one
+classifier call; every walk of an ensemble is drawn by
+``walks.simulate_walk``.
 """
 
 import importlib
@@ -17,7 +19,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylmaps import CylinderSystem, StepProfile, basins, cylinder, kan_family, walks
+from cylmaps import (
+    BasinClass,
+    CylinderSystem,
+    FiberFamily,
+    StepProfile,
+    basins,
+    cylinder,
+    kan_family,
+    walks,
+)
 
 SYS3 = CylinderSystem(3, kan_family(0.5))
 PM1 = StepProfile((1.0, -1.0))
@@ -48,17 +59,39 @@ def test_traced_raster_spans_one_classifier_call_per_thread(tracer):
     assert steps1 == steps2 > 0
 
 
-def test_traced_classifier_steps_only_undecided_points(tracer):
+def test_traced_classifier_steps_only_undecided_points(tracer, monkeypatch):
+    # the cells of a raster column share its angle, and the classifier steps
+    # each angle that still has an undecided cell once per round
+    angles = []
+    displacement = FiberFamily.displacement
+    monkeypatch.setattr(FiberFamily, "displacement",
+                        lambda fam, x: angles.append(np.copy(x)) or displacement(fam, x))
     tr = tracer.Tracer()
     with tr:
-        basins.rasterize(SYS3, 32, 32, 2000, 1e-6)
+        cells = basins.rasterize(SYS3, 32, 32, 2000, 1e-6).cells
     assert tr.restored()
     (span,) = [s for s in tr.spans if s.name == CLASSIFY]
     counts = [s.work["elements"] for s in sorted(tr.spans, key=lambda s: s.start)
               if s.name == "fiber.displacement" and s.parent is span]
-    assert counts[0] == 32 * 32  # every cell centre starts undecided
+    # every cell centre starts undecided: the first round gets the 32 column angles
+    assert np.array_equal(angles[0], (np.arange(32) + 0.5) / 32)
+    assert counts[0] == 32
     assert all(a >= b > 0 for a, b in zip(counts, counts[1:]))
-    assert counts[-1] >= span.work["undecided"]
+    undecided_columns = np.unique(np.nonzero(cells == BasinClass.UNDECIDED)[1]).size
+    assert counts[-1] >= undecided_columns
+
+
+def test_traced_raster_steps_are_the_same_at_1_2_and_3_threads(tracer):
+    # every cell decides well before n_max, and each span of columns at its
+    # own round: an angle's steps must not depend on when its span empties
+    tr = tracer.Tracer()
+    with tr:
+        for threads in (1, 2, 3):
+            basins.rasterize(SYS3, 64, 48, 2000, 1e-6, threads=threads)
+    assert tr.restored()
+    counts = tracer.raster_counts(tr.spans)
+    assert [chunks for chunks, _, _ in counts] == [1, 2, 3]
+    assert len({steps for _, _, steps in counts}) == 1
 
 
 def test_traced_probe_is_one_classifier_call(tracer):

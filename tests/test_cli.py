@@ -60,7 +60,9 @@ def test_usage_error_on_malformed_profile(profile, family, capsys):
     ["walk", "--t0", "inf"],
     ["basins", "--width", "32", "--height", "32", "--delta", "1e-17"],
     ["separator", "--angles", "20", "--delta", "1e-17"],
-], ids=["basins-even-k", "walk-nan", "walk-inf", "basins-delta", "separator-delta"])
+    ["lyap", "--family", "fractional-linear", "--epsilon", "0.3"],
+], ids=["basins-even-k", "walk-nan", "walk-inf", "basins-delta", "separator-delta",
+        "fractional-linear-epsilon"])
 def test_usage_error_on_refused_input(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)

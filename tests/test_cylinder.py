@@ -28,12 +28,13 @@ from cylmaps import (
     kan_family,
     occupation_ratios,
     orbit,
+    rasterize,
     schwarzian_numeric,
     simulate_walk,
     step,
 )
 from cylmaps.cylinder import _mod1, separator_sweep
-from cylmaps.fiber import INVERSE_KAN, KAN, _apply_fiber
+from cylmaps.fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN, _apply_fiber
 
 SYS3 = CylinderSystem(3, kan_family(0.5))
 SYS2 = CylinderSystem(2, kan_family(0.5))
@@ -307,29 +308,31 @@ def test_mod1_matches_float_remainder_bit_for_bit():
         assert np.isnan(np.mod(bad, 1.0)).all()
 
 
-def test_classify_points_matches_the_remainder_round_loop():
-    def classify_by_remainder(sys_, xs, ys, n_max, delta):
-        # the classifier round written with numpy's float remainder
-        x = np.array(xs, dtype=float).ravel()
-        y = np.array(ys, dtype=float).ravel()
-        out = np.full(x.shape, BasinClass.UNDECIDED, dtype=np.int8)
-        out[y < delta] = BasinClass.BASIN0
-        out[y > 1.0 - delta] = BasinClass.BASIN1
-        idx = np.flatnonzero(out == BasinClass.UNDECIDED)
-        x, y = x[idx], y[idx]
-        for _ in range(n_max):
-            if not idx.size:
-                break
-            y = _apply_fiber(sys_.family, x, y)
-            x = (sys_.k * x) % 1.0
-            hit0 = y < delta
-            hit1 = y > 1.0 - delta
-            out[idx[hit0]] = BasinClass.BASIN0
-            out[idx[hit1]] = BasinClass.BASIN1
-            keep = ~(hit0 | hit1)
-            idx, x, y = idx[keep], x[keep], y[keep]
-        return out
+def _classify_by_remainder(sys_, xs, ys, n_max, delta):
+    """Reference classifier: the round written with numpy's float remainder,
+    every point stepping its own angle until the last one decides."""
+    x = np.array(xs, dtype=float).ravel()
+    y = np.array(ys, dtype=float).ravel()
+    out = np.full(x.shape, BasinClass.UNDECIDED, dtype=np.int8)
+    out[y < delta] = BasinClass.BASIN0
+    out[y > 1.0 - delta] = BasinClass.BASIN1
+    idx = np.flatnonzero(out == BasinClass.UNDECIDED)
+    x, y = x[idx], y[idx]
+    for _ in range(n_max):
+        if not idx.size:
+            break
+        y = _apply_fiber(sys_.family, x, y)
+        x = (sys_.k * x) % 1.0
+        hit0 = y < delta
+        hit1 = y > 1.0 - delta
+        out[idx[hit0]] = BasinClass.BASIN0
+        out[idx[hit1]] = BasinClass.BASIN1
+        keep = ~(hit0 | hit1)
+        idx, x, y = idx[keep], x[keep], y[keep]
+    return out
 
+
+def test_classify_points_matches_the_remainder_round_loop():
     rng = np.random.default_rng(606)
     xs = rng.uniform(-2.0, 3.0, 4000)
     ys = rng.uniform(0.0, 1.0, 4000)
@@ -343,11 +346,53 @@ def test_classify_points_matches_the_remainder_round_loop():
             # point stays undecided, at delta = 0.01 many decide
             for delta in (1e-6, 0.01):
                 got = classify_points(sys_, xs, ys, 300, delta)
-                assert np.array_equal(got, classify_by_remainder(sys_, xs, ys, 300, delta))
+                assert np.array_equal(got, _classify_by_remainder(sys_, xs, ys, 300, delta))
                 seen.update(got.tolist())
             assert seen == {0, 1, 2}
             assert np.array_equal(xs.view(np.uint64), xs_before.view(np.uint64))
             assert np.array_equal(ys.view(np.uint64), ys_before.view(np.uint64))
+
+
+@pytest.mark.parametrize("k", (3, 5))
+@pytest.mark.parametrize("kind", (KAN, INVERSE_KAN, FRACTIONAL_LINEAR))
+@pytest.mark.parametrize("profile", ("cosine", "step"))
+def test_runs_of_equal_angles_classify_as_their_points_one_by_one(k, kind, profile):
+    rng = np.random.default_rng(1010 + k)
+    prof = (CosineProfile(0.8) if profile == "cosine"
+            else StepProfile(tuple(rng.uniform(-0.9, 0.9, k))))
+    sys_ = CylinderSystem(k, FiberFamily(kind, prof))
+    # unreduced angles, both zeros side by side, and integers that reduce to 0
+    angles = np.concatenate([rng.uniform(-2.0, 3.0, 300),
+                             [0.0, -0.0, -0.0, 0.0, 1.0, -1.0, 2.0, -0.0]])
+    xs = np.repeat(angles, rng.integers(1, 12, angles.size))
+    ys = rng.uniform(0.0, 1.0, xs.size)
+    for delta in (1e-6, 0.01):
+        got = classify_points(sys_, xs, ys, 300, delta)
+        assert np.array_equal(got, _classify_by_remainder(sys_, xs, ys, 300, delta))
+
+
+def test_non_square_raster_matches_the_reference_loop_at_any_thread_count():
+    # 64 x 48 cells: a slip between the column-major batch and the
+    # (height, width) cells would scramble or fail to reshape them
+    gx, gy = np.meshgrid((np.arange(64) + 0.5) / 64, (np.arange(48) + 0.5) / 48)
+    want = _classify_by_remainder(SYS3, gx, gy, 300, 1e-6).reshape(48, 64)
+    assert len(np.unique(want)) == 3
+    for threads in (1, 2, 3):
+        cells = rasterize(SYS3, 64, 48, 300, 1e-6, threads=threads).cells
+        assert cells.flags.c_contiguous
+        assert np.array_equal(cells, want)
+
+
+@pytest.mark.parametrize("profile", (CosineProfile(0.5), StepProfile((0.5, -0.5, 0.0))))
+@pytest.mark.parametrize("x, y", ((np.nan, 0.5), (np.inf, 0.5), (-np.inf, 0.5),
+                                  (0.25, np.nan), (0.25, np.inf), (0.25, -np.inf)))
+def test_classify_points_refuses_non_finite_angles_and_heights(profile, x, y):
+    sys_ = CylinderSystem(3, FiberFamily(KAN, profile))
+    with pytest.raises(PreconditionError, match="finite"):
+        classify_points(sys_, [0.5, x], [0.5, y], 10, 1e-6)
+    if np.isfinite(y):
+        with pytest.raises(PreconditionError, match="finite"):
+            estimate_separator_batch(sys_, [0.5, x], 10, 1e-6, 1e-3)
 
 
 def test_classify_budget_monotone():

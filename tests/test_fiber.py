@@ -27,6 +27,7 @@ from cylmaps import (
     schwarzian_analytic,
     schwarzian_numeric,
 )
+from cylmaps.fiber import FRACTIONAL_LINEAR, _KERNELS
 
 KAN05 = kan_family(0.5)
 INV05 = inverse_kan_family(0.5)
@@ -82,6 +83,25 @@ def test_cosine_displacement_matches_the_allocating_expression_bit_for_bit():
     # scalar callers read the same parameter
     a = float(0.5 * np.cos(2.0 * np.pi * 0.3))
     assert eval_fiber(KAN05, 0.3, 0.4) == 0.4 + a * 0.4 * (1.0 - 0.4)
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNELS))
+def test_step_kernel_is_apply_in_place_bit_for_bit(kind):
+    # the classifier's in-place fibre step must round as the apply kernel does
+    rng = np.random.default_rng(78)
+    y = np.concatenate([rng.uniform(0.0, 1.0, 50_000),
+                        [0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, 0.5, 0.5]])
+    a = rng.uniform(-0.999, 0.999, y.size)
+    a[-6:] = [0.0, -0.0, 0.999, -0.999, 5e-324, 0.0]
+    if kind == FRACTIONAL_LINEAR:
+        a *= 40.0
+    kernels = _KERNELS[kind]
+    p = kernels["coef"](a)
+    want = kernels["apply"](p, y, np)
+    scratch = p.copy()
+    got = kernels["step"](scratch, y)
+    assert got is scratch
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_step_profile_reads_the_digit_of_x_mod_1():
