@@ -1,14 +1,14 @@
 """Basin rasters, measure fractions, the box-sampling intermingling probe,
 and portable PPM output.
 
-Rasterization classifies every cell center with the first-hitting
-classifier; the probe draws random boxes and reports how many contain
-samples of both basins, which is the desk-scale reading of "every open set
-meets both basins in positive measure".  Each hands the classifier one
-batch of rows, one span of rows per thread: the raster one row per grid
-column, so each thread gets a span of columns and every column's cells,
-which share an angle, share one base orbit; the probe one row of samples
-per box.  A point's class does not depend on the rest of its batch, so
+Rasterization reads each grid column as two thresholds of the
+first-hitting classifier: fibres are increasing, so a column is Basin0
+below, Undecided between and Basin1 above, and two bisections over its
+cells find where each class begins.  The probe draws random boxes and
+reports how many contain samples of both basins, which is the desk-scale
+reading of "every open set meets both basins in positive measure"; it
+hands the classifier one row of samples per box, one span of rows per
+thread.  A point's class does not depend on the rest of its batch, so
 thread count never changes the output.
 """
 
@@ -69,14 +69,36 @@ def _classify_rows(sys: CylinderSystem, xs: np.ndarray, ys: np.ndarray, n_max: i
 
 def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
               delta: float, threads: int = 1) -> BasinRaster:
-    """Classify every cell center; deterministic for fixed parameters."""
+    """Classify every cell center; deterministic for fixed parameters.
+
+    Each column is bisected over its cell index for its first cell that is
+    not Basin0 and its first Basin1 cell, one classifier call per level for
+    every open search: at most ceil(log2(height + 1)) calls of at most
+    2 * width points.  Cells below the first index are Basin0, from the
+    second on Basin1, and Undecided between; this equals classifying every
+    cell whenever a column's classes are monotone in y, as increasing
+    fibres make them up to rounding.  The search runs on the calling
+    thread; threads has no effect.
+    """
     if width < 1 or height < 1:
         raise PreconditionError("raster dimensions must be >= 1")
     xs = (np.arange(width, dtype=float) + 0.5) / width
     ys = (np.arange(height, dtype=float) + 0.5) / height
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")  # shape (width, height): a column per row
-    cells = np.ascontiguousarray(_classify_rows(sys, gx, gy, n_max, delta, threads).T)
-    return BasinRaster(width=width, height=height, cells=cells,
+    # row 0 searches each column for its first cell that is not Basin0, row 1
+    # for its first Basin1 cell; the answer lies in [lo, hi]
+    lo = np.zeros((2, width), dtype=np.intp)
+    hi = np.full((2, width), height, dtype=np.intp)
+    while (lo < hi).any():
+        search, col = np.nonzero(lo < hi)
+        mid = (lo[search, col] + hi[search, col]) // 2
+        cls = classify_points(sys, xs[col], ys[mid], n_max, delta)
+        found = np.where(search == 0, cls != BasinClass.BASIN0, cls == BasinClass.BASIN1)
+        hi[search[found], col[found]] = mid[found]
+        lo[search[~found], col[~found]] = mid[~found] + 1
+    row = np.arange(height)[:, None]
+    cells = np.where(row < lo[0], BasinClass.BASIN0,
+                     np.where(row < lo[1], BasinClass.UNDECIDED, BasinClass.BASIN1))
+    return BasinRaster(width=width, height=height, cells=cells.astype(np.int8),
                        n_max=n_max, delta=delta, system=repr(sys))
 
 

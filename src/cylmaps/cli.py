@@ -26,7 +26,8 @@ from .cylinder import (
 from .errors import CylmapsError, PreconditionError
 from .fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN, CosineProfile, FiberFamily, StepProfile
 from .lyapunov import exponent_report
-from .measures import birkhoff_average, histogram_csv, jacobian_max_defect, orbit_histogram, uniformity_stats
+from .measures import (TEST_FUNCTIONS, birkhoff_average, histogram_csv, jacobian_max_defect,
+                       orbit_histogram, uniformity_stats)
 from .selftest import run_selftest
 from .walks import (
     arcsine_csv,
@@ -127,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=_positive_int, default=512)
     p.add_argument("--max-iter", type=_positive_int, default=5000)
     p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted and ignored: the raster runs on one thread")
     p.add_argument("--out", default=None, help="write a P6 PPM here")
 
     p = subs.add_parser("intermingle", help="box-sampling intermingling probe")
@@ -168,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("birkhoff", help="time average of a named test function")
     _add_system_flags(p, default_family="inverse-kan")
-    p.add_argument("--chi", choices=("y", "y_squared", "cos_x", "y_cos_x"), default="y")
+    p.add_argument("--chi", choices=tuple(TEST_FUNCTIONS), default="y")
     p.add_argument("--x0", type=_angle, default=0.1234)
     p.add_argument("--y0", type=float, default=0.4)
     p.add_argument("--n", type=_positive_int, default=10**6)

@@ -41,9 +41,6 @@ EXACT_ORBIT_PREFIX = 50
 #: depth of the separator's first pull-back; each further pass doubles it
 _PULLBACK_DEPTH = 256
 
-#: the classifier drops angles without an undecided point every this many rounds
-_ANGLE_DROP_ROUNDS = 16
-
 
 @dataclass(frozen=True)
 class CylinderSystem:
@@ -240,14 +237,6 @@ def _check_classification(sys: CylinderSystem, n_max: int, delta: float) -> None
             f"classification needs an odd base multiplier k, got {sys.k}")
 
 
-def _run_starts(v: np.ndarray) -> np.ndarray:
-    """True where an element of v differs from the one before it."""
-    starts = np.empty(v.shape, dtype=bool)
-    starts[:1] = True
-    np.not_equal(v[1:], v[:-1], out=starts[1:])
-    return starts
-
-
 def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
                     delta: float) -> np.ndarray:
     """First-hitting classification of many points at once.
@@ -263,15 +252,6 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     and ys are copied first and never written.  Angles and heights must be
     finite.
 
-    Points that are adjacent in the batch and have equal angles share one
-    base orbit: each round evaluates the fibre parameter and steps k*x mod 1
-    once per such run, and gathers the parameter for its points, so callers
-    should keep equal angles next to each other (a raster column by column).
-    The floats are the same as stepping every point on its own.  Every
-    _ANGLE_DROP_ROUNDS-th round drops the angles left without an undecided
-    point, and the loop ends when none is left, so an angle's work depends
-    only on its own points, never on the rest of the batch.
-
     Even k is refused: the float base orbit k*x mod 1 then sheds low bits each
     step and collapses onto x = 0, whose fiber alone would decide every class.
     """
@@ -285,20 +265,17 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     out = np.full(x.shape, BasinClass.UNDECIDED, dtype=np.int8)
     out[y < delta] = BasinClass.BASIN0
     out[y > 1.0 - delta] = BasinClass.BASIN1
-    # the undecided points only, as (slot in out, index of the angle, height)
+    # the undecided points only, as (slot in out, angle, height)
     idx = np.flatnonzero(out == BasinClass.UNDECIDED)
     x, y = x[idx], y[idx]
-    first = _run_starts(x)
-    col = np.cumsum(first) - 1
-    angles = x[first]  # one base orbit per run of equal angles
     kernels = _KERNELS[sys.family.kind]
     coef, fibre_step = kernels["coef"], kernels["step"]
-    for n in range(1, n_max + 1):
-        if not angles.size:
+    for _ in range(n_max):
+        if not idx.size:
             break
-        y = fibre_step(coef(sys.family.displacement(angles))[col], y)
-        angles *= sys.k
-        _mod1(angles)
+        y = fibre_step(coef(sys.family.displacement(x)), y)
+        x *= sys.k
+        _mod1(x)
         hit0 = y < delta
         hit1 = y > 1.0 - delta
         keep = ~(hit0 | hit1)
@@ -308,14 +285,8 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
             # one array at a time, so that each freed block of 8-byte items
             # can take the next: the heap then does not grow from op to op
             idx = idx[keep]
-            col = col[keep]
+            x = x[keep]
             y = y[keep]
-        if n % _ANGLE_DROP_ROUNDS == 0:
-            # col stays sorted, so its runs are the angles with undecided points
-            live = col[_run_starts(col)]
-            renumber = np.empty(angles.shape, dtype=np.intp)
-            renumber[live] = np.arange(live.size)
-            col, angles = renumber[col], angles[live]
     return out
 
 
@@ -390,9 +361,7 @@ def estimate_separator_batch(sys: CylinderSystem, xs, n_max: int, delta: float,
     slack = 0.25 * (tol - (hi[cand] - lo[cand]))
     trial = np.stack([lo[cand], np.maximum(lo[cand] - slack, 0.0),
                       hi[cand], np.minimum(hi[cand] + slack, 1.0)])
-    # each angle's four trial heights side by side, so they share one base orbit
-    cls = classify_points(sys, np.repeat(xs[cand], 4), trial.T.ravel(), n_max,
-                          delta).reshape(-1, 4).T
+    cls = classify_points(sys, np.tile(xs[cand], 4), trial.ravel(), n_max, delta).reshape(4, -1)
     basin0, basin1 = cls[:2] == BasinClass.BASIN0, cls[2:] == BasinClass.BASIN1
     lo[cand] = np.where(basin0[0], trial[0], trial[1])
     hi[cand] = np.where(basin1[0], trial[2], trial[3])

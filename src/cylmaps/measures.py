@@ -16,8 +16,8 @@ import numpy as np
 
 from .cylinder import CylinderSystem, CylPoint, base_orbit_angles
 from .errors import DomainError, PreconditionError, WrongFamilyError
-from .fiber import (FRACTIONAL_LINEAR, INVERSE_KAN, _fiber_orbit, _translation_orbit,
-                    poincare_coord, poincare_coord_inv)
+from .fiber import (FRACTIONAL_LINEAR, INVERSE_KAN, StepProfile, _fiber_orbit,
+                    _translation_orbit, poincare_coord, poincare_coord_inv)
 
 DEFAULT_BURN_IN = 1000
 
@@ -106,11 +106,12 @@ def jacobian_branch_sum(sys: CylinderSystem, p: CylPoint) -> float:
     """
     if sys.family.kind != INVERSE_KAN:
         raise WrongFamilyError("the branch-Jacobian identity applies to the inverse-quadratic family")
-    k = sys.k
-    return math.fsum(
-        (1.0 + float(sys.family.displacement((p.x + j) / k)) * (1.0 - 2.0 * p.y)) / k
-        for j in range(k)
-    )
+    k, prof = sys.k, sys.family.profile
+    # branch j lands in [j/k, (j+1)/k), where a step profile reads values[j],
+    # wherever the float (x + j)/k rounds to
+    a = (prof.values if isinstance(prof, StepProfile)
+         else [float(prof.displacement((p.x + j) / k)) for j in range(k)])
+    return math.fsum((1.0 + a_j * (1.0 - 2.0 * p.y)) / k for a_j in a)
 
 
 def jacobian_max_defect(sys: CylinderSystem, points: int, seed: int) -> float:

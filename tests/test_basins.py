@@ -9,6 +9,7 @@ from cylmaps import (
     CylPoint,
     PreconditionError,
     StepProfile,
+    basins,
     classify_point,
     classify_points,
     estimate_separator_batch,
@@ -57,6 +58,17 @@ def test_raster_determinism_and_thread_invariance():
     c = rasterize(SYS3, 96, 64, 800, 1e-6, threads=4)
     assert (a.cells == b.cells).all()
     assert (a.cells == c.cells).all()
+
+
+def test_raster_classifies_two_bisections_per_column(monkeypatch):
+    # 48 cells a column: two searches of at most ceil(log2(49)) = 6 levels
+    sizes = []
+    classify = basins.classify_points
+    monkeypatch.setattr(basins, "classify_points", lambda sys_, xs, *a, **kw:
+                        sizes.append(np.size(xs)) or classify(sys_, xs, *a, **kw))
+    rasterize(SYS3, 64, 48, 2000, 1e-6)
+    assert 0 < sum(sizes) <= 2 * 64 * 6
+    assert len(sizes) <= 6 and max(sizes) <= 2 * 64
 
 
 def test_budget_monotone_on_raster():

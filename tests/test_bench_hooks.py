@@ -5,15 +5,17 @@
 names, and reads classifier rounds off the displacement calls.  These tests
 import the tracer unchanged and check that the package still offers what it
 hooks: every rebound name exists, the classifier is looked up through the
-module global at call time, it calls ``displacement`` once per round on one
-angle per run of equal angles that still has an undecided point (one per
-raster column), the same angle-steps at any thread count, and each question
-reaches it as one batch; the separator certifies all its brackets in one
-classifier call; every walk of an ensemble is drawn by
-``walks.simulate_walk``.
+module global at call time and calls ``displacement`` once per round on the
+angles of its undecided points; the raster makes one classifier call per
+bisection level, on the calling thread, with the same calls and angle-steps
+at any thread count; the probe reaches the classifier as one batch and the
+separator certifies all its brackets in one classifier call; every walk of
+an ensemble is drawn by ``walks.simulate_walk``.
 """
 
 import importlib
+import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -47,51 +49,58 @@ def test_tracer_finds_every_hooked_name(tracer):
     assert tr.restored()
 
 
-def test_traced_raster_spans_one_classifier_call_per_thread(tracer):
-    plain = [basins.rasterize(SYS3, 32, 32, 2000, 1e-6, threads=t).cells for t in (1, 2)]
+def test_traced_raster_makes_one_classifier_call_per_bisection_level(tracer):
+    width, height = 32, 48
+    plain = basins.rasterize(SYS3, width, height, 2000, 1e-6).cells
     tr = tracer.Tracer()
     with tr:
-        traced = [basins.rasterize(SYS3, 32, 32, 2000, 1e-6, threads=t).cells for t in (1, 2)]
+        traced = basins.rasterize(SYS3, width, height, 2000, 1e-6).cells
     assert tr.restored()
-    assert all((a == b).all() for a, b in zip(plain, traced))
-    (chunks1, _, steps1), (chunks2, _, steps2) = tracer.raster_counts(tr.spans)
-    assert (chunks1, chunks2) == (1, 2)
-    assert steps1 == steps2 > 0
+    assert np.array_equal(plain, traced)
+    (raster,) = [s for s in tr.spans if s.name == "basins.rasterize"]
+    calls = [s for s in tr.spans if s.name == CLASSIFY]
+    # each level probes the middle cell of at most two open searches a column
+    assert all(s.parent is raster for s in calls)
+    assert 0 < len(calls) <= math.ceil(math.log2(height + 1))
+    assert all(0 < s.work["points"] <= 2 * width for s in calls)
+    ((chunks, _, steps),) = tracer.raster_counts(tr.spans)
+    assert chunks == len(calls) and steps > 0
 
 
 def test_traced_classifier_steps_only_undecided_points(tracer, monkeypatch):
-    # the cells of a raster column share its angle, and the classifier steps
-    # each angle that still has an undecided cell once per round
     angles = []
     displacement = FiberFamily.displacement
     monkeypatch.setattr(FiberFamily, "displacement",
                         lambda fam, x: angles.append(np.copy(x)) or displacement(fam, x))
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(0.0, 1.0, 400)
+    ys = rng.uniform(0.0, 1.0, 400)
+    # heights at or beyond a threshold classify before the first round
+    ys[::8], ys[1::8], ys[2::8], ys[3::8] = 0.0, 1e-7, 1.0, 1.0 - 1e-7
     tr = tracer.Tracer()
     with tr:
-        cells = basins.rasterize(SYS3, 32, 32, 2000, 1e-6).cells
+        cls = cylinder.classify_points(SYS3, xs, ys, 2000, 1e-6)
     assert tr.restored()
     (span,) = [s for s in tr.spans if s.name == CLASSIFY]
     counts = [s.work["elements"] for s in sorted(tr.spans, key=lambda s: s.start)
               if s.name == "fiber.displacement" and s.parent is span]
-    # every cell centre starts undecided: the first round gets the 32 column angles
-    assert np.array_equal(angles[0], (np.arange(32) + 0.5) / 32)
-    assert counts[0] == 32
+    undecided = (ys >= 1e-6) & (ys <= 1.0 - 1e-6)
+    assert np.array_equal(angles[0], xs[undecided])
+    assert counts[0] == np.count_nonzero(undecided) == 200
     assert all(a >= b > 0 for a, b in zip(counts, counts[1:]))
-    undecided_columns = np.unique(np.nonzero(cells == BasinClass.UNDECIDED)[1]).size
-    assert counts[-1] >= undecided_columns
+    assert counts[-1] >= np.count_nonzero(cls == BasinClass.UNDECIDED)
 
 
 def test_traced_raster_steps_are_the_same_at_1_2_and_3_threads(tracer):
-    # every cell decides well before n_max, and each span of columns at its
-    # own round: an angle's steps must not depend on when its span empties
+    # the search runs on the calling thread whatever threads says
     tr = tracer.Tracer()
     with tr:
         for threads in (1, 2, 3):
             basins.rasterize(SYS3, 64, 48, 2000, 1e-6, threads=threads)
     assert tr.restored()
     counts = tracer.raster_counts(tr.spans)
-    assert [chunks for chunks, _, _ in counts] == [1, 2, 3]
-    assert len({steps for _, _, steps in counts}) == 1
+    assert len(counts) == 3 and len(set(counts)) == 1
+    assert {s.thread for s in tr.spans} == {threading.get_ident()}
 
 
 def test_traced_probe_is_one_classifier_call(tracer):

@@ -1,11 +1,13 @@
 """Command-line surface: parsing gates, exit codes, artifact reproducibility."""
 
+import argparse
 import subprocess
 import sys
 
 import pytest
 
-from cylmaps.cli import main
+from cylmaps.cli import build_parser, main
+from cylmaps.measures import TEST_FUNCTIONS
 
 
 def run_cli(argv, capsys):
@@ -142,6 +144,12 @@ def test_birkhoff_command(capsys):
     assert code == 0
     value = float(out.split("average=")[1])
     assert abs(value - 0.5) < 0.05
+
+
+def test_birkhoff_chi_choices_are_the_named_test_functions():
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (chi,) = [a for a in subs.choices["birkhoff"]._actions if a.dest == "chi"]
+    assert tuple(chi.choices) == tuple(TEST_FUNCTIONS)
 
 
 def test_selftest_prints_a_verdict_per_time_bound(monkeypatch, capsys):

@@ -371,15 +371,36 @@ def test_runs_of_equal_angles_classify_as_their_points_one_by_one(k, kind, profi
         assert np.array_equal(got, _classify_by_remainder(sys_, xs, ys, 300, delta))
 
 
-def test_non_square_raster_matches_the_reference_loop_at_any_thread_count():
-    # 64 x 48 cells: a slip between the column-major batch and the
-    # (height, width) cells would scramble or fail to reshape them
-    gx, gy = np.meshgrid((np.arange(64) + 0.5) / 64, (np.arange(48) + 0.5) / 48)
-    want = _classify_by_remainder(SYS3, gx, gy, 300, 1e-6).reshape(48, 64)
-    assert len(np.unique(want)) == 3
+# (system, n_max, delta) for every kind with a cosine and a step profile, at
+# a delta where 64 x 48 cells read all three classes; inverse-Kan fibres
+# repel both boundaries, so at delta = 0.01 most cells form an undecided
+# band, and so do those of the nearly flat Kan fibre at epsilon = 0.05
+_STEP3 = StepProfile((0.5, -0.5, 0.0))
+RASTER_CASES = {
+    "kan-cosine": (CylinderSystem(3, FiberFamily(KAN, CosineProfile(0.5))), 300, 1e-6),
+    "kan-step": (CylinderSystem(3, FiberFamily(KAN, _STEP3)), 300, 1e-6),
+    "inverse-kan-cosine": (CylinderSystem(3, FiberFamily(INVERSE_KAN, CosineProfile(0.5))), 300, 0.01),
+    "inverse-kan-step": (CylinderSystem(3, FiberFamily(INVERSE_KAN, _STEP3)), 300, 0.01),
+    "moebius-cosine": (CylinderSystem(3, FiberFamily(FRACTIONAL_LINEAR, CosineProfile(0.7))), 300, 0.05),
+    "moebius-step": (CylinderSystem(3, FiberFamily(FRACTIONAL_LINEAR, _STEP3)), 300, 0.05),
+    "kan-flat-band": (CylinderSystem(3, kan_family(0.05)), 300, 0.01),
+}
+
+
+@pytest.mark.parametrize("case", RASTER_CASES)
+@pytest.mark.parametrize("width, height", ((64, 48), (1, 1), (1, 48), (64, 1), (24, 37)))
+def test_non_square_raster_matches_the_reference_loop_at_any_thread_count(case, width, height):
+    # the bisection over each column must land on the classes of every cell,
+    # and a slip between columns and rows would scramble a non-square raster
+    sys_, n_max, delta = RASTER_CASES[case]
+    gx, gy = np.meshgrid((np.arange(width) + 0.5) / width, (np.arange(height) + 0.5) / height)
+    want = _classify_by_remainder(sys_, gx, gy, n_max, delta).reshape(height, width)
+    if (width, height) == (64, 48):
+        assert len(np.unique(want)) == 3
     for threads in (1, 2, 3):
-        cells = rasterize(SYS3, 64, 48, 300, 1e-6, threads=threads).cells
+        cells = rasterize(sys_, width, height, n_max, delta, threads=threads).cells
         assert cells.flags.c_contiguous
+        assert cells.dtype == np.int8
         assert np.array_equal(cells, want)
 
 

@@ -94,6 +94,14 @@ def test_jacobian_branch_sum_of_a_step_profile_is_one_plus_the_weighted_mean():
     assert abs(jacobian_branch_sum(flat, CylPoint(0.2, 0.1)) - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("x", (0.0, 1.0 - 2.0 ** -53))
+def test_jacobian_branch_sum_reads_each_step_of_the_profile_once(x):
+    # the float preimage (x + j)/k rounds below j/k near x = 0, and x just
+    # below 1 reaches (j + 1)/k: neither may read a neighbouring step
+    sys = CylinderSystem(22, FiberFamily(INVERSE_KAN, StepProfile(tuple(np.linspace(-0.9, 0.9, 22)))))
+    assert jacobian_branch_sum(sys, CylPoint(x, 0.1)) == 1.0
+
+
 def test_jacobian_wrong_family():
     with pytest.raises(WrongFamilyError):
         jacobian_branch_sum(KAN3, CylPoint(0.2, 0.7))
