@@ -74,11 +74,13 @@ def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
     Each column is bisected over its cell index for its first cell that is
     not Basin0 and its first Basin1 cell, one classifier call per level for
     every open search: at most ceil(log2(height + 1)) calls of at most
-    2 * width points.  Cells below the first index are Basin0, from the
-    second on Basin1, and Undecided between; this equals classifying every
-    cell whenever a column's classes are monotone in y, as increasing
-    fibres make them up to rounding.  The search runs on the calling
-    thread; threads has no effect.
+    2 * width points.  A cell both searches probe is classified once, so a
+    column with no Undecided cell costs one point per level.  Cells below
+    the first index are Basin0, from the second on Basin1, and Undecided
+    between; this equals classifying every cell whenever a column's
+    classes are monotone in y, as increasing fibres make them up to
+    rounding.  The search runs on the calling thread; threads has no
+    effect.
     """
     if width < 1 or height < 1:
         raise PreconditionError("raster dimensions must be >= 1")
@@ -91,7 +93,8 @@ def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
     while (lo < hi).any():
         search, col = np.nonzero(lo < hi)
         mid = (lo[search, col] + hi[search, col]) // 2
-        cls = classify_points(sys, xs[col], ys[mid], n_max, delta)
+        cell, probe = np.unique(col * height + mid, return_inverse=True)
+        cls = classify_points(sys, xs[cell // height], ys[cell % height], n_max, delta)[probe]
         found = np.where(search == 0, cls != BasinClass.BASIN0, cls == BasinClass.BASIN1)
         hi[search[found], col[found]] = mid[found]
         lo[search[~found], col[~found]] = mid[~found] + 1

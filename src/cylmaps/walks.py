@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -32,14 +33,38 @@ class WalkTrace:
     seed: int
 
 
+def _running_ratio(hits: np.ndarray) -> np.ndarray:
+    """count_i / i for i = 1..n; integer counts are exact, so with NaN
+    refused b_n equals n - a_n - c_n and every quotient is correctly rounded."""
+    count = np.cumsum(hits, dtype=np.int32 if hits.size < 2**31 else np.int64)
+    ratio = np.arange(1, hits.size + 1, dtype=float)
+    return np.divide(count, ratio, out=ratio)
+
+
 @dataclass(frozen=True)
 class OccupationStats:
-    """Running ratios a_n/n, b_n/n, c_n/n (above, inside, below the band)."""
+    """Running ratios a_n/n, b_n/n, c_n/n (above, inside, below the band).
+
+    Built as ``OccupationStats(threshold, t)`` from the heights t_1..t_n.
+    Each ratio array is counted when it is first read, and kept.  ``t`` is
+    a view of the trace, so writing into ``trace.t`` before a read changes
+    that read.
+    """
 
     threshold: float
-    a_over_n: np.ndarray
-    b_over_n: np.ndarray
-    c_over_n: np.ndarray
+    t: np.ndarray
+
+    @cached_property
+    def a_over_n(self) -> np.ndarray:
+        return _running_ratio(self.t > self.threshold)
+
+    @cached_property
+    def b_over_n(self) -> np.ndarray:
+        return _running_ratio(np.abs(self.t) <= self.threshold)
+
+    @cached_property
+    def c_over_n(self) -> np.ndarray:
+        return _running_ratio(self.t < -self.threshold)
 
 
 @dataclass(frozen=True)
@@ -86,19 +111,18 @@ def simulate_walk(profile: StepProfile, t0: float, n: int, seed: int) -> WalkTra
 
 
 def occupation_ratios(trace: WalkTrace, threshold: float) -> OccupationStats:
-    """Counts over i = 1..n of t_i > N (a), |t_i| <= N (b), t_i < -N (c)."""
+    """Counts over i = 1..n of t_i > N (a), |t_i| <= N (b), t_i < -N (c).
+
+    The gates run here.  The result is ``OccupationStats(threshold, t)``
+    with ``t`` a view of ``trace.t[1:]``: each ratio array is counted when
+    it is first read, so writing into the trace before a read changes it.
+    """
     if not threshold >= 0.0:
         raise PreconditionError("threshold must be >= 0")
     tt = trace.t[1:]
     if np.isnan(tt).any():
         raise PreconditionError("trace contains NaN")
-    n = np.arange(1, tt.size + 1, dtype=float)
-    a = np.cumsum(tt > threshold, dtype=float)
-    c = np.cumsum(tt < -threshold, dtype=float)
-    b = n - a - c  # the counts partition 1..n, and floats hold them exactly
-    for ratio in (a, b, c):
-        ratio /= n
-    return OccupationStats(threshold=threshold, a_over_n=a, b_over_n=b, c_over_n=c)
+    return OccupationStats(threshold, tt)
 
 
 def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,

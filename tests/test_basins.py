@@ -71,6 +71,20 @@ def test_raster_classifies_two_bisections_per_column(monkeypatch):
     assert len(sizes) <= 6 and max(sizes) <= 2 * 64
 
 
+def test_raster_classifies_a_cell_both_searches_probe_once(monkeypatch):
+    # no Undecided cell, so both searches of every column probe one cell a level
+    calls = []
+    classify = basins.classify_points
+    monkeypatch.setattr(basins, "classify_points", lambda sys_, xs, ys, *a, **kw:
+                        calls.append((np.copy(xs), np.copy(ys))) or classify(sys_, xs, ys, *a, **kw))
+    r = rasterize(SYS3, 64, 48, 2000, 1e-6)
+    assert not (r.cells == BasinClass.UNDECIDED).any()
+    assert 0 < len(calls) <= 6
+    for xs, ys in calls:
+        assert xs.size <= 64
+        assert len(set(zip(xs.tolist(), ys.tolist()))) == xs.size
+
+
 def test_budget_monotone_on_raster():
     small = rasterize(SYS3, 64, 64, 100, 1e-6)
     large = rasterize(SYS3, 64, 64, 1000, 1e-6)

@@ -1,5 +1,6 @@
 """Random walks of the zero-curvature regime: occupation, arcsine, equidistribution."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -308,3 +309,66 @@ def test_occupation_refuses_nan_trace():
     t = np.array([0.0, 1.0, math.nan, 1.0])
     with pytest.raises(PreconditionError):
         occupation_ratios(WalkTrace(t=t, steps_used=PM1.values, seed=0), 1.0)
+
+
+_RATIOS = ("a_over_n", "b_over_n", "c_over_n")
+
+
+def _eager_occupation(trace, threshold):
+    # the eager body the lazy counts replaced: float cumsums, b by partition
+    tt = trace.t[1:]
+    n = np.arange(1, tt.size + 1, dtype=float)
+    a = np.cumsum(tt > threshold, dtype=float)
+    c = np.cumsum(tt < -threshold, dtype=float)
+    b = n - a - c
+    for ratio in (a, b, c):
+        ratio /= n
+    return a, b, c
+
+
+def _ratio_bytes(stats, names=_RATIOS):
+    return {name: (getattr(stats, name).dtype, getattr(stats, name).tobytes()) for name in names}
+
+
+def _assert_matches_eager(trace, threshold):
+    want = zip(_RATIOS, _eager_occupation(trace, threshold))
+    assert _ratio_bytes(occupation_ratios(trace, threshold)) == {
+        name: (arr.dtype, arr.tobytes()) for name, arr in want}
+
+
+@pytest.mark.parametrize("values", [(1.0, -1.0), (2.0, -1.0, -1.0), (0.3, -0.7, 0.1), (0.0, 0.0)])
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, 3.0])
+def test_lazy_occupation_matches_eager_bits(values, threshold):
+    for seed in (0, 4):
+        _assert_matches_eager(simulate_walk(StepProfile(values), 0.0, 30000, seed=seed), threshold)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, 3.0, math.inf])
+def test_lazy_occupation_matches_eager_bits_on_infinite_and_signed_zero_heights(threshold):
+    t = np.array([0.0, math.inf, -0.0, -math.inf, 0.0, 0.5, -0.5, -0.0, math.inf, 3.0,
+                  -3.0, 1.0, -math.inf, -1.0, 0.0])
+    _assert_matches_eager(WalkTrace(t=t, steps_used=PM1.values, seed=0), threshold)
+
+
+def test_lazy_occupation_read_order_does_not_matter():
+    tr = simulate_walk(StepProfile((0.3, -0.7, 0.1)), 0.0, 5000, seed=2)
+    reads = [_ratio_bytes(occupation_ratios(tr, 0.5), order)
+             for order in itertools.permutations(_RATIOS)]
+    assert all(read == reads[0] for read in reads)
+
+
+def test_lazy_occupation_second_read_returns_the_same_array():
+    st = occupation_ratios(simulate_walk(PM1, 0.0, 1000, seed=1), 1.0)
+    for name in _RATIOS:
+        assert getattr(st, name) is getattr(st, name)
+
+
+def test_occupation_refuses_nan_on_the_call_not_on_the_read():
+    t = np.array([0.0, 1.0, 2.0, -1.0])
+    tr = WalkTrace(t=t, steps_used=PM1.values, seed=0)
+    st = occupation_ratios(tr, 1.0)
+    t[2] = math.nan  # the stats hold a view of the trace, and a read does not re-check
+    assert st.a_over_n.tolist() == [0.0, 0.0, 0.0]
+    assert st.b_over_n.tolist() == [1.0, 0.5, 2.0 / 3.0]
+    with pytest.raises(PreconditionError):
+        occupation_ratios(tr, 1.0)
