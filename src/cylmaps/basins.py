@@ -3,12 +3,12 @@ and portable PPM output.
 
 Rasterization reads each grid column as two thresholds of the
 first-hitting classifier: fibres are increasing, so a column is Basin0
-below, Undecided between and Basin1 above, and two bisections over its
-cells find where each class begins.  The probe draws random boxes and
-reports how many contain samples of both basins, which is the desk-scale
-reading of "every open set meets both basins in positive measure"; it
-hands the classifier one row of samples per box, one span of rows per
-thread.  A point's class does not depend on the rest of its batch, so
+below, Undecided between and Basin1 above, and the column search that
+the separator also runs finds where each class begins.  The probe draws
+random boxes and reports how many contain samples of both basins, which
+is the desk-scale reading of "every open set meets both basins in
+positive measure"; it hands the classifier one row of samples per box,
+one span of rows per thread.  A point's class does not depend on the rest of its batch, so
 thread count never changes the output.
 """
 
@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .cylinder import BasinClass, CylinderSystem, _mod1, classify_points
+from .cylinder import BasinClass, CylinderSystem, _column_thresholds, _mod1, classify_points
 from .errors import PreconditionError
 
 #: Basin0 blue, Basin1 amber, Undecided black; fixed so renders are bytewise stable
@@ -71,36 +71,23 @@ def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
               delta: float, threads: int = 1) -> BasinRaster:
     """Classify every cell center; deterministic for fixed parameters.
 
-    Each column is bisected over its cell index for its first cell that is
-    not Basin0 and its first Basin1 cell, one classifier call per level for
-    every open search: at most ceil(log2(height + 1)) calls of at most
-    2 * width points.  A cell both searches probe is classified once, so a
-    column with no Undecided cell costs one point per level.  Cells below
-    the first index are Basin0, from the second on Basin1, and Undecided
-    between; this equals classifying every cell whenever a column's
-    classes are monotone in y, as increasing fibres make them up to
-    rounding.  The search runs on the calling thread; threads has no
+    Each column is searched over its cell index for its first cell that is
+    not Basin0 and its first Basin1 cell by the column search of the
+    classifier (``cylinder._column_thresholds``): at most
+    ceil(log12(height + 1)) classifier calls of at most 22 points a column.
+    Cells below the first index are Basin0, from the second on Basin1, and
+    Undecided between; this equals classifying every cell whenever a
+    column's classes are monotone in y, as increasing fibres make them up
+    to rounding.  The search runs on the calling thread; threads has no
     effect.
     """
     if width < 1 or height < 1:
         raise PreconditionError("raster dimensions must be >= 1")
     xs = (np.arange(width, dtype=float) + 0.5) / width
-    ys = (np.arange(height, dtype=float) + 0.5) / height
-    # row 0 searches each column for its first cell that is not Basin0, row 1
-    # for its first Basin1 cell; the answer lies in [lo, hi]
-    lo = np.zeros((2, width), dtype=np.intp)
-    hi = np.full((2, width), height, dtype=np.intp)
-    while (lo < hi).any():
-        search, col = np.nonzero(lo < hi)
-        mid = (lo[search, col] + hi[search, col]) // 2
-        cell, probe = np.unique(col * height + mid, return_inverse=True)
-        cls = classify_points(sys, xs[cell // height], ys[cell % height], n_max, delta)[probe]
-        found = np.where(search == 0, cls != BasinClass.BASIN0, cls == BasinClass.BASIN1)
-        hi[search[found], col[found]] = mid[found]
-        lo[search[~found], col[~found]] = mid[~found] + 1
+    first = _column_thresholds(sys, xs, lambda j: (j + 0.5) / height, height, n_max, delta)
     row = np.arange(height)[:, None]
-    cells = np.where(row < lo[0], BasinClass.BASIN0,
-                     np.where(row < lo[1], BasinClass.UNDECIDED, BasinClass.BASIN1))
+    cells = np.where(row < first[0], BasinClass.BASIN0,
+                     np.where(row < first[1], BasinClass.UNDECIDED, BasinClass.BASIN1))
     return BasinRaster(width=width, height=height, cells=cells.astype(np.int8),
                        n_max=n_max, delta=delta, system=repr(sys))
 

@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", default=None, help="write the report CSV here")
 
-    p = subs.add_parser("separator", help="separator sweep by certified pull-back")
+    p = subs.add_parser("separator", help="separator sweep by column search on a dyadic ladder")
     _add_system_flags(p)
     p.add_argument("--angles", type=_positive_int, default=200)
     p.add_argument("--max-iter", type=_positive_int, default=5000)

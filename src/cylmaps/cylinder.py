@@ -5,9 +5,10 @@ k >= 2 and a fiber family from :mod:`cylmaps.fiber`.  Both boundary circles
 {y = 0} and {y = 1} are invariant; this module provides forward orbits,
 backward orbits steered toward a marked angle, the push/pull hypothesis
 check near marked periodic angles, first-hitting classification of points
-into the two boundary basins, and estimates of the fiberwise separator
-height sigma(x) by a pull-back along the base orbit, certified by the
-classifier.
+into the two boundary basins, the column search that finds where a column
+{x} x [0, 1] changes class, and estimates of the fiberwise separator height
+sigma(x) by that search on a dyadic ladder of heights, each bracket made of
+two classified heights.
 
 Angles live in [0, 1) and are reduced mod 1.  All operations are pure;
 the vectorized classifiers write only into caller-disjoint slots, so they
@@ -38,8 +39,11 @@ _FIXED_ANGLE_TOL = 1e-9
 #: float orbits of x -> k*x mod 1 degenerate after about this many steps
 EXACT_ORBIT_PREFIX = 50
 
-#: depth of the separator's first pull-back; each further pass doubles it
-_PULLBACK_DEPTH = 256
+#: parts each open column search is cut into per classifier call
+_SECTIONS = 12
+
+#: finest separator ladder 2^-L: rung numerators j < 2^53 are exact floats
+_MAX_LADDER_DEPTH = 53
 
 
 @dataclass(frozen=True)
@@ -78,9 +82,9 @@ class BasinClass(IntEnum):
 
 @dataclass(frozen=True)
 class SeparatorSample:
-    """One pull-back estimate of the separator height over angle x: the
-    bracket [lo, hi], certified when decided (lo classifies Basin0, hi
-    Basin1)."""
+    """One estimate of the separator height over angle x: the bracket
+    [lo, hi], whose ends the classifier put in Basin0 and Basin1; decided
+    when no undecided height was found between them and hi - lo <= tol."""
 
     x: float
     lo: float
@@ -296,80 +300,80 @@ def classify_point(sys: CylinderSystem, p: CylPoint, n_max: int,
     return BasinClass(int(classify_points(sys, [p.x], [p.y], n_max, delta)[0]))
 
 
+def _column_thresholds(sys: CylinderSystem, xs: np.ndarray, height_at, n: int,
+                       n_max: int, delta: float) -> np.ndarray:
+    """First index of each column {xs[i]} x [0, 1], over the increasing
+    heights height_at(0 .. n - 1), that is not Basin0 (row 0) and that is
+    Basin1 (row 1), or n where there is none.
+
+    Each level cuts every open search into _SECTIONS parts with one
+    classifier call that classifies each distinct probe point once: at most
+    ceil(log_SECTIONS(n + 1)) calls of 2 * (_SECTIONS - 1) points a column.
+    Each answer below n read the class sought and the index below each
+    answer above 0 did not, so answers rest on classified heights; they
+    equal a scan of every height when the classes are monotone in y.
+    classify_points is looked up through this module at call time.
+    """
+    lo = np.zeros((2, xs.size), dtype=np.int64)
+    hi = np.full((2, xs.size), n, dtype=np.int64)
+    part = np.arange(1, _SECTIONS)
+    while (lo < hi).any():
+        search, col = np.nonzero(lo < hi)
+        below, above = lo[search, col], hi[search, col]
+        probe = below[:, None] + (above - below)[:, None] * part // _SECTIONS
+        # one complex point x + iy per probe: unique keeps each distinct point once
+        point, seen = np.unique(xs[col, None] + 1j * height_at(probe), return_inverse=True)
+        cls = classify_points(sys, point.real, point.imag, n_max, delta)[seen].reshape(probe.shape)
+        found = np.where(search[:, None] == 0, cls != BasinClass.BASIN0,
+                         cls == BasinClass.BASIN1)
+        # the probes before the first that finds the answer are passed over
+        passed = np.logical_and.accumulate(~found, axis=1).sum(axis=1)
+        ends = np.column_stack([below - 1, probe, above])
+        rows = np.arange(search.size)
+        lo[search, col] = ends[rows, passed] + 1
+        hi[search, col] = ends[rows, passed + 1]
+    return lo
+
+
 # ---------------------------------------------------------------------------
 # separator estimation
 # ---------------------------------------------------------------------------
 
 def estimate_separator_batch(sys: CylinderSystem, xs, n_max: int, delta: float,
                              tol: float) -> list[SeparatorSample]:
-    """Certified pull-back estimates of sigma(x) for a batch of angles.
+    """Bracket estimates of sigma(x) for a batch of angles.
 
-    sigma is invariant, sigma(k*x) = f_x(sigma(x)), so pulling a height back
-    along the base orbit, f_{x_0}^-1(... f_{x_{n-1}}^-1(y)), tends to sigma(x)
-    as the depth n grows.  lo is pulled back from the float below delta and
-    hi from the float above 1 - delta, along the classifier's own float
-    orbit, each clamped at every step to the heights the classifier has not
-    decided the other way.  Depth starts at _PULLBACK_DEPTH and doubles up
-    to n_max; an angle stops once hi - lo <= tol.  One classifier call then
-    certifies each bracket and a copy widened by a quarter of its slack to
-    tol, since rounding can put an end that sits at the threshold on its
-    wrong side.  A sample is decided only when lo is Basin0, hi Basin1 and
-    hi - lo <= tol; fibers are increasing, so classes are monotone in y and
-    the bracket then contains the classifier's threshold.  The stored
-    parameters take 8 * depth bytes per open angle.
+    Fibers are increasing, so each column {x} x [0, 1] reads Basin0 below
+    the classifier's threshold and Basin1 above it.  The column search runs
+    on the rungs j / 2^L in [delta, 1 - delta], L = ceil(-log2(tol)) kept in
+    [0, _MAX_LADDER_DEPTH], between nextafter(delta, 0) and
+    nextafter(1 - delta, 1), which classify at once.  lo is the last Basin0
+    rung and hi the first Basin1 rung, so both ends are classified and the
+    bracket holds the threshold by construction.  A sample is decided when
+    no rung lies between them and hi - lo <= tol.
     """
     if sys.family.kind != KAN:
         raise WrongFamilyError("separator estimation applies to the quadratic (negative-curvature) family")
     if not tol > 0.0:
         raise PreconditionError("bracket tolerance must be positive")
     _check_classification(sys, n_max, delta)
-    invert = _KERNELS[KAN]["invert"]  # its coefficient is the parameter a itself
     xs = np.array(xs, dtype=float).ravel()
     if not np.isfinite(xs).all():
         raise PreconditionError("angles must be finite")
-    m = xs.size
-    # row 0 is the lo end of every bracket, row 1 the hi end
-    below_delta, above_top = np.nextafter(delta, 0.0), np.nextafter(1.0 - delta, 1.0)
-    targets = np.array([[below_delta], [above_top]])
-    lowest = np.array([[below_delta], [delta]])
-    highest = np.array([[1.0 - delta], [above_top]])
-    ends = np.repeat(targets, m, axis=1)
-    open_ = np.arange(m)
-    x = xs.copy()
-    params = np.empty((0, m))  # a at x_0 .. x_{depth-1}, one column per open angle
-    depth = min(_PULLBACK_DEPTH, n_max)
-    while open_.size:
-        grown = np.empty((depth - len(params), open_.size))
-        for row in grown:
-            row[:] = sys.family.displacement(x)
-            x *= sys.k
-            _mod1(x)
-        params = np.concatenate([params, grown])
-        y = np.repeat(targets, open_.size, axis=1)
-        for a in params[::-1]:
-            y = invert(a, y, np)
-            np.clip(y, lowest, highest, out=y)
-        ends[:, open_] = y
-        if depth == n_max:
-            break
-        keep = y[1] - y[0] > tol
-        open_, x, params = open_[keep], x[keep], params[:, keep]
-        depth = min(2 * depth, n_max)
-    # rows of trial: lo, widened lo, hi, widened hi
-    lo, hi = ends
-    cand = np.flatnonzero(hi - lo <= tol)
-    slack = 0.25 * (tol - (hi[cand] - lo[cand]))
-    trial = np.stack([lo[cand], np.maximum(lo[cand] - slack, 0.0),
-                      hi[cand], np.minimum(hi[cand] + slack, 1.0)])
-    cls = classify_points(sys, np.tile(xs[cand], 4), trial.ravel(), n_max, delta).reshape(4, -1)
-    basin0, basin1 = cls[:2] == BasinClass.BASIN0, cls[2:] == BasinClass.BASIN1
-    lo[cand] = np.where(basin0[0], trial[0], trial[1])
-    hi[cand] = np.where(basin1[0], trial[2], trial[3])
-    decided = np.zeros(m, dtype=bool)
-    decided[cand] = basin0.any(axis=0) & basin1.any(axis=0)
+    scale = 2.0 ** int(np.clip(np.ceil(-np.log2(tol)), 0, _MAX_LADDER_DEPTH))
+    first = np.ceil(delta * scale)
+    n = int(np.floor((1.0 - delta) * scale) - first) + 1
+
+    def rung(i):
+        return (first + i) / scale
+
+    t0, t1 = _column_thresholds(sys, xs, rung, n, n_max, delta)
+    lo = np.where(t0 > 0, rung(t0 - 1), np.nextafter(delta, 0.0))
+    hi = np.where(t1 < n, rung(t1), np.nextafter(1.0 - delta, 1.0))
+    decided = (t0 == t1) & (hi - lo <= tol)
     return [SeparatorSample(x=float(xs[i]), lo=float(lo[i]), hi=float(hi[i]),
                             decided=bool(decided[i]))
-            for i in range(m)]
+            for i in range(xs.size)]
 
 
 def estimate_separator(sys: CylinderSystem, x: float, n_max: int, delta: float,

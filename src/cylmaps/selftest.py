@@ -237,7 +237,7 @@ def check_backward_orbit(artifacts=None) -> CheckResult:
 
 
 def check_separator(artifacts=None) -> CheckResult:
-    """Pulled-back separator satisfies its pushforward functional equation."""
+    """Separator brackets satisfy the pushforward functional equation."""
     t0 = time.perf_counter()
     samples, good, total = separator_sweep(KAN3, 200, 5000, 1e-6, 1e-3, seed=42)
     edge0, edge5 = estimate_separator_batch(KAN3, [0.0, 0.5], 5000, 1e-6, 1e-3)

@@ -1,5 +1,7 @@
 """Raster classification, measure fractions, probe statistics, PPM bytes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from cylmaps import (
     CylPoint,
     PreconditionError,
     StepProfile,
-    basins,
     classify_point,
     classify_points,
+    cylinder,
     estimate_separator_batch,
     fractional_linear_family,
     intermingle_probe,
@@ -60,28 +62,35 @@ def test_raster_determinism_and_thread_invariance():
     assert (a.cells == c.cells).all()
 
 
-def test_raster_classifies_two_bisections_per_column(monkeypatch):
-    # 48 cells a column: two searches of at most ceil(log2(49)) = 6 levels
-    sizes = []
-    classify = basins.classify_points
-    monkeypatch.setattr(basins, "classify_points", lambda sys_, xs, *a, **kw:
-                        sizes.append(np.size(xs)) or classify(sys_, xs, *a, **kw))
-    rasterize(SYS3, 64, 48, 2000, 1e-6)
-    assert 0 < sum(sizes) <= 2 * 64 * 6
-    assert len(sizes) <= 6 and max(sizes) <= 2 * 64
+def _record_classifier_calls(monkeypatch):
+    """(angles, heights) of every classifier call the column search makes."""
+    calls = []
+    classify = cylinder.classify_points
+    monkeypatch.setattr(cylinder, "classify_points", lambda sys_, xs, ys, *a, **kw:
+                        calls.append((np.copy(xs), np.copy(ys))) or classify(sys_, xs, ys, *a, **kw))
+    return calls
+
+
+def test_raster_cuts_each_column_search_into_12_parts_a_level(monkeypatch):
+    # 48 cells a column: at most ceil(log12(49)) = 2 levels, and two searches
+    # of 11 probes a column; the short budget leaves an Undecided band, so
+    # the two searches of a column probe different cells
+    calls = _record_classifier_calls(monkeypatch)
+    r = rasterize(SYS3, 64, 48, 40, 1e-6)
+    assert (r.cells == BasinClass.UNDECIDED).any()
+    assert 0 < len(calls) <= math.ceil(math.log(48 + 1, 12))
+    for xs, _ in calls:
+        assert np.unique(xs, return_counts=True)[1].max() <= 2 * 11
 
 
 def test_raster_classifies_a_cell_both_searches_probe_once(monkeypatch):
-    # no Undecided cell, so both searches of every column probe one cell a level
-    calls = []
-    classify = basins.classify_points
-    monkeypatch.setattr(basins, "classify_points", lambda sys_, xs, ys, *a, **kw:
-                        calls.append((np.copy(xs), np.copy(ys))) or classify(sys_, xs, ys, *a, **kw))
+    # no Undecided cell, so both searches of every column probe the same cells
+    calls = _record_classifier_calls(monkeypatch)
     r = rasterize(SYS3, 64, 48, 2000, 1e-6)
     assert not (r.cells == BasinClass.UNDECIDED).any()
-    assert 0 < len(calls) <= 6
+    assert 0 < len(calls) <= 2
     for xs, ys in calls:
-        assert xs.size <= 64
+        assert xs.size <= 64 * 11
         assert len(set(zip(xs.tolist(), ys.tolist()))) == xs.size
 
 

@@ -7,10 +7,11 @@ import the tracer unchanged and check that the package still offers what it
 hooks: every rebound name exists, the classifier is looked up through the
 module global at call time and calls ``displacement`` once per round on the
 angles of its undecided points; the raster makes one classifier call per
-bisection level, on the calling thread, with the same calls and angle-steps
-at any thread count; the probe reaches the classifier as one batch and the
-separator certifies all its brackets in one classifier call; every walk of
-an ensemble is drawn by ``walks.simulate_walk``.
+level of its column search, on the calling thread, with the same calls and
+angle-steps at any thread count; the probe reaches the classifier as one
+batch; the separator's column search makes every classifier call under the
+separator's span, so the separator's point-steps are the classifier's; every
+walk of an ensemble is drawn by ``walks.simulate_walk``.
 """
 
 import importlib
@@ -49,7 +50,7 @@ def test_tracer_finds_every_hooked_name(tracer):
     assert tr.restored()
 
 
-def test_traced_raster_makes_one_classifier_call_per_bisection_level(tracer):
+def test_traced_raster_makes_one_classifier_call_per_search_level(tracer):
     width, height = 32, 48
     plain = basins.rasterize(SYS3, width, height, 2000, 1e-6).cells
     tr = tracer.Tracer()
@@ -59,10 +60,10 @@ def test_traced_raster_makes_one_classifier_call_per_bisection_level(tracer):
     assert np.array_equal(plain, traced)
     (raster,) = [s for s in tr.spans if s.name == "basins.rasterize"]
     calls = [s for s in tr.spans if s.name == CLASSIFY]
-    # each level probes the middle cell of at most two open searches a column
+    # each level cuts at most two open searches a column into 12 parts
     assert all(s.parent is raster for s in calls)
-    assert 0 < len(calls) <= math.ceil(math.log2(height + 1))
-    assert all(0 < s.work["points"] <= 2 * width for s in calls)
+    assert 0 < len(calls) <= math.ceil(math.log(height + 1, 12))
+    assert all(0 < s.work["points"] <= 2 * 11 * width for s in calls)
     ((chunks, _, steps),) = tracer.raster_counts(tr.spans)
     assert chunks == len(calls) and steps > 0
 
@@ -114,7 +115,7 @@ def test_traced_probe_is_one_classifier_call(tracer):
     assert rep == basins.intermingle_probe(SYS3, 20, 1.0 / 64.0, 30, 2000, 1e-6, seed=1)
 
 
-def test_traced_separator_is_one_classifier_call(tracer):
+def test_traced_separator_classifies_under_its_own_span(tracer):
     xs = np.random.default_rng(42).uniform(0.0, 1.0, 200)
     tr = tracer.Tracer()
     with tr:
@@ -122,22 +123,21 @@ def test_traced_separator_is_one_classifier_call(tracer):
     assert tr.restored()
     assert samples == cylinder.estimate_separator_batch(SYS3, xs, 5000, 1e-6, 1e-3)
     (sep,) = [s for s in tr.spans if s.name == "cylinder.estimate_separator_batch"]
-    (certify,) = [s for s in tr.spans if s.name == CLASSIFY]
-    # each bracket is certified at its two ends and at two widened ends
-    assert certify.parent is sep and certify.work["points"] == 4 * 200
-    # the forward pass reads the driving parameters directly under the separator
+    calls = [s for s in tr.spans if s.name == CLASSIFY]
+    # the 1e-3 ladder has 1023 rungs: at most ceil(log12(1024)) = 3 levels
+    assert 0 < len(calls) <= 3
+    assert all(s.parent is sep and 0 < s.work["points"] <= 2 * 11 * 200 for s in calls)
+    # every round is a classifier round: the separator steps no orbit itself
     disp = [s for s in tr.spans if s.name == "fiber.displacement"]
-    forward = [s for s in disp if s.parent is sep]
-    rounds = [s for s in disp if s.parent is certify]
-    assert forward and rounds and len(forward) + len(rounds) == len(disp)
+    assert disp and all(any(s.parent is c for c in calls) for s in disp)
     m = tracer.layer_metrics(tr.spans)
     assert m["cylinder.estimate_separator_batch.calls"] == 1
     assert m["cylinder.estimate_separator_batch.angles"] == 200
-    assert m["cylinder.estimate_separator_batch.classify_calls"] == 1
-    assert m["cylinder.classify_points.rounds"] == len(rounds)
+    assert m["cylinder.estimate_separator_batch.classify_calls"] == len(calls)
+    assert m["cylinder.classify_points.rounds"] == len(disp)
     assert (m["cylinder.estimate_separator_batch.point_steps"]
             == m["cylinder.classify_points.point_steps"]
-            == sum(s.work["elements"] for s in rounds))
+            == sum(s.work["elements"] for s in disp))
     assert m["fiber.displacement.calls"] == len(disp)
     assert m["fiber.displacement.elements"] == sum(s.work["elements"] for s in disp)
 

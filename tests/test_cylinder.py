@@ -1,5 +1,7 @@
 """Skew-product engine: orbits, hypothesis check, classification, separator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -579,6 +581,28 @@ def test_separator_depth_is_capped_by_the_budget():
     full = estimate_separator_batch(SYS3, xs, 5000, 1e-6, 1e-3)
     assert sum(s.decided for s in short) < sum(s.decided for s in full)
     assert all(s.bracket <= 1e-3 for s in short if s.decided)
+
+
+@pytest.mark.parametrize("tol", [np.inf, 2.0, 1e-20])
+def test_separator_ladder_depth_is_capped_at_extreme_tolerances(tol):
+    # -log2(tol) is -inf, -1 and 67 here; the ladder depth stays in [0, 53]
+    for s in estimate_separator_batch(SYS3, [0.1, 0.3, 0.0], 5000, 1e-6, tol):
+        assert s.lo <= s.sigma <= s.hi
+        assert not s.decided or s.hi - s.lo <= tol
+
+
+def test_separator_memory_stays_small_on_a_slowly_escaping_system():
+    # at eps = 0.05 nearly every angle runs to n_max undecided
+    sys_ = CylinderSystem(3, kan_family(0.05))
+    xs = _sweep_angles(42, 100)
+    tracemalloc.start()
+    try:
+        samples = estimate_separator_batch(sys_, xs, 5000, 1e-6, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 202
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("sys_, delta, tol, error", [
