@@ -257,6 +257,13 @@ _KERNELS = {
 
 #: heights a scalar orbit loop collects before storing them into its array
 _ORBIT_CHUNK = 4096
+#: steps per lane of a lane-stepped orbit, and the fewest lanes for which
+#: stepping them together beats the scalar loop: they take about 1.5 lane
+#: lengths of numpy rounds, and a round costs about 40 scalar steps
+_LANE = 4096
+_MIN_LANES = 64
+#: twin lanes per orbit that test the contraction after _LANE // 8 rounds
+_TWINS = 8
 
 
 def _apply_fiber(family: FiberFamily, x, y):
@@ -268,10 +275,37 @@ def _apply_fiber(family: FiberFamily, x, y):
 def _fiber_orbit(family: FiberFamily, a: np.ndarray, y: float,
                  out: np.ndarray) -> None:
     """out[i] = y_i for y_0 = y, y_{i+1} = f(y_i) at driving parameter a[i],
-    for the quadratic kinds, whose coefficient is a itself.  Heights are
+    for the quadratic kinds, whose coefficient is a itself; out is contiguous.
+
+    An orbit of at least _MIN_LANES lanes of _LANE steps is stepped in lanes,
+    all at once with the kind's step kernel (see :func:`_lane_orbit`): lane 0
+    from y, the others from a guess, then again from their predecessor's end.
+    A step is deterministic, so once a lane's height equals a stored height
+    bit for bit, the stored heights after it are the ones its start leads
+    to, and a lane whose start was wrong is rerun by the scalar loop from
+    its true start until it meets them.  Every stored height is the scalar
+    loop's, bit for bit.  Lanes converge because the fibre exponent is
+    negative (Lebesgue measure is invariant, so Jensen's inequality applies);
+    where twin lanes show too slow a contraction (Kan's attracting
+    boundaries, small displacements) the scalar loop runs the whole orbit.
+    """
+    kernels = _KERNELS[family.kind]
+    apply = kernels["apply"]
+    lanes = a.size // _LANE
+    if lanes >= _MIN_LANES:
+        body = lanes * _LANE
+        end = _lane_orbit(kernels["step"], apply, a[:body].reshape(lanes, _LANE), y,
+                          out[:body].reshape(lanes, _LANE))
+        if end is not None:
+            a, y, out = a[body:], end, out[body:]
+    _scalar_orbit(apply, a, y, out)
+
+
+def _scalar_orbit(apply, a: np.ndarray, y: float, out: np.ndarray) -> float:
+    """The scalar loop: out[i] = y_i from y_0 = y; returns y_n.  Heights are
     stored a chunk at a time: storing floats one by one costs more than the
     arithmetic, and one list for the whole orbit would hold 32 bytes per step."""
-    apply, xp = _KERNELS[family.kind]["apply"], math
+    xp = math
     for lo in range(0, a.size, _ORBIT_CHUNK):
         heights = []
         push = heights.append
@@ -279,6 +313,77 @@ def _fiber_orbit(family: FiberFamily, a: np.ndarray, y: float,
             push(y)
             y = apply(p, y, xp)
         out[lo:lo + len(heights)] = heights
+    return y
+
+
+def _lane_orbit(step, apply, A: np.ndarray, y: float, Y: np.ndarray):
+    """Fill Y with the orbit of y over parameters A, both (lanes, length) views
+    of one orbit cut into lanes; returns the height after the last lane, or
+    None, with Y unfinished, when the twin lanes contract too slowly.
+
+    Heights are never NaN or -0.0, so == on them is bit equality.
+    """
+    lanes, length = A.shape
+    rows = range(1, lanes, max(1, (lanes - 1) // _TWINS))[:_TWINS]
+    twins = slice(rows.start, rows.stop, rows.step)
+    # pass 1: lane 0 from y, the others from 1/2, twins of a few from 1/4
+    h = np.full(lanes + len(rows), 0.5)
+    h[0], h[lanes:] = y, 0.25
+    p = np.empty_like(h)
+    for i in range(length):
+        if i == length // 8 and not _contracting(h[twins], h[lanes:], i / length):
+            return None
+        Y[:, i] = h[:lanes]
+        p[:lanes] = A[:, i]
+        p[lanes:] = A[twins, i]
+        h, p = step(p, h), h
+    ends = h[:lanes].copy()
+    # pass 2: each lane from its predecessor's end, until every lane meets
+    # its stored heights; stepping on after that rewrites equal heights
+    h = np.concatenate(([y], ends[:-1]))
+    p = np.empty(lanes)
+    for i in range(length):
+        if i % 8 == 0 and (h == Y[:, i]).all():
+            break
+        Y[:, i] = h
+        p[:] = A[:, i]
+        h, p = step(p, h), h
+    else:
+        ends = h
+    # repair: a lane whose pass-2 start was not its predecessor's true end
+    # is rerun from that end until it meets its stored heights
+    end = ends[0]
+    for c in range(1, lanes):
+        rerun = None if Y[c, 0] == end else _rejoin(apply, A[c], end, Y[c])
+        end = ends[c] if rerun is None else rerun
+    return end
+
+
+def _contracting(y: np.ndarray, twin: np.ndarray, elapsed: float) -> bool:
+    """Whether every twin pair, started at 1/2 and 1/4 and run for the
+    fraction elapsed of a lane, is equal or has shrunk its gap in
+    t = log(y/(1-y)), log 3 at the start, at the pace of 53 halvings a
+    lane, which is what meeting bit for bit within a lane takes.  A pair at an attracting
+    boundary keeps its gap in t."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(np.log(y) - np.log1p(-y) - np.log(twin) + np.log1p(-twin))
+    return bool(((y == twin) | (gap <= math.log(3.0) * 2.0 ** (-53.0 * elapsed))).all())
+
+
+def _rejoin(apply, a: np.ndarray, y: float, out: np.ndarray):
+    """Rerun a lane whose stored heights out follow another start from its
+    true start y, up to the first height equal to the stored one; returns
+    None once they meet, else the height after the lane."""
+    heights = []
+    push = heights.append
+    for p, stored in zip(a.tolist(), out.tolist()):
+        if y == stored:
+            out[:len(heights)] = heights
+            return None
+        push(y)
+        y = apply(p, y, math)
+    out[:] = heights
+    return y
 
 
 def _translation_orbit(t0: float, steps: np.ndarray) -> np.ndarray:

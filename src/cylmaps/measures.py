@@ -54,6 +54,11 @@ def orbit_points(sys: CylinderSystem, p0: CylPoint, n: int,
 
     Angles come from :func:`cylmaps.cylinder.base_orbit_angles`; the heights
     follow the fiber maps driven by those angles, Moebius ones carried in t.
+    Quadratic heights equal the scalar loop's bit for bit, but a long orbit
+    is stepped as lanes from guessed starts, which contract onto the true
+    orbit and, the step being deterministic, stay on it from the first equal
+    height; a lane that missed it is rerun, and an orbit whose twin lanes
+    contract too slowly (Kan) runs the scalar loop (:func:`fiber._fiber_orbit`).
     """
     if not 0.0 < p0.y < 1.0:
         raise DomainError("orbit statistics need an interior starting height")

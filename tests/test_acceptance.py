@@ -7,6 +7,7 @@ runs.  Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 """
 
 import filecmp
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -51,7 +52,16 @@ def test_c07_separator():
 
 
 def test_c08_asymptotic_measure():
-    _report(selftest.check_asymptotic_measure())
+    artifacts = {}
+    result = selftest.check_asymptotic_measure(artifacts)
+    _report(result)
+    # pinned across versions: every orbit bit of c08 goes into these two, so
+    # an orbit loop that moves one bit fails here; re-pin, with a note, only
+    # for a change meant to move the orbits
+    assert (hashlib.sha256(artifacts["histogram.csv"]).hexdigest()
+            == "1e1a0ee98e51a0e32053798adba571076a456cc9a36a6cd9a8d2c7becce3e45e")
+    assert result.detail == ("max_rel_dev=0.0578 <y>=0.5020 <y^2>=0.3355 "
+                             "<cos>=-0.00039 kan_interior=0.0000")
 
 
 def test_c09_random_walk():

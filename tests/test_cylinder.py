@@ -392,8 +392,9 @@ RASTER_CASES = {
 @pytest.mark.parametrize("case", RASTER_CASES)
 @pytest.mark.parametrize("width, height", ((64, 48), (1, 1), (1, 48), (64, 1), (24, 37)))
 def test_non_square_raster_matches_the_reference_loop_at_any_thread_count(case, width, height):
-    # the bisection over each column must land on the classes of every cell,
-    # and a slip between columns and rows would scramble a non-square raster
+    # the 12-part search over each column must land on the classes of every
+    # cell, and a slip between columns and rows would scramble a non-square
+    # raster
     sys_, n_max, delta = RASTER_CASES[case]
     gx, gy = np.meshgrid((np.arange(width) + 0.5) / width, (np.arange(height) + 0.5) / height)
     want = _classify_by_remainder(sys_, gx, gy, n_max, delta).reshape(height, width)
@@ -534,9 +535,9 @@ def _sweep_angles(seed, n=200):
 
 @pytest.mark.parametrize("seed, n, eps, delta, tol", [
     (42, 200, 0.5, 1e-6, 1e-3), (7, 200, 0.5, 1e-6, 1e-3), (2024, 200, 0.5, 1e-6, 1e-3),
-    # the classifier decides within a few steps, so pulled-back ends meet at
-    # the threshold and rounding decides their classes: the widened bracket
-    # must certify them
+    # the classifier decides within a few steps, so ladder rungs next to the
+    # threshold are classified by rounding: the 12-part column search must
+    # still bracket it by the last Basin0 rung and the first Basin1 rung
     (42, 100, 0.5, 0.1, 1e-3),
     # a tolerance far below the c07 one: bisection needs 20 passes
     (42, 100, 0.5, 1e-6, 1e-9),

@@ -27,6 +27,8 @@ from cylmaps import (
     schwarzian_analytic,
     schwarzian_numeric,
 )
+from cylmaps import fiber
+from cylmaps.cylinder import base_orbit_angles
 from cylmaps.fiber import FRACTIONAL_LINEAR, _KERNELS
 
 KAN05 = kan_family(0.5)
@@ -102,6 +104,86 @@ def test_step_kernel_is_apply_in_place_bit_for_bit(kind):
     got = kernels["step"](scratch, y)
     assert got is scratch
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+LANE = fiber._LANE
+LANE_FAMILIES = [make(eps) for make in (kan_family, inverse_kan_family) for eps in (0.1, 0.5, 0.9)]
+LANE_FAMILIES += [fiber.FiberFamily(kind, StepProfile((0.6, -0.3, 0.0)))
+                  for kind in (fiber.KAN, fiber.INVERSE_KAN)]
+
+
+def _lane_and_scalar_orbits(family, a, y):
+    """(_fiber_orbit, scalar loop) heights as uint64 bit patterns."""
+    got, want = np.empty(a.size), np.empty(a.size)
+    fiber._fiber_orbit(family, a, y, got)
+    fiber._scalar_orbit(_KERNELS[family.kind]["apply"], a, y, want)
+    return got.view(np.uint64), want.view(np.uint64)
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Orbits of two lanes or more run in lanes; records each lane run's
+    verdict (None: fell back to the scalar loop) and every lane rerun."""
+    monkeypatch.setattr(fiber, "_MIN_LANES", 2)
+    seen = {"lanes": [], "reruns": 0}
+    lane_orbit, rejoin = fiber._lane_orbit, fiber._rejoin
+
+    def traced_lanes(*args):
+        seen["lanes"].append(lane_orbit(*args))
+        return seen["lanes"][-1]
+
+    def traced_rejoin(*args):
+        seen["reruns"] += 1
+        return rejoin(*args)
+
+    monkeypatch.setattr(fiber, "_lane_orbit", traced_lanes)
+    monkeypatch.setattr(fiber, "_rejoin", traced_rejoin)
+    return seen
+
+
+@pytest.mark.parametrize("family", LANE_FAMILIES, ids=lambda f: f"{f.kind}-{f.profile}")
+def test_lane_orbit_is_the_scalar_loop_bit_for_bit(family, paths):
+    xs = base_orbit_angles(3, 0.1234, 10 * LANE // 3, seed=5)
+    a = family.displacement(xs)
+    for n in (0, 1, LANE - 1, LANE, 2 * LANE - 1, 2 * LANE, 2 * LANE + 1, a.size):
+        got, want = _lane_and_scalar_orbits(family, a[:n], 0.4)
+        assert np.array_equal(got, want), n
+    for y in (1e-3, 2.0**-40, 0.999, 1.0 - 2.0**-40):
+        got, want = _lane_and_scalar_orbits(family, a, y)
+        assert np.array_equal(got, want), y
+    # the orbits of two lanes or more ran in lanes
+    assert len(paths["lanes"]) == 3 + 4
+
+
+def test_lane_orbit_settles_in_the_second_pass(paths):
+    # strong contraction: every lane meets the true orbit well within a lane
+    family = inverse_kan_family(0.9)
+    a = family.displacement(base_orbit_angles(3, 0.3, 12 * LANE + 77, seed=9))
+    got, want = _lane_and_scalar_orbits(family, a, 0.6)
+    assert np.array_equal(got, want)
+    assert paths["lanes"][0] is not None and paths["reruns"] == 0
+
+
+def test_lane_orbit_reruns_lanes_after_one_that_never_met(paths):
+    # a = 0 is the identity, so lanes 16 and 17 never meet their guessed
+    # heights and end wrong in the first pass: lane 17 is rerun from the
+    # true end of lane 16 and never meets its stored heights either, lane 18
+    # is rerun and meets them.  Twins are lanes 1, 3, ..., 15, so the lanes run.
+    family = inverse_kan_family(0.9)
+    a = family.displacement(base_orbit_angles(3, 0.3, 20 * LANE, seed=9))
+    a[16 * LANE:18 * LANE] = 0.0
+    got, want = _lane_and_scalar_orbits(family, a, 0.6)
+    assert np.array_equal(got, want)
+    assert paths["lanes"][0] is not None and paths["reruns"] == 2
+
+
+@pytest.mark.parametrize("family", [inverse_kan_family(0.1), kan_family(0.5)],
+                         ids=["slow-contraction", "attracting-boundaries"])
+def test_lane_orbit_falls_back_when_twins_contract_too_slowly(family, paths):
+    a = family.displacement(base_orbit_angles(3, 0.1234, 12 * LANE, seed=7))
+    got, want = _lane_and_scalar_orbits(family, a, 0.4)
+    assert np.array_equal(got, want)
+    assert paths["lanes"] == [None] and paths["reruns"] == 0
 
 
 def test_step_profile_reads_the_digit_of_x_mod_1():

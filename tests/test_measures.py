@@ -136,14 +136,17 @@ def test_birkhoff_unknown_function_gate():
         birkhoff_average(INV3, "sin_x", START, 10**4)
 
 
-def test_orbit_points_heights_follow_fibers():
-    from cylmaps import CosineProfile, eval_fiber, fractional_linear_family
+def test_orbit_points_heights_follow_fibers(monkeypatch):
+    from cylmaps import CosineProfile, eval_fiber, fiber, fractional_linear_family
 
-    # bit-exact for the quadratic kinds, across the scalar loop's chunk
-    # boundary at 4096
+    # bit-exact for the quadratic kinds, across the lane boundaries at
+    # multiples of 4096: three lanes and a tail, stepped in lanes from two
+    # lanes on (INV3's lanes settle, KAN3's twins send it to the scalar loop)
+    monkeypatch.setattr(fiber, "_MIN_LANES", 2)
+    n = 3 * fiber._LANE + 100
     for family in (INV3.family, KAN3.family):
-        xs, ys = orbit_points(CylinderSystem(3, family), START, 4200, seed=3)
-        for i in range(4199):
+        xs, ys = orbit_points(CylinderSystem(3, family), START, n, seed=3)
+        for i in range(n - 1):
             if 0.0 < ys[i] < 1.0:
                 assert ys[i + 1] == eval_fiber(family, float(xs[i]), float(ys[i]))
     # Moebius heights are carried in t and read back through
