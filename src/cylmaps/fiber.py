@@ -287,7 +287,9 @@ def _fiber_orbit(family: FiberFamily, a: np.ndarray, y: float,
     loop's, bit for bit.  Lanes converge because the fibre exponent is
     negative (Lebesgue measure is invariant, so Jensen's inequality applies);
     where twin lanes show too slow a contraction (Kan's attracting
-    boundaries, small displacements) the scalar loop runs the whole orbit.
+    boundaries, small displacements) the orbit goes to :func:`_scalar_orbit`,
+    which skips, verified, the runs where the height is stuck at a float
+    that the fibres map to itself.
     """
     kernels = _KERNELS[family.kind]
     apply = kernels["apply"]
@@ -304,16 +306,47 @@ def _fiber_orbit(family: FiberFamily, a: np.ndarray, y: float,
 def _scalar_orbit(apply, a: np.ndarray, y: float, out: np.ndarray) -> float:
     """The scalar loop: out[i] = y_i from y_0 = y; returns y_n.  Heights are
     stored a chunk at a time: storing floats one by one costs more than the
-    arithmetic, and one list for the whole orbit would hold 32 bytes per step."""
+    arithmetic, and one list for the whole orbit would hold 32 bytes per step.
+
+    A full chunk that starts and ends at the height it hands on hints at a
+    fixed height, such as Kan's 5e-324 or 1 - 2**-53: :func:`_fixed_run`
+    then finds the next parameter that moves it and the loop goes on there.
+    """
     xp = math
-    for lo in range(0, a.size, _ORBIT_CHUNK):
+    lo = 0
+    while lo < a.size:
         heights = []
         push = heights.append
         for p in a[lo:lo + _ORBIT_CHUNK].tolist():
             push(y)
             y = apply(p, y, xp)
         out[lo:lo + len(heights)] = heights
+        lo += len(heights)
+        if len(heights) == _ORBIT_CHUNK and heights[0] == heights[-1] == y:
+            lo = _fixed_run(apply, a, y, out, lo)
     return y
+
+
+def _fixed_run(apply, a: np.ndarray, y: float, out: np.ndarray, lo: int) -> int:
+    """Store y from out[lo] on while the parameters a[lo:] map y to itself;
+    returns the index of the first one that moves it, or a.size.
+
+    Each parameter is checked, with the apply kernel on arrays, in windows
+    of one chunk and then twice the last: a false alarm costs one chunk,
+    a run costs O(its length).  The array kernel rounds as the scalar one
+    does and heights are never NaN or -0.0, so a parameter whose image
+    == y is a step the scalar loop takes from y to y bit for bit.
+    """
+    width = _ORBIT_CHUNK
+    while lo < a.size:
+        seg = a[lo:lo + width]
+        moved = np.flatnonzero(apply(seg, y, np) != y)
+        stop = lo + (int(moved[0]) if moved.size else seg.size)
+        out[lo:stop] = y
+        if moved.size:
+            return stop
+        lo, width = stop, 2 * width
+    return lo
 
 
 def _lane_orbit(step, apply, A: np.ndarray, y: float, Y: np.ndarray):

@@ -57,8 +57,11 @@ def orbit_points(sys: CylinderSystem, p0: CylPoint, n: int,
     Quadratic heights equal the scalar loop's bit for bit, but a long orbit
     is stepped as lanes from guessed starts, which contract onto the true
     orbit and, the step being deterministic, stay on it from the first equal
-    height; a lane that missed it is rerun, and an orbit whose twin lanes
-    contract too slowly (Kan) runs the scalar loop (:func:`fiber._fiber_orbit`).
+    height; a lane that missed it is rerun.  An orbit whose twin lanes
+    contract too slowly (Kan) goes to the scalar loop, which steps it only
+    until it sticks at a float the fibres fix, such as 1 - 2**-53, and then
+    checks with the array kernel that each further parameter leaves that
+    height fixed (:func:`fiber._fiber_orbit`, :func:`fiber._fixed_run`).
     """
     if not 0.0 < p0.y < 1.0:
         raise DomainError("orbit statistics need an interior starting height")
@@ -80,12 +83,33 @@ def orbit_histogram(sys: CylinderSystem, p0: CylPoint, n: int, bins_x: int,
     if burn_in < 0 or n <= burn_in:
         raise PreconditionError("need n > burn_in >= 0")
     xs, ys = orbit_points(sys, p0, n, seed=seed)
-    counts, _, _ = np.histogram2d(xs[burn_in:], ys[burn_in:],
-                                  bins=[bins_x, bins_y],
-                                  range=[[0.0, 1.0], [0.0, 1.0]])
-    return Histogram2D(bins_x=bins_x, bins_y=bins_y,
-                       counts=counts.astype(np.int64),
+    # bins -1 and bins_x or bins_y hold the points outside [0, 1]: they are
+    # counted on the rim of a padded grid and cut off, as np.histogram2d does
+    cell = _bin_index(xs[burn_in:], bins_x)
+    cell *= bins_y + 2
+    cell += _bin_index(ys[burn_in:], bins_y)
+    cell += bins_y + 3
+    padded = np.bincount(cell, minlength=(bins_x + 2) * (bins_y + 2))
+    counts = padded.reshape(bins_x + 2, bins_y + 2)[1:-1, 1:-1]
+    return Histogram2D(bins_x=bins_x, bins_y=bins_y, counts=counts.astype(np.int64),
                        total=n - burn_in, burn_in=burn_in)
+
+
+def _bin_index(v: np.ndarray, bins: int) -> np.ndarray:
+    """The bin of each v among the edges np.linspace(0, 1, bins + 1) that
+    np.histogram2d uses: [e_i, e_{i+1}), with 1.0 in the last bin, -1 below
+    0 and bins above 1.  floor(v * bins), clipped to a bin, is that bin or a
+    neighbour, so one comparison with each of its edges settles it, for
+    every bin count."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    left, right = edges[:-1], edges[1:].copy()
+    right[-1] = np.nextafter(1.0, 2.0)
+    i = np.multiply(v, bins)
+    np.clip(i, 0, bins - 1, out=i)
+    i = i.astype(np.intp)  # truncation, which is floor on the clipped values
+    i[v < left[i]] -= 1
+    i[v >= right[i]] += 1
+    return i
 
 
 def uniformity_stats(hist: Histogram2D) -> UniformityReport:

@@ -1,5 +1,7 @@
 """Orbit histograms, uniformity statistics, Jacobian identity, time averages."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from cylmaps import (
     orbit_histogram,
     uniformity_stats,
 )
+from cylmaps import fiber, measures
 from cylmaps.fiber import INVERSE_KAN
 from cylmaps.measures import Histogram2D, histogram_csv, orbit_points
 
@@ -56,6 +59,55 @@ def test_negative_regime_collapses_to_boundaries():
     interior = h.counts[:, 2:14].sum() / h.total  # bins fully inside y in (1/8, 7/8)
     assert interior < 0.05
     assert uniformity_stats(h).max_rel_dev > 1.0
+
+
+def test_kan_orbit_steps_the_scalar_kernel_only_until_it_sticks(monkeypatch):
+    # c08's Kan orbit stays at 1 - 2**-53 from within its first chunk on:
+    # the loop takes one more chunk to see it, and the array kernel checks
+    # the rest of the 10**6 parameters
+    kan = fiber._KERNELS[fiber.KAN]
+    apply, steps = kan["apply"], [0]
+
+    def counted(p, y, xp):
+        steps[0] += xp is math
+        return apply(p, y, xp)
+
+    monkeypatch.setitem(kan, "apply", counted)
+    _, ys = orbit_points(KAN3, START, 10**6, seed=7)
+    assert ys[-1] == 1.0 - 2.0**-53
+    assert steps[0] <= 3 * fiber._ORBIT_CHUNK
+
+
+HISTOGRAM_BINS = [(16, 16), (7, 13), (10, 3), (1, 1), (1000, 1)]
+
+
+def _histogram2d(xs, ys, bins):
+    counts, _, _ = np.histogram2d(xs, ys, bins=bins, range=[[0.0, 1.0], [0.0, 1.0]])
+    return counts.astype(np.int64)
+
+
+@pytest.mark.parametrize("bins", HISTOGRAM_BINS)
+def test_histogram_bins_every_edge_as_histogram2d(bins, monkeypatch):
+    # every edge of either axis, both its float neighbours and points outside
+    # [0, 1], paired with those of the other axis
+    def near_edges(b):
+        edges = np.linspace(0.0, 1.0, b + 1)
+        return np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+                               [0.0, 1.0, -0.0, -3.0, 7.0]])
+
+    xs, ys = (v.ravel() for v in np.meshgrid(*map(near_edges, bins), indexing="ij"))
+    monkeypatch.setattr(measures, "orbit_points", lambda *args, **kwargs: (xs, ys))
+    h = orbit_histogram(INV3, START, xs.size, *bins, burn_in=0)
+    assert h.counts.shape == bins and h.counts.dtype == np.int64
+    assert np.array_equal(h.counts, _histogram2d(xs, ys, bins))
+
+
+@pytest.mark.parametrize("sys_", [INV3, KAN3], ids=["INV3", "KAN3"])
+@pytest.mark.parametrize("bins", HISTOGRAM_BINS)
+def test_orbit_histogram_is_histogram2d(sys_, bins):
+    xs, ys = orbit_points(sys_, START, 50_000, seed=7)
+    h = orbit_histogram(sys_, START, 50_000, *bins, burn_in=1000, seed=7)
+    assert np.array_equal(h.counts, _histogram2d(xs[1000:], ys[1000:], bins))
 
 
 def test_uniformity_hand_values():
