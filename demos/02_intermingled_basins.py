@@ -38,7 +38,7 @@ print(f"transverse exponents: lyap0={rep.lyap0:.6f} lyap1={rep.lyap1:.6f} "
       f"(sum sign {rep.sum_sign}) -> both circles attract")
 
 print("\nrasterizing 512x512 basins (a few seconds)...")
-raster = rasterize(system, 512, 512, n_max=5000, delta=1e-6, threads=4)
+raster = rasterize(system, 512, 512, n_max=5000, delta=1e-6)
 f0, f1, fu = measure_fractions(raster)
 print(f"measure fractions: lower={f0:.4f} upper={f1:.4f} undecided={fu:.4f}")
 with open("basins.ppm", "wb") as fh:

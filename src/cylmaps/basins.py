@@ -7,22 +7,22 @@ below, Undecided between and Basin1 above, and the column search that
 the separator also runs finds where each class begins.  The probe draws
 random boxes and reports how many contain samples of both basins, which
 is the desk-scale reading of "every open set meets both basins in
-positive measure"; it hands the classifier one row of samples per box,
-one span of rows per thread.  A point's class does not depend on the rest of its batch, so
-thread count never changes the output.
+positive measure"; it classifies the samples in stages and stops a box
+once it has seen both basins.  Both run on the calling thread.
 """
 
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .cylinder import BasinClass, CylinderSystem, _column_thresholds, _mod1, classify_points
 from .errors import PreconditionError
+
+#: samples a box has classified after each probe stage but the last, which takes the rest
+_STAGE_ENDS = (8, 32, 128)
 
 #: Basin0 blue, Basin1 amber, Undecided black; fixed so renders are bytewise stable
 DEFAULT_PALETTE = ((0, 0, 255), (255, 200, 0), (0, 0, 0))
@@ -50,21 +50,6 @@ class IntermingleReport:
     box_side: float
     samples_per_box: int
     seed: int
-
-
-def _classify_rows(sys: CylinderSystem, xs: np.ndarray, ys: np.ndarray, n_max: int,
-                   delta: float, threads: int) -> np.ndarray:
-    """int8 classes of the 2-D point arrays (xs, ys), of their shape; one
-    classifier call per contiguous span of rows, on a pool when threads > 1."""
-    parts = max(1, min(threads, len(xs)))
-    cuts = np.linspace(0, len(xs), parts + 1).astype(int)[1:-1]
-    classify = partial(classify_points, sys, n_max=n_max, delta=delta)
-    if parts == 1:
-        classes = [classify(xs, ys)]
-    else:
-        with ThreadPoolExecutor(max_workers=parts) as pool:
-            classes = list(pool.map(classify, np.split(xs, cuts), np.split(ys, cuts)))
-    return np.concatenate(classes).reshape(xs.shape)
 
 
 def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
@@ -110,7 +95,12 @@ def intermingle_probe(sys: CylinderSystem, num_boxes: int, box_side: float,
     (detecting the minority basin inside boxes hugging a boundary needs
     sample sizes beyond desk scale).  Boxes wrap around in x and are
     clipped to the cylinder in y.  Each box owns a spawned substream of
-    the master seed, so serial and parallel runs agree exactly.
+    the master seed.  The samples of the boxes still open are classified in
+    stages, up to the ends _STAGE_ENDS and then all; a box that has seen
+    both basins is closed, since more samples cannot change its outcome,
+    and every other box classifies every sample.  A point's class does not
+    depend on the rest of its batch, so the report equals classifying every
+    sample.  threads has no effect.
     """
     if num_boxes < 1:
         raise PreconditionError("need at least one box")
@@ -126,9 +116,18 @@ def intermingle_probe(sys: CylinderSystem, num_boxes: int, box_side: float,
         cy = rng.uniform(0.1, 0.9)
         sx[i] = _mod1(cx - box_side / 2.0 + rng.uniform(0.0, box_side, samples_per_box))
         sy[i] = np.clip(cy - box_side / 2.0 + rng.uniform(0.0, box_side, samples_per_box), 0.0, 1.0)
-    cls = _classify_rows(sys, sx, sy, n_max, delta, threads)
-    saw0 = (cls == BasinClass.BASIN0).any(axis=1)
-    saw1 = (cls == BasinClass.BASIN1).any(axis=1)
+    saw0 = np.zeros(num_boxes, dtype=bool)
+    saw1 = np.zeros(num_boxes, dtype=bool)
+    start = 0
+    for end in [e for e in _STAGE_ENDS if e < samples_per_box] + [samples_per_box]:
+        rows = np.flatnonzero(~(saw0 & saw1))
+        if not rows.size:
+            break
+        cls = classify_points(sys, sx[rows, start:end], sy[rows, start:end], n_max,
+                              delta).reshape(rows.size, -1)
+        saw0[rows] |= (cls == BasinClass.BASIN0).any(axis=1)
+        saw1[rows] |= (cls == BasinClass.BASIN1).any(axis=1)
+        start = end
     outcome = 3 - 2 * saw0 - saw1  # 0 both, 1 only0, 2 only1, 3 neither
     both, only0, only1, undecided = np.bincount(outcome, minlength=4).tolist()
     return IntermingleReport(boxes_total=num_boxes, boxes_both=both, boxes_only0=only0,

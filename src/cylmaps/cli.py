@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=_positive_int, default=5000)
     p.add_argument("--delta", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted and ignored: the probe runs on one thread")
     p.add_argument("--out", default=None, help="write the report CSV here")
 
     p = subs.add_parser("separator", help="separator sweep by column search on a dyadic ladder")
@@ -214,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive_int, default=200)
 
     p = subs.add_parser("selftest", help="run the full acceptance suite")
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted and ignored: the suite runs on one thread")
     p.add_argument("--out-dir", default=None,
                    help="write the suite artifacts into this directory")
     return parser
@@ -229,7 +231,7 @@ def _run_lyap(args) -> int:
 
 def _run_basins(args) -> int:
     raster = rasterize(_build_system(args), args.width, args.height,
-                       args.max_iter, args.delta, threads=args.threads)
+                       args.max_iter, args.delta)
     f0, f1, fu = measure_fractions(raster)
     print(f"basins frac0={f0!r} frac1={f1!r} undecided={fu!r}")
     _write(args, lambda: write_ppm(raster))
@@ -239,7 +241,7 @@ def _run_basins(args) -> int:
 def _run_intermingle(args) -> int:
     rep = intermingle_probe(_build_system(args), args.boxes, args.box_side,
                             args.samples, args.max_iter, args.delta,
-                            seed=args.seed, threads=args.threads)
+                            seed=args.seed)
     print(f"intermingle both={rep.boxes_both} only0={rep.boxes_only0} "
           f"only1={rep.boxes_only1} undecided={rep.boxes_undecided} "
           f"of {rep.boxes_total}")
@@ -331,7 +333,7 @@ def _verdict(ok: bool) -> str:
 
 
 def _run_selftest(args) -> int:
-    results, artifacts = run_selftest(threads=args.threads)
+    results, artifacts = run_selftest()
     for r in results:
         print(f"selftest [{_verdict(r.correct)}] {r.name}: {r.detail} ({r.seconds:.2f}s)")
         for b in r.bounds:

@@ -10,9 +10,7 @@ into the two boundary basins, the column search that finds where a column
 sigma(x) by that search on a dyadic ladder of heights, each bracket made of
 two classified heights.
 
-Angles live in [0, 1) and are reduced mod 1.  All operations are pure;
-the vectorized classifiers write only into caller-disjoint slots, so they
-are safe to run concurrently over grid chunks.
+Angles live in [0, 1) and are reduced mod 1.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -421,10 +419,12 @@ def base_orbit_angles(k: int, x0: float, n: int, seed=None) -> np.ndarray:
     exactly are kept constant for all n (deliberate exceptional orbits).
 
     The default seed is derived from the bits of x0, so results are
-    reproducible without an explicit seed.
+    reproducible without an explicit seed.  A non-finite x0 is refused.
     """
     if n < 0:
         raise PreconditionError("orbit length must be >= 0")
+    if not np.isfinite(x0):
+        raise PreconditionError(f"orbit start angle must be finite, got {x0}")
     x0 = x0 % 1.0
     out = np.empty(n, dtype=float)
     if n == 0:

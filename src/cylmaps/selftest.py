@@ -6,7 +6,7 @@ its numbers are right and it met each of its wall-clock bounds; every bound
 carries its own verdict, so a slow host can be told apart from a wrong number.
 The CLI exposes the suite as ``selftest``; the artifacts (PPM raster plus CSV
 tables) contain no timestamps or timings, so two runs with the same seeds are
-byte-identical regardless of thread count.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -198,17 +198,16 @@ def check_jacobian_branch_sum(artifacts=None) -> CheckResult:
                    TimeBound("elapsed", elapsed, 0.1))
 
 
-def check_intermingled_basins(artifacts=None, threads: int = 1) -> CheckResult:
+def check_intermingled_basins(artifacts=None) -> CheckResult:
     """Hypothesis gate, raster statistics and the box-sampling probe."""
     t0 = time.perf_counter()
     hyp = check_kan_hypothesis(KAN3, x_minus=0.5, x_plus=0.0, radius=0.1)
     t_raster = time.perf_counter()
-    raster = rasterize(KAN3, 512, 512, 5000, 1e-6, threads=threads)
+    raster = rasterize(KAN3, 512, 512, 5000, 1e-6)
     raster_seconds = time.perf_counter() - t_raster
     f0, f1, fu = measure_fractions(raster)
     t_probe = time.perf_counter()
-    probe = intermingle_probe(KAN3, 100, 1.0 / 64.0, 500, 5000, 1e-6, seed=1,
-                              threads=threads)
+    probe = intermingle_probe(KAN3, 100, 1.0 / 64.0, 500, 5000, 1e-6, seed=1)
     probe_seconds = time.perf_counter() - t_probe
     if artifacts is not None:
         artifacts["basins.ppm"] = write_ppm(raster)
@@ -342,15 +341,10 @@ ALL_CHECKS = (
 )
 
 
-def run_selftest(threads: int = 1):
+def run_selftest():
     """Run every check; returns (results, artifacts)."""
     artifacts: dict[str, bytes] = {}
-    results = []
-    for check in ALL_CHECKS:
-        if check is check_intermingled_basins:
-            results.append(check(artifacts, threads=threads))
-        else:
-            results.append(check(artifacts))
+    results = [check(artifacts) for check in ALL_CHECKS]
     report = "".join(
         f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n" for r in results)
     artifacts["report.txt"] = report.encode()

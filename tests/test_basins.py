@@ -123,9 +123,21 @@ def test_probe_thread_invariance():
     assert a == b
 
 
+# (system, boxes, samples a box, n_max, delta): 200 samples cross every stage
+# end; inverse Kan at delta 0.01 reads all four outcomes; at epsilon 0.05 no
+# box decides, so every sample of every box is classified
+PROBE_CASES = {
+    "kan-20": (SYS3, 40, 20, 120, 1e-6),
+    "kan-200": (SYS3, 40, 200, 120, 1e-6),
+    "inv-delta0.01": (CylinderSystem(3, inverse_kan_family(0.5)), 40, 20, 120, 0.01),
+    "kan-eps0.05": (CylinderSystem(3, kan_family(0.05)), 10, 200, 120, 1e-6),
+}
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_probe_matches_per_box_loop(seed, threads):
+@pytest.mark.parametrize("case", PROBE_CASES.values(), ids=PROBE_CASES.keys())
+def test_probe_matches_per_box_loop(case, seed, threads):
     def per_box(sys_, num_boxes, side, samples, n_max, delta, seed):
         counts = [0, 0, 0, 0]  # both, only0, only1, neither
         for sub in np.random.SeedSequence(seed).spawn(num_boxes):
@@ -140,9 +152,11 @@ def test_probe_matches_per_box_loop(seed, threads):
             counts[3 - 2 * saw0 - saw1] += 1
         return counts
 
-    rep = intermingle_probe(SYS3, 40, 1.0 / 64.0, 20, 120, 1e-6, seed=seed, threads=threads)
+    sys_, boxes, samples, n_max, delta = case
+    rep = intermingle_probe(sys_, boxes, 1.0 / 64.0, samples, n_max, delta, seed=seed,
+                            threads=threads)
     got = [rep.boxes_both, rep.boxes_only0, rep.boxes_only1, rep.boxes_undecided]
-    assert got == per_box(SYS3, 40, 1.0 / 64.0, 20, 120, 1e-6, seed)
+    assert got == per_box(sys_, boxes, 1.0 / 64.0, samples, n_max, delta, seed)
 
 
 def test_probe_is_regime_specific():

@@ -8,8 +8,9 @@ hooks: every rebound name exists, the classifier is looked up through the
 module global at call time and calls ``displacement`` once per round on the
 angles of its undecided points; the raster makes one classifier call per
 level of its column search, on the calling thread, with the same calls and
-angle-steps at any thread count; the probe reaches the classifier as one
-batch; the separator's column search makes every classifier call under the
+angle-steps at any thread count; the probe reaches the classifier once per
+stage, with the samples of the boxes that have not yet seen both basins; the
+separator's column search makes every classifier call under the
 separator's span, so the separator's point-steps are the classifier's; every
 walk of an ensemble is drawn by ``walks.simulate_walk``.
 """
@@ -104,15 +105,32 @@ def test_traced_raster_steps_are_the_same_at_1_2_and_3_threads(tracer):
     assert {s.thread for s in tr.spans} == {threading.get_ident()}
 
 
-def test_traced_probe_is_one_classifier_call(tracer):
+def _traced_probe_points(tracer, *args):
     tr = tracer.Tracer()
     with tr:
-        rep = basins.intermingle_probe(SYS3, 20, 1.0 / 64.0, 30, 2000, 1e-6, seed=1)
+        rep = basins.intermingle_probe(*args)
     assert tr.restored()
-    calls = [s for s in tr.spans if s.name == CLASSIFY]
-    assert len(calls) == 1
-    assert calls[0].work["points"] == 20 * 30
-    assert rep == basins.intermingle_probe(SYS3, 20, 1.0 / 64.0, 30, 2000, 1e-6, seed=1)
+    assert rep == basins.intermingle_probe(*args)
+    return rep, [s.work["points"] for s in sorted(tr.spans, key=lambda s: s.start)
+                 if s.name == CLASSIFY]
+
+
+def test_traced_probe_classifies_the_open_boxes_in_stages(tracer):
+    rep, points = _traced_probe_points(tracer, SYS3, 20, 1.0 / 64.0, 30, 2000, 1e-6, 1)
+    # stage ends 8 and then all 30 samples: widths 8 and 22; a box that never
+    # sees both basins stays open to the last stage
+    widths = (8, 22)
+    assert rep.boxes_both < rep.boxes_total and len(points) == len(widths)
+    assert points[0] == 20 * 8
+    open_boxes = [p // w for p, w in zip(points, widths)]
+    assert [n * w for n, w in zip(open_boxes, widths)] == points
+    assert 20 >= open_boxes[1] >= rep.boxes_total - rep.boxes_both
+
+
+def test_traced_selftest_probe_classifies_few_points(tracer):
+    rep, points = _traced_probe_points(tracer, SYS3, 100, 1.0 / 64.0, 500, 5000, 1e-6, 1)
+    assert rep.boxes_both >= 90
+    assert sum(points) <= 2000
 
 
 def test_traced_separator_classifies_under_its_own_span(tracer):

@@ -161,7 +161,7 @@ def test_selftest_prints_a_verdict_per_time_bound(monkeypatch, capsys):
     wrong = CheckResult("wrong_number", False, "value=2", 0.1, (TimeBound("elapsed", 0.1, 1.0),))
     assert not slow.passed and not wrong.passed
     assert CheckResult("fine", True, "", 0.1, (TimeBound("elapsed", 0.1, 1.0),)).passed
-    monkeypatch.setattr(cli, "run_selftest", lambda threads: ([slow, wrong], {}))
+    monkeypatch.setattr(cli, "run_selftest", lambda: ([slow, wrong], {}))
     code, out = run_cli(["selftest"], capsys)
     assert code == 1
     lines = out.splitlines()

@@ -34,6 +34,7 @@ from cylmaps import (
     schwarzian_numeric,
     simulate_walk,
     step,
+    transverse_exponent_birkhoff,
 )
 from cylmaps.cylinder import _mod1, separator_sweep
 from cylmaps.fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN, _apply_fiber
@@ -655,6 +656,16 @@ def test_base_orbit_angles_fixed_point_is_constant():
     assert (ang == 0.5).all()
     ang0 = base_orbit_angles(3, 0.0, 500)
     assert (ang0 == 0.0).all()
+
+
+@pytest.mark.parametrize("x0", [float("nan"), float("inf"), -float("inf")])
+def test_base_orbit_angles_refuse_a_non_finite_start(x0):
+    # a NaN start would give NaN angles and a NaN Birkhoff exponent without a word
+    for n in (0, 3, 100):
+        with pytest.raises(PreconditionError, match="finite"):
+            base_orbit_angles(3, x0, n)
+    with pytest.raises(PreconditionError, match="finite"):
+        transverse_exponent_birkhoff(CylinderSystem(3, kan_family(0.5)), 0, x0, 100)
 
 
 # ---------------------------------------------------------------------------
