@@ -90,6 +90,7 @@ from .walks import (
     average_displacement,
     circle_equidistribution,
     cyclic_support_check,
+    final_counts,
     fl_orbit_as_walk,
     occupation_ratios,
     simulate_walk,

@@ -44,6 +44,11 @@ _SECTIONS = 12
 _MAX_LADDER_DEPTH = 53
 
 
+def _require_multiplier(k) -> None:
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise PreconditionError(f"base multiplier k must be an integer >= 2, got {k}")
+
+
 @dataclass(frozen=True)
 class CylinderSystem:
     """Base multiplier k plus the fiber family; the cylinder map F."""
@@ -52,8 +57,7 @@ class CylinderSystem:
     family: FiberFamily
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 2:
-            raise PreconditionError(f"base multiplier k must be an integer >= 2, got {self.k}")
+        _require_multiplier(self.k)
         prof = self.family.profile
         if isinstance(prof, StepProfile) and prof.k != self.k:
             raise PreconditionError(
@@ -162,6 +166,8 @@ def backward_orbit_toward(sys: CylinderSystem, p0: CylPoint, x_star: float,
         raise PreconditionError(f"x_star={x_star} is not fixed under multiplication by {sys.k}")
     if not 0.0 < p0.y < 1.0:
         raise DomainError("backward orbits need an interior starting height")
+    if n < 0:
+        raise PreconditionError("orbit length must be >= 0")
     pts = [p0]
     x, y = p0.x, p0.y
     for _ in range(n):
@@ -419,8 +425,10 @@ def base_orbit_angles(k: int, x0: float, n: int, seed=None) -> np.ndarray:
     exactly are kept constant for all n (deliberate exceptional orbits).
 
     The default seed is derived from the bits of x0, so results are
-    reproducible without an explicit seed.  A non-finite x0 is refused.
+    reproducible without an explicit seed.  A non-finite x0 is refused, and
+    so is a k that is not an integer >= 2.
     """
+    _require_multiplier(k)
     if n < 0:
         raise PreconditionError("orbit length must be >= 0")
     if not np.isfinite(x0):

@@ -280,27 +280,25 @@ def _fiber_orbit(family: FiberFamily, a: np.ndarray, y: float,
     An orbit of at least _MIN_LANES lanes of _LANE steps is stepped in lanes,
     all at once with the kind's step kernel (see :func:`_lane_orbit`): lane 0
     from y, the others from a guess, then again from their predecessor's end.
-    A step is deterministic, so once a lane's height equals a stored height
-    bit for bit, the stored heights after it are the ones its start leads
-    to, and a lane whose start was wrong is rerun by the scalar loop from
-    its true start until it meets them.  Every stored height is the scalar
-    loop's, bit for bit.  Lanes converge because the fibre exponent is
-    negative (Lebesgue measure is invariant, so Jensen's inequality applies);
-    where twin lanes show too slow a contraction (Kan's attracting
-    boundaries, small displacements) the orbit goes to :func:`_scalar_orbit`,
+    A step is deterministic, so once every lane's height equals its stored
+    height bit for bit, every lane started from its predecessor's true end
+    and each stored height is the scalar loop's.  Lanes converge because
+    the fibre exponent is negative (Lebesgue measure is invariant, so
+    Jensen's inequality applies).  Where twin lanes contract too slowly
+    (Kan's attracting boundaries, small displacements), or a lane never
+    meets its stored heights, the orbit goes to :func:`_scalar_orbit`,
     which skips, verified, the runs where the height is stuck at a float
     that the fibres map to itself.
     """
     kernels = _KERNELS[family.kind]
-    apply = kernels["apply"]
     lanes = a.size // _LANE
     if lanes >= _MIN_LANES:
         body = lanes * _LANE
-        end = _lane_orbit(kernels["step"], apply, a[:body].reshape(lanes, _LANE), y,
+        end = _lane_orbit(kernels["step"], a[:body].reshape(lanes, _LANE), y,
                           out[:body].reshape(lanes, _LANE))
         if end is not None:
             a, y, out = a[body:], end, out[body:]
-    _scalar_orbit(apply, a, y, out)
+    _scalar_orbit(kernels["apply"], a, y, out)
 
 
 def _scalar_orbit(apply, a: np.ndarray, y: float, out: np.ndarray) -> float:
@@ -349,10 +347,11 @@ def _fixed_run(apply, a: np.ndarray, y: float, out: np.ndarray, lo: int) -> int:
     return lo
 
 
-def _lane_orbit(step, apply, A: np.ndarray, y: float, Y: np.ndarray):
+def _lane_orbit(step, A: np.ndarray, y: float, Y: np.ndarray):
     """Fill Y with the orbit of y over parameters A, both (lanes, length) views
     of one orbit cut into lanes; returns the height after the last lane, or
-    None, with Y unfinished, when the twin lanes contract too slowly.
+    None, with Y unfinished, when the twin lanes contract too slowly or some
+    lane never meets its stored heights in the second pass.
 
     Heights are never NaN or -0.0, so == on them is bit equality.
     """
@@ -371,25 +370,17 @@ def _lane_orbit(step, apply, A: np.ndarray, y: float, Y: np.ndarray):
         p[lanes:] = A[twins, i]
         h, p = step(p, h), h
     ends = h[:lanes].copy()
-    # pass 2: each lane from its predecessor's end, until every lane meets
-    # its stored heights; stepping on after that rewrites equal heights
+    # pass 2: each lane from its predecessor's end; once every lane meets its
+    # stored heights, each started from its predecessor's true end (lane 0: y)
     h = np.concatenate(([y], ends[:-1]))
     p = np.empty(lanes)
     for i in range(length):
         if i % 8 == 0 and (h == Y[:, i]).all():
-            break
+            return ends[-1]
         Y[:, i] = h
         p[:] = A[:, i]
         h, p = step(p, h), h
-    else:
-        ends = h
-    # repair: a lane whose pass-2 start was not its predecessor's true end
-    # is rerun from that end until it meets its stored heights
-    end = ends[0]
-    for c in range(1, lanes):
-        rerun = None if Y[c, 0] == end else _rejoin(apply, A[c], end, Y[c])
-        end = ends[c] if rerun is None else rerun
-    return end
+    return None
 
 
 def _contracting(y: np.ndarray, twin: np.ndarray, elapsed: float) -> bool:
@@ -401,22 +392,6 @@ def _contracting(y: np.ndarray, twin: np.ndarray, elapsed: float) -> bool:
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = np.abs(np.log(y) - np.log1p(-y) - np.log(twin) + np.log1p(-twin))
     return bool(((y == twin) | (gap <= math.log(3.0) * 2.0 ** (-53.0 * elapsed))).all())
-
-
-def _rejoin(apply, a: np.ndarray, y: float, out: np.ndarray):
-    """Rerun a lane whose stored heights out follow another start from its
-    true start y, up to the first height equal to the stored one; returns
-    None once they meet, else the height after the lane."""
-    heights = []
-    push = heights.append
-    for p, stored in zip(a.tolist(), out.tolist()):
-        if y == stored:
-            out[:len(heights)] = heights
-            return None
-        push(y)
-        y = apply(p, y, math)
-    out[:] = heights
-    return y
 
 
 def _translation_orbit(t0: float, steps: np.ndarray) -> np.ndarray:

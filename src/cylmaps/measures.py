@@ -57,8 +57,8 @@ def orbit_points(sys: CylinderSystem, p0: CylPoint, n: int,
     Quadratic heights equal the scalar loop's bit for bit, but a long orbit
     is stepped as lanes from guessed starts, which contract onto the true
     orbit and, the step being deterministic, stay on it from the first equal
-    height; a lane that missed it is rerun.  An orbit whose twin lanes
-    contract too slowly (Kan) goes to the scalar loop, which steps it only
+    height.  An orbit whose twin lanes contract too slowly (Kan), or one of
+    whose lanes never meets it, goes to the scalar loop, which steps it only
     until it sticks at a float the fibres fix, such as 1 - 2**-53, and then
     checks with the array kernel that each further parameter leaves that
     height fixed (:func:`fiber._fiber_orbit`, :func:`fiber._fixed_run`).

@@ -117,12 +117,31 @@ def occupation_ratios(trace: WalkTrace, threshold: float) -> OccupationStats:
     with ``t`` a view of ``trace.t[1:]``: each ratio array is counted when
     it is first read, so writing into the trace before a read changes it.
     """
-    if not threshold >= 0.0:
-        raise PreconditionError("threshold must be >= 0")
+    _require_threshold(threshold)
     tt = trace.t[1:]
     if np.isnan(tt).any():
         raise PreconditionError("trace contains NaN")
     return OccupationStats(threshold, tt)
+
+
+def _require_threshold(threshold: float) -> None:
+    if not threshold >= 0.0:
+        raise PreconditionError("threshold must be >= 0")
+
+
+def final_counts(profile: StepProfile, n: int, seeds, threshold: float) -> np.ndarray:
+    """Row w: the final counts (a_n, b_n, c_n), as int64, of the heights of
+    ``simulate_walk(profile, 0.0, n, seeds[w])`` above, inside and below the
+    band |t| <= threshold; over n they equal the last ``occupation_ratios``
+    ratios bit for bit.  Steps are finite, so no height is NaN."""
+    _require_threshold(threshold)
+    counts = np.empty((len(seeds), 3), dtype=np.int64)
+    for w, seed in enumerate(seeds):
+        t = simulate_walk(profile, 0.0, n, seed).t[1:]
+        counts[w, 0] = np.count_nonzero(t > threshold)
+        counts[w, 2] = np.count_nonzero(t < -threshold)
+    counts[:, 1] = n - counts[:, 0] - counts[:, 2]
+    return counts
 
 
 def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
@@ -132,7 +151,7 @@ def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
     Only zero-mean profiles qualify (the mean is taken over the float step
     values, summed exactly).  The limiting frequency is (2/pi) asin(sqrt(eps)).
     Walks use spawned per-walk substreams, so ensembles are reproducible and
-    order-independent.
+    order-independent; each a_n comes from :func:`final_counts` at threshold 0.
     """
     profile = _require_step(profile)
     if math.fsum(profile.values) != 0.0:
@@ -143,10 +162,8 @@ def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
     for eps in eps_list:
         if not 0.0 < eps <= 1.0:
             raise PreconditionError(f"eps must lie in (0, 1], got {eps}")
-    final_frac = np.empty(num_walks, dtype=float)
-    for w, sub in enumerate(np.random.SeedSequence(seed).spawn(num_walks)):
-        t = simulate_walk(profile, 0.0, n, sub).t[1:]
-        final_frac[w] = np.count_nonzero(t > 0.0) / n
+    seeds = np.random.SeedSequence(seed).spawn(num_walks)
+    final_frac = final_counts(profile, n, seeds, 0.0)[:, 0] / n
     out = []
     for eps in eps_list:
         emp = float(np.count_nonzero(final_frac > 1.0 - eps) / num_walks)

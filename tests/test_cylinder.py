@@ -151,6 +151,8 @@ def test_backward_orbit_gates():
         backward_orbit_toward(SYS3, CylPoint(0.1, 0.5), 0.3, 10)
     with pytest.raises(DomainError):
         backward_orbit_toward(SYS3, CylPoint(0.1, 0.0), 0.5, 10)
+    with pytest.raises(PreconditionError, match="length"):
+        backward_orbit_toward(SYS3, CylPoint(0.1, 0.5), 0.5, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -658,14 +660,19 @@ def test_base_orbit_angles_fixed_point_is_constant():
     assert (ang0 == 0.0).all()
 
 
-@pytest.mark.parametrize("x0", [float("nan"), float("inf"), -float("inf")])
-def test_base_orbit_angles_refuse_a_non_finite_start(x0):
-    # a NaN start would give NaN angles and a NaN Birkhoff exponent without a word
+@pytest.mark.parametrize("k,x0,match", [
+    *(pytest.param(3, x0, "finite", id=str(x0))
+      for x0 in (float("nan"), float("inf"), -float("inf"))),
+    *(pytest.param(k, 0.3, "integer >= 2", id=f"k={k}") for k in (0, 1, -3, 2.5, 3.0)),
+])
+def test_base_orbit_angles_refuse_a_non_finite_start(k, x0, match):
+    # a NaN start would give NaN angles and a NaN Birkhoff exponent without a
+    # word; k = 0 gave [0.3, 0, 0, ...], and k = -3 or 2.5 angles of no map
     for n in (0, 3, 100):
-        with pytest.raises(PreconditionError, match="finite"):
-            base_orbit_angles(3, x0, n)
-    with pytest.raises(PreconditionError, match="finite"):
-        transverse_exponent_birkhoff(CylinderSystem(3, kan_family(0.5)), 0, x0, 100)
+        with pytest.raises(PreconditionError, match=match):
+            base_orbit_angles(k, x0, n)
+    with pytest.raises(PreconditionError, match=match):
+        transverse_exponent_birkhoff(CylinderSystem(k, kan_family(0.5)), 0, x0, 100)
 
 
 # ---------------------------------------------------------------------------

@@ -152,21 +152,16 @@ def _lane_and_plain_orbits(family, a, y):
 @pytest.fixture
 def paths(monkeypatch):
     """Orbits of two lanes or more run in lanes; records each lane run's
-    verdict (None: fell back to the scalar loop) and every lane rerun."""
+    verdict (None: fell back to the scalar loop)."""
     monkeypatch.setattr(fiber, "_MIN_LANES", 2)
-    seen = {"lanes": [], "reruns": 0}
-    lane_orbit, rejoin = fiber._lane_orbit, fiber._rejoin
+    seen = {"lanes": []}
+    lane_orbit = fiber._lane_orbit
 
     def traced_lanes(*args):
         seen["lanes"].append(lane_orbit(*args))
         return seen["lanes"][-1]
 
-    def traced_rejoin(*args):
-        seen["reruns"] += 1
-        return rejoin(*args)
-
     monkeypatch.setattr(fiber, "_lane_orbit", traced_lanes)
-    monkeypatch.setattr(fiber, "_rejoin", traced_rejoin)
     return seen
 
 
@@ -190,20 +185,19 @@ def test_lane_orbit_settles_in_the_second_pass(paths):
     a = family.displacement(base_orbit_angles(3, 0.3, 12 * LANE + 77, seed=9))
     got, want = _lane_and_plain_orbits(family, a, 0.6)
     assert np.array_equal(got, want)
-    assert paths["lanes"][0] is not None and paths["reruns"] == 0
+    assert paths["lanes"][0] is not None
 
 
-def test_lane_orbit_reruns_lanes_after_one_that_never_met(paths):
+def test_lane_orbit_falls_back_when_a_lane_never_meets_its_stored_heights(paths):
     # a = 0 is the identity, so lanes 16 and 17 never meet their guessed
-    # heights and end wrong in the first pass: lane 17 is rerun from the
-    # true end of lane 16 and never meets its stored heights either, lane 18
-    # is rerun and meets them.  Twins are lanes 1, 3, ..., 15, so the lanes run.
+    # heights: the second pass runs out and the orbit goes to the scalar
+    # loop.  Twins are lanes 1, 3, ..., 15, so the lanes run.
     family = inverse_kan_family(0.9)
     a = family.displacement(base_orbit_angles(3, 0.3, 20 * LANE, seed=9))
     a[16 * LANE:18 * LANE] = 0.0
     got, want = _lane_and_plain_orbits(family, a, 0.6)
     assert np.array_equal(got, want)
-    assert paths["lanes"][0] is not None and paths["reruns"] == 2
+    assert paths["lanes"] == [None]
 
 
 @pytest.mark.parametrize("family", [inverse_kan_family(0.1), kan_family(0.5)],
@@ -212,7 +206,7 @@ def test_lane_orbit_falls_back_when_twins_contract_too_slowly(family, paths):
     a = family.displacement(base_orbit_angles(3, 0.1234, 12 * LANE, seed=7))
     got, want = _lane_and_plain_orbits(family, a, 0.4)
     assert np.array_equal(got, want)
-    assert paths["lanes"] == [None] and paths["reruns"] == 0
+    assert paths["lanes"] == [None]
 
 
 CHUNK = fiber._ORBIT_CHUNK

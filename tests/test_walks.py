@@ -21,6 +21,7 @@ from cylmaps import (
     CosineProfile,
     cyclic_support_check,
     eval_fiber,
+    final_counts,
     fl_orbit_as_walk,
     fractional_linear_family,
     kan_family,
@@ -372,3 +373,30 @@ def test_occupation_refuses_nan_on_the_call_not_on_the_read():
     assert st.b_over_n.tolist() == [1.0, 0.5, 2.0 / 3.0]
     with pytest.raises(PreconditionError):
         occupation_ratios(tr, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("values", [(1.0, -1.0), (0.6, -0.3, -0.3), (1e308, -1e308)],
+                         ids=["pm1", "three-steps", "overflowing"])
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 2.5])
+def test_final_counts_are_the_last_running_ratios_bit_for_bit(values, threshold):
+    profile, n = StepProfile(values), 3000
+    seeds = [0, 5, *np.random.SeedSequence(11).spawn(2)]
+    counts = final_counts(profile, n, seeds, threshold)
+    assert counts.dtype == np.int64 and counts.shape == (len(seeds), 3)
+    assert (counts.sum(axis=1) == n).all()
+    for row, seed in zip(counts, seeds):
+        tr = simulate_walk(profile, 0.0, n, seed)
+        if values[0] == 1e308:
+            assert np.isinf(tr.t).any()  # heights overflow to +-inf
+        st = occupation_ratios(tr, threshold)
+        want = np.array([ratio[-1] for ratio in (st.a_over_n, st.b_over_n, st.c_over_n)])
+        assert (row / n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1.0])
+def test_final_counts_refuse_the_thresholds_occupation_refuses(threshold):
+    with pytest.raises(PreconditionError, match="threshold"):
+        occupation_ratios(simulate_walk(PM1, 0.0, 10, seed=1), threshold)
+    with pytest.raises(PreconditionError, match="threshold"):
+        final_counts(PM1, 10, [1], threshold)
