@@ -152,17 +152,30 @@ def _lane_and_plain_orbits(family, a, y):
 @pytest.fixture
 def paths(monkeypatch):
     """Orbits of two lanes or more run in lanes; records each lane run's
-    verdict (None: fell back to the scalar loop)."""
+    verdict (None: fell back to the scalar loop) and its rounds."""
     monkeypatch.setattr(fiber, "_MIN_LANES", 2)
-    seen = {"lanes": []}
+    seen = {"lanes": [], "rounds": []}
     lane_orbit = fiber._lane_orbit
 
-    def traced_lanes(*args):
-        seen["lanes"].append(lane_orbit(*args))
+    def traced_lanes(step, *args):
+        rounds = 0
+
+        def counted(p, h):
+            nonlocal rounds
+            rounds += 1
+            return step(p, h)
+
+        seen["lanes"].append(lane_orbit(counted, *args))
+        seen["rounds"].append(rounds)
         return seen["lanes"][-1]
 
     monkeypatch.setattr(fiber, "_lane_orbit", traced_lanes)
     return seen
+
+
+def _settling_pass(rounds):
+    """The pass of LANE rounds in which a lane run that took rounds settled."""
+    return -(-rounds // LANE)
 
 
 @pytest.mark.parametrize("family", LANE_FAMILIES, ids=lambda f: f"{f.kind}-{f.profile}")
@@ -186,18 +199,57 @@ def test_lane_orbit_settles_in_the_second_pass(paths):
     got, want = _lane_and_plain_orbits(family, a, 0.6)
     assert np.array_equal(got, want)
     assert paths["lanes"][0] is not None
+    assert _settling_pass(paths["rounds"][0]) == 2
 
 
-def test_lane_orbit_falls_back_when_a_lane_never_meets_its_stored_heights(paths):
-    # a = 0 is the identity, so lanes 16 and 17 never meet their guessed
-    # heights: the second pass runs out and the orbit goes to the scalar
-    # loop.  Twins are lanes 1, 3, ..., 15, so the lanes run.
+def _orbit_with_identity_lanes(identity):
+    """An inverse-Kan orbit of 40 strongly contracting lanes whose lanes
+    32, 33, ... are identity lanes (a = 0); the twins are lanes 2, 6, ..., 30.
+    An identity lane hands its start on unchanged, so the true height
+    crosses one of them a pass: m identity lanes settle in pass m + 2."""
     family = inverse_kan_family(0.9)
-    a = family.displacement(base_orbit_angles(3, 0.3, 20 * LANE, seed=9))
-    a[16 * LANE:18 * LANE] = 0.0
+    a = family.displacement(base_orbit_angles(3, 0.3, 40 * LANE, seed=9))
+    a[32 * LANE:(32 + identity) * LANE] = 0.0
+    return family, a
+
+
+@pytest.mark.parametrize("identity", [1, 2])
+def test_lane_orbit_settles_in_a_later_pass_behind_identity_lanes(identity, paths):
+    family, a = _orbit_with_identity_lanes(identity)
+    got, want = _lane_and_plain_orbits(family, a, 0.6)
+    assert np.array_equal(got, want)
+    assert paths["lanes"][0] is not None
+    assert _settling_pass(paths["rounds"][0]) == identity + 2
+
+
+def test_lane_orbit_falls_back_when_identity_lanes_outlast_the_rounds(paths):
+    # three identity lanes need five passes, and the rounds allow four
+    assert fiber._ROUNDS == 4 * LANE
+    family, a = _orbit_with_identity_lanes(3)
     got, want = _lane_and_plain_orbits(family, a, 0.6)
     assert np.array_equal(got, want)
     assert paths["lanes"] == [None]
+    assert paths["rounds"] == [fiber._ROUNDS]
+
+
+def test_lane_orbit_rounds_of_a_long_inverse_kan_orbit(monkeypatch):
+    # time-free: the numpy rounds (step-kernel calls) of one 1e6-step INV3
+    # orbit; 4224 when lanes of 2048 steps began to repeat their passes,
+    # 6232 with two passes over lanes of 4096 steps
+    calls = 0
+    step = _KERNELS[fiber.INVERSE_KAN]["step"]
+
+    def counted(p, h):
+        nonlocal calls
+        calls += 1
+        return step(p, h)
+
+    monkeypatch.setitem(_KERNELS[fiber.INVERSE_KAN], "step", counted)
+    family = inverse_kan_family(0.5)
+    a = family.displacement(base_orbit_angles(3, 0.1234, 10**6, seed=5))
+    out = np.empty(a.size)
+    fiber._fiber_orbit(family, a, 0.4, out)
+    assert 0 < calls <= 4224
 
 
 @pytest.mark.parametrize("family", [inverse_kan_family(0.1), kan_family(0.5)],
@@ -207,6 +259,8 @@ def test_lane_orbit_falls_back_when_twins_contract_too_slowly(family, paths):
     got, want = _lane_and_plain_orbits(family, a, 0.4)
     assert np.array_equal(got, want)
     assert paths["lanes"] == [None]
+    # at the twin test, not after the round budget
+    assert paths["rounds"] == [fiber._TWIN_ROUNDS]
 
 
 CHUNK = fiber._ORBIT_CHUNK

@@ -192,8 +192,8 @@ def test_orbit_points_heights_follow_fibers(monkeypatch):
     from cylmaps import CosineProfile, eval_fiber, fiber, fractional_linear_family
 
     # bit-exact for the quadratic kinds, across the lane boundaries at
-    # multiples of 4096: three lanes and a tail, stepped in lanes from two
-    # lanes on (INV3's lanes settle, KAN3's twins send it to the scalar loop)
+    # multiples of fiber._LANE: three lanes and a tail, stepped in lanes from
+    # two lanes on (three lanes hold no twins, and both orbits' lanes settle)
     monkeypatch.setattr(fiber, "_MIN_LANES", 2)
     n = 3 * fiber._LANE + 100
     for family in (INV3.family, KAN3.family):
