@@ -5,7 +5,8 @@ k >= 2 and a fiber family from :mod:`cylmaps.fiber`.  Both boundary circles
 {y = 0} and {y = 1} are invariant; this module provides forward orbits,
 backward orbits steered toward a marked angle, the push/pull hypothesis
 check near marked periodic angles, first-hitting classification of points
-into the two boundary basins, the column search that finds where a column
+into the two boundary basins (the points over one angle share its base
+orbit, stepped once per round), the column search that finds where a column
 {x} x [0, 1] changes class, and estimates of the fiberwise separator height
 sigma(x) by that search on a dyadic ladder of heights, each bracket made of
 two classified heights.
@@ -252,10 +253,15 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     Returns an int8 array of BasinClass values.  A point is Basin0 the first
     time its height drops below delta, Basin1 the first time it exceeds
     1 - delta, Undecided when the budget n_max runs out first.  Heights that
-    are exactly 0 or 1 classify immediately.  A point's class does not depend
-    on the other points in the batch, so callers may classify any union of
-    questions in one call.  Each round steps the angles in place as
-    k*x - floor(k*x), which is k*x mod 1 bit for bit, and the heights by the
+    are exactly 0 or 1 classify immediately.  Points that share an angle
+    share its base orbit: each round computes the coefficient of each
+    distinct angle of the undecided points once, gathers it to the points
+    that share the angle, and steps the distinct angles in place as
+    k*x - floor(k*x), which is k*x mod 1 bit for bit; when no angle repeats,
+    nothing is gathered.  Every point meets the same coefficients, bit for
+    bit, as it would alone (0.0 and -0.0 give the same ones), so a point's
+    class does not depend on the other points in the batch, and callers may
+    classify any union of questions in one call.  The heights take the
     family's in-place step kernel, which rounds as its apply kernel does; xs
     and ys are copied first and never written.  Angles and heights must be
     finite.
@@ -273,17 +279,22 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     out = np.full(x.shape, BasinClass.UNDECIDED, dtype=np.int8)
     out[y < delta] = BasinClass.BASIN0
     out[y > 1.0 - delta] = BasinClass.BASIN1
-    # the undecided points only, as (slot in out, angle, height)
+    # the undecided points only, as (slot in out, angle, height); when angles
+    # repeat, x holds each distinct angle once and point i reads x[col[i]]
     idx = np.flatnonzero(out == BasinClass.UNDECIDED)
     x, y = x[idx], y[idx]
+    shared = bool((np.diff(np.sort(x)) == 0.0).any())
+    if shared:
+        x, col = np.unique(x, return_inverse=True)
     kernels = _KERNELS[sys.family.kind]
     coef, fibre_step = kernels["coef"], kernels["step"]
     for _ in range(n_max):
         if not idx.size:
             break
-        y = fibre_step(coef(sys.family.displacement(x)), y)
+        a = coef(sys.family.displacement(x))
         x *= sys.k
         _mod1(x)
+        y = fibre_step(a[col] if shared else a, y)
         hit0 = y < delta
         hit1 = y > 1.0 - delta
         keep = ~(hit0 | hit1)
@@ -293,8 +304,14 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
             # one array at a time, so that each freed block of 8-byte items
             # can take the next: the heap then does not grow from op to op
             idx = idx[keep]
-            x = x[keep]
             y = y[keep]
+            if shared:
+                col = col[keep]
+                if 2 * col.size < x.size:  # most angles have no point left
+                    live, col = np.unique(col, return_inverse=True)
+                    x = x[live]
+            else:
+                x = x[keep]
     return out
 
 

@@ -6,9 +6,10 @@ names, and reads classifier rounds off the displacement calls.  These tests
 import the tracer unchanged and check that the package still offers what it
 hooks: every rebound name exists, the classifier is looked up through the
 module global at call time and calls ``displacement`` once per round on the
-angles of its undecided points; the raster makes one classifier call per
-level of its column search, on the calling thread, with the same calls and
-angle-steps at any thread count; the probe reaches the classifier once per
+distinct angles of its undecided points (each angle once, however many
+points share it; a batch whose angles never repeat keeps its order); the
+raster makes one classifier call per level of its column search, on the
+calling thread, with the same calls and angle-steps at any thread count; the probe reaches the classifier once per
 stage, with the samples of the boxes that have not yet seen both basins; the
 separator's column search makes every classifier call under the
 separator's span, so the separator's point-steps are the classifier's; every

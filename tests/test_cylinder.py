@@ -376,6 +376,60 @@ def test_runs_of_equal_angles_classify_as_their_points_one_by_one(k, kind, profi
         assert np.array_equal(got, _classify_by_remainder(sys_, xs, ys, 300, delta))
 
 
+def _record_displaced_angles(monkeypatch):
+    """Sizes of the angle arrays FiberFamily.displacement receives, one per
+    classifier round."""
+    sizes = []
+    displacement = FiberFamily.displacement
+    monkeypatch.setattr(FiberFamily, "displacement",
+                        lambda fam, x: sizes.append(np.size(x)) or displacement(fam, x))
+    return sizes
+
+
+def _classify_alone(sys_, xs, ys, n_max, delta):
+    return np.array([classify_points(sys_, [x], [y], n_max, delta)[0]
+                     for x, y in zip(xs, ys)], dtype=np.int8)
+
+
+@pytest.mark.parametrize("kind", (KAN, INVERSE_KAN, FRACTIONAL_LINEAR))
+@pytest.mark.parametrize("profile", (CosineProfile(0.5), StepProfile((0.5, -0.5, 0.25))))
+def test_columns_sharing_an_angle_classify_as_each_point_alone(kind, profile, monkeypatch):
+    sys_ = CylinderSystem(3, FiberFamily(kind, profile))
+    rng = np.random.default_rng(19)
+    # columns of 1..40 heights; the first over 0.0, -0.0 and the fixed
+    # angles 0 and 1/2 also hold heights at and beyond both thresholds
+    delta = 0.01
+    angles = np.concatenate([[0.0, -0.0, 0.5, 0.0], rng.uniform(0.0, 1.0, 36)])
+    counts = rng.permutation(np.arange(1, 41))
+    edges = [0.0, np.nextafter(delta, 0.0), delta, 1.0 - delta,
+             np.nextafter(1.0 - delta, 1.0), 1.0]
+    columns = [rng.uniform(0.0, 1.0, n) for n in counts]
+    columns[:4] = [np.concatenate([c, edges]) for c in columns[:4]]
+    xs = np.repeat(angles, [c.size for c in columns])
+    ys = np.concatenate(columns)
+    got = classify_points(sys_, xs, ys, 40, delta)
+    assert got.tobytes() == _classify_alone(sys_, xs, ys, 40, delta).tobytes()
+    # most columns decide early: once fewer points than half the angles are
+    # left, the classifier steps only the angles that still have points
+    delta = 0.2
+    xs = np.repeat(rng.uniform(0.0, 1.0, 100), 3)
+    ys = np.tile([0.3, 0.5, 0.7], 100)
+    sizes = _record_displaced_angles(monkeypatch)
+    got = classify_points(sys_, xs, ys, 60, delta)
+    assert sizes[0] == 100 and 2 * sizes[-1] < 100
+    monkeypatch.undo()
+    assert got.tobytes() == _classify_alone(sys_, xs, ys, 60, delta).tobytes()
+
+
+def test_the_raster_steps_each_column_angle_once_per_round(monkeypatch):
+    # the 512 x 512 raster's 3,407,006 point-steps, counted time-free: its
+    # columns share their angles, which take 683,932 steps in 1,977 rounds
+    sizes = _record_displaced_angles(monkeypatch)
+    rasterize(SYS3, 512, 512, 5000, 1e-6)
+    assert len(sizes) == 1977
+    assert sum(sizes) <= 700_000
+
+
 # (system, n_max, delta) for every kind with a cosine and a step profile, at
 # a delta where 64 x 48 cells read all three classes; inverse-Kan fibres
 # repel both boundaries, so at delta = 0.01 most cells form an undecided
