@@ -6,10 +6,10 @@ k >= 2 and a fiber family from :mod:`cylmaps.fiber`.  Both boundary circles
 backward orbits steered toward a marked angle, the push/pull hypothesis
 check near marked periodic angles, first-hitting classification of points
 into the two boundary basins (the points over one angle share its base
-orbit, stepped once per round), the column search that finds where a column
-{x} x [0, 1] changes class, and estimates of the fiberwise separator height
-sigma(x) by that search on a dyadic ladder of heights, each bracket made of
-two classified heights.
+orbit, and small batches run blocks of rounds between hit tests), the
+column search that finds where a column {x} x [0, 1] changes class, and
+estimates of the fiberwise separator height sigma(x) by that search on a
+dyadic ladder of heights, each bracket made of two classified heights.
 
 Angles live in [0, 1) and are reduced mod 1.  All operations are pure.
 """
@@ -40,6 +40,11 @@ EXACT_ORBIT_PREFIX = 50
 
 #: parts each open column search is cut into per classifier call
 _SECTIONS = 12
+
+#: live points at or below which the classifier steps a block of up to
+#: _BLOCK_ROUNDS rounds before it tests for hits; above, a block is one round
+_BLOCK_POINTS = 2048
+_BLOCK_ROUNDS = 32
 
 #: finest separator ladder 2^-L: rung numerators j < 2^53 are exact floats
 _MAX_LADDER_DEPTH = 53
@@ -87,7 +92,13 @@ class BasinClass(IntEnum):
 class SeparatorSample:
     """One estimate of the separator height over angle x: the bracket
     [lo, hi], whose ends the classifier put in Basin0 and Basin1; decided
-    when no undecided height was found between them and hi - lo <= tol."""
+    when no undecided height was found between them and hi - lo <= tol.
+
+    The search of a column stops at the first level at which one of its
+    rungs reads Undecided, so an undecided sample's bracket is the one it
+    had then: its ends still read Basin0 and Basin1 (or are the ends
+    nextafter(delta, 0) and nextafter(1 - delta, 1)), but it can be wider
+    than the bracket a full search would find."""
 
     x: float
     lo: float
@@ -253,18 +264,23 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     Returns an int8 array of BasinClass values.  A point is Basin0 the first
     time its height drops below delta, Basin1 the first time it exceeds
     1 - delta, Undecided when the budget n_max runs out first.  Heights that
-    are exactly 0 or 1 classify immediately.  Points that share an angle
-    share its base orbit: each round computes the coefficient of each
-    distinct angle of the undecided points once, gathers it to the points
-    that share the angle, and steps the distinct angles in place as
-    k*x - floor(k*x), which is k*x mod 1 bit for bit; when no angle repeats,
-    nothing is gathered.  Every point meets the same coefficients, bit for
-    bit, as it would alone (0.0 and -0.0 give the same ones), so a point's
-    class does not depend on the other points in the batch, and callers may
-    classify any union of questions in one call.  The heights take the
-    family's in-place step kernel, which rounds as its apply kernel does; xs
-    and ys are copied first and never written.  Angles and heights must be
-    finite.
+    are exactly 0 or 1 classify immediately.
+
+    The rounds run in blocks: up to _BLOCK_ROUNDS rounds, cut at n_max,
+    while at most _BLOCK_POINTS points are undecided, and one round above
+    that.  A block steps the distinct angles of the undecided points once a
+    round, in place as k*x - floor(k*x), which is k*x mod 1 bit for bit,
+    into one row a round; computes the coefficients of all its rows in one
+    call and gathers them to the points that share each angle (nothing is
+    gathered when no angle repeats); steps the heights row by row with the
+    family's in-place step kernel, which rounds as its apply kernel does;
+    and then reads each point's class at its first hitting round, discards
+    its steps past that round, and drops the decided points.  Every point
+    meets the same coefficients, bit for bit and in the same order, as it
+    would alone (0.0 and -0.0 give the same ones), so a point's class does
+    not depend on the other points in the batch, and callers may classify
+    any union of questions in one call.  xs and ys are copied first and
+    never written.  Angles and heights must be finite.
 
     Even k is refused: the float base orbit k*x mod 1 then sheds low bits each
     step and collapses onto x = 0, whose fiber alone would decide every class.
@@ -288,19 +304,43 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
         x, col = np.unique(x, return_inverse=True)
     kernels = _KERNELS[sys.family.kind]
     coef, fibre_step = kernels["coef"], kernels["step"]
-    for _ in range(n_max):
-        if not idx.size:
-            break
-        a = coef(sys.family.displacement(x))
-        x *= sys.k
-        _mod1(x)
-        y = fibre_step(a[col] if shared else a, y)
-        hit0 = y < delta
-        hit1 = y > 1.0 - delta
-        keep = ~(hit0 | hit1)
-        if not keep.all():  # a round that decides no point compacts nothing
-            out[idx[hit0]] = BasinClass.BASIN0
-            out[idx[hit1]] = BasinClass.BASIN1
+    # weights of the block's rounds r = 0, 1, ...: 2 * (rounds - r) - 1
+    weights = np.arange(2 * _BLOCK_ROUNDS - 1, 0, -2, dtype=np.uint8)[:, None]
+    done = 0
+    while idx.size and done < n_max:
+        rounds = min(_BLOCK_ROUNDS if idx.size <= _BLOCK_POINTS else 1, n_max - done)
+        done += rounds
+        # row r of X holds the angles of round r: k*x - floor(k*x), stepped
+        # in place, and x goes on to the next block's first round
+        X = np.empty((rounds, x.size))
+        X[0] = x
+        for r in range(1, rounds):
+            _mod1(np.multiply(X[r - 1], sys.k, out=X[r]))
+        x = _mod1(X[-1] * sys.k)
+        H = coef(sys.family.displacement(X))
+        if shared:
+            H = H.take(col, axis=1)
+        # row r of H becomes the heights after round r.  Rows past the first
+        # can follow a point's first hit: those heights are never read, and
+        # they may leave [0, 1] (an inverse-Kan height above 1 meets a
+        # negative radicand)
+        y = fibre_step(H[0], y)
+        if rounds > 1:
+            with np.errstate(invalid="ignore"):
+                for r in range(1, rounds):
+                    y = fibre_step(H[r], y)
+        hit0 = np.less(H, delta).view(np.uint8)
+        code = np.greater(H, 1.0 - delta).view(np.uint8)
+        code |= hit0
+        if code.any():  # a block that decides no point compacts nothing
+            # a point's code is the largest weight of its hitting rounds,
+            # plus 1 for a Basin0 hit: its first hit, whose parity is its class
+            code *= weights[-rounds:]
+            code += hit0
+            code = code.max(axis=0)
+            decided = code > 0
+            out[idx[decided]] = code[decided] & 1
+            keep = ~decided
             # one array at a time, so that each freed block of 8-byte items
             # can take the next: the heap then does not grow from op to op
             idx = idx[keep]
@@ -322,10 +362,16 @@ def classify_point(sys: CylinderSystem, p: CylPoint, n_max: int,
 
 
 def _column_thresholds(sys: CylinderSystem, xs: np.ndarray, height_at, n: int,
-                       n_max: int, delta: float) -> np.ndarray:
+                       n_max: int, delta: float,
+                       stop_at_undecided: bool = False) -> np.ndarray:
     """First index of each column {xs[i]} x [0, 1], over the increasing
     heights height_at(0 .. n - 1), that is not Basin0 (row 0) and that is
     Basin1 (row 1), or n where there is none.
+
+    With stop_at_undecided, both searches of a column stop at the level
+    where one of its probes reads Undecided, at the ends they have reached:
+    row 0 one past an index read Basin0 (or 0), row 1 an index read Basin1
+    (or n).
 
     Each level cuts every open search into _SECTIONS parts with one
     classifier call that classifies each distinct probe point once: at most
@@ -353,6 +399,10 @@ def _column_thresholds(sys: CylinderSystem, xs: np.ndarray, height_at, n: int,
         rows = np.arange(search.size)
         lo[search, col] = ends[rows, passed] + 1
         hi[search, col] = ends[rows, passed + 1]
+        if stop_at_undecided:
+            stuck = col[(cls == BasinClass.UNDECIDED).any(axis=1)]
+            hi[0, stuck] = lo[0, stuck]
+            lo[1, stuck] = hi[1, stuck]
     return lo
 
 
@@ -371,7 +421,10 @@ def estimate_separator_batch(sys: CylinderSystem, xs, n_max: int, delta: float,
     nextafter(1 - delta, 1), which classify at once.  lo is the last Basin0
     rung and hi the first Basin1 rung, so both ends are classified and the
     bracket holds the threshold by construction.  A sample is decided when
-    no rung lies between them and hi - lo <= tol.
+    no rung lies between them and hi - lo <= tol.  Once a rung of a column
+    reads Undecided, that column's search stops: with classes monotone in
+    the height, the undecided rung lies between lo and hi, and the sample
+    cannot be decided.
     """
     if sys.family.kind != KAN:
         raise WrongFamilyError("separator estimation applies to the quadratic (negative-curvature) family")
@@ -388,7 +441,7 @@ def estimate_separator_batch(sys: CylinderSystem, xs, n_max: int, delta: float,
     def rung(i):
         return (first + i) / scale
 
-    t0, t1 = _column_thresholds(sys, xs, rung, n, n_max, delta)
+    t0, t1 = _column_thresholds(sys, xs, rung, n, n_max, delta, stop_at_undecided=True)
     lo = np.where(t0 > 0, rung(t0 - 1), np.nextafter(delta, 0.0))
     hi = np.where(t1 < n, rung(t1), np.nextafter(1.0 - delta, 1.0))
     decided = (t0 == t1) & (hi - lo <= tol)

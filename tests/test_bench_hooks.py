@@ -5,9 +5,10 @@
 names, and reads classifier rounds off the displacement calls.  These tests
 import the tracer unchanged and check that the package still offers what it
 hooks: every rebound name exists, the classifier is looked up through the
-module global at call time and calls ``displacement`` once per round on the
-distinct angles of its undecided points (each angle once, however many
-points share it; a batch whose angles never repeat keeps its order); the
+module global at call time and calls ``displacement`` once per block of
+rounds, with one row a round of the distinct angles of its undecided points
+(each angle once, however many points share it; a batch whose angles never
+repeat keeps its order), so the tracer's rounds count blocks; the
 raster makes one classifier call per level of its column search, on the
 calling thread, with the same calls and angle-steps at any thread count; the probe reaches the classifier once per
 stage, with the samples of the boxes that have not yet seen both basins; the
@@ -87,11 +88,16 @@ def test_traced_classifier_steps_only_undecided_points(tracer, monkeypatch):
     (span,) = [s for s in tr.spans if s.name == CLASSIFY]
     counts = [s.work["elements"] for s in sorted(tr.spans, key=lambda s: s.start)
               if s.name == "fiber.displacement" and s.parent is span]
+    # each call takes a block of rounds: one row of angles a round
+    rows = [a.shape[0] for a in angles]
+    widths = [a.shape[1] for a in angles]
+    assert counts == [r * w for r, w in zip(rows, widths)]
+    assert sum(rows) <= 2000
     undecided = (ys >= 1e-6) & (ys <= 1.0 - 1e-6)
-    assert np.array_equal(angles[0], xs[undecided])
-    assert counts[0] == np.count_nonzero(undecided) == 200
-    assert all(a >= b > 0 for a, b in zip(counts, counts[1:]))
-    assert counts[-1] >= np.count_nonzero(cls == BasinClass.UNDECIDED)
+    assert np.array_equal(angles[0][0], xs[undecided])
+    assert widths[0] == np.count_nonzero(undecided) == 200
+    assert all(a >= b > 0 for a, b in zip(widths, widths[1:]))
+    assert widths[-1] >= np.count_nonzero(cls == BasinClass.UNDECIDED)
 
 
 def test_traced_raster_steps_are_the_same_at_1_2_and_3_threads(tracer):

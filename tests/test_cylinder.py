@@ -1,6 +1,7 @@
 """Skew-product engine: orbits, hypothesis check, classification, separator."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from cylmaps import (
     step,
     transverse_exponent_birkhoff,
 )
-from cylmaps.cylinder import _mod1, separator_sweep
+from cylmaps.cylinder import _BLOCK_POINTS, _BLOCK_ROUNDS, _mod1, separator_sweep
 from cylmaps.fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN, _apply_fiber
 
 SYS3 = CylinderSystem(3, kan_family(0.5))
@@ -358,6 +359,50 @@ def test_classify_points_matches_the_remainder_round_loop():
             assert np.array_equal(ys.view(np.uint64), ys_before.view(np.uint64))
 
 
+# 3/8 <-> 1/8 is an exact period-2 orbit of x -> 3x mod 1 on which this
+# profile alternates -0.9 and +0.9: near either boundary each kind's fibres
+# carry some heights across a threshold and back within two rounds
+_SWING = StepProfile((0.9, -0.9, 0.0))
+
+
+@pytest.mark.parametrize("kind", (KAN, INVERSE_KAN, FRACTIONAL_LINEAR))
+def test_blocks_of_rounds_classify_as_the_remainder_round_loop(kind):
+    # a block steps up to _BLOCK_ROUNDS rounds and must read each point's
+    # class at its first hit, stop at n_max, and step batches above
+    # _BLOCK_POINTS points one round a block
+    sys_ = CylinderSystem(3, FiberFamily(kind, _SWING))
+    delta = 0.01
+    rng = np.random.default_rng(2048)
+    near = np.array([1.5, 2.0, 8.0]) * delta
+    edges = [delta, 1.0 - delta, np.nextafter(delta, 0.0), np.nextafter(1.0 - delta, 1.0)]
+    swing_y = np.tile(np.concatenate([near, 1.0 - near, edges]), 2)
+    swing_x = np.repeat([3.0 / 8.0, 1.0 / 8.0], swing_y.size // 2)
+    for size in (_BLOCK_POINTS // 4, 2 * _BLOCK_POINTS):
+        # columns of four heights, with the swinging points, and then
+        # angles that never repeat
+        columns = np.concatenate([swing_x, np.repeat(rng.uniform(0.0, 1.0, size // 4), 4)])
+        heights = np.concatenate([swing_y, rng.uniform(0.0, 1.0, size)])
+        lone = rng.uniform(0.0, 1.0, size)
+        for xs, ys in ((columns, heights), (lone, heights[-size:])):
+            for n_max in (2, 45, 200):
+                got = classify_points(sys_, xs, ys, n_max, delta)
+                assert np.array_equal(got, _classify_by_remainder(sys_, xs, ys, n_max, delta))
+
+
+def test_steps_past_a_first_hit_raise_no_warning():
+    # the -0.9 digits carry heights up to 1, where the 0.999999 digit rounds
+    # some of them above 1; the steps their block takes past that hit then
+    # meet a negative radicand, and those heights are never read
+    sys_ = CylinderSystem(3, FiberFamily(INVERSE_KAN, StepProfile((0.999999, -0.9, -0.9))))
+    rng = np.random.default_rng(0)
+    xs = rng.uniform(0.0, 1.0, 1000)
+    ys = 1.0 - 10.0 ** rng.uniform(-15.0, -3.0, 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = classify_points(sys_, xs, ys, 300, 1e-16)
+    assert np.array_equal(got, _classify_by_remainder(sys_, xs, ys, 300, 1e-16))
+
+
 @pytest.mark.parametrize("k", (3, 5))
 @pytest.mark.parametrize("kind", (KAN, INVERSE_KAN, FRACTIONAL_LINEAR))
 @pytest.mark.parametrize("profile", ("cosine", "step"))
@@ -377,13 +422,13 @@ def test_runs_of_equal_angles_classify_as_their_points_one_by_one(k, kind, profi
 
 
 def _record_displaced_angles(monkeypatch):
-    """Sizes of the angle arrays FiberFamily.displacement receives, one per
-    classifier round."""
-    sizes = []
+    """Shapes (rounds, angles) of the angle arrays FiberFamily.displacement
+    receives, one per block of classifier rounds."""
+    shapes = []
     displacement = FiberFamily.displacement
     monkeypatch.setattr(FiberFamily, "displacement",
-                        lambda fam, x: sizes.append(np.size(x)) or displacement(fam, x))
-    return sizes
+                        lambda fam, x: shapes.append(np.shape(x)) or displacement(fam, x))
+    return shapes
 
 
 def _classify_alone(sys_, xs, ys, n_max, delta):
@@ -410,24 +455,29 @@ def test_columns_sharing_an_angle_classify_as_each_point_alone(kind, profile, mo
     got = classify_points(sys_, xs, ys, 40, delta)
     assert got.tobytes() == _classify_alone(sys_, xs, ys, 40, delta).tobytes()
     # most columns decide early: once fewer points than half the angles are
-    # left, the classifier steps only the angles that still have points
+    # left after a block, the next block steps only the angles that still
+    # have points
     delta = 0.2
     xs = np.repeat(rng.uniform(0.0, 1.0, 100), 3)
     ys = np.tile([0.3, 0.5, 0.7], 100)
-    sizes = _record_displaced_angles(monkeypatch)
+    shapes = _record_displaced_angles(monkeypatch)
     got = classify_points(sys_, xs, ys, 60, delta)
-    assert sizes[0] == 100 and 2 * sizes[-1] < 100
     monkeypatch.undo()
+    left = xs[classify_points(sys_, xs, ys, _BLOCK_ROUNDS, delta) == BasinClass.UNDECIDED]
+    assert [angles for _, angles in shapes] == [
+        100, np.unique(left).size if 2 * left.size < 100 else 100]
     assert got.tobytes() == _classify_alone(sys_, xs, ys, 60, delta).tobytes()
 
 
 def test_the_raster_steps_each_column_angle_once_per_round(monkeypatch):
-    # the 512 x 512 raster's 3,407,006 point-steps, counted time-free: its
-    # columns share their angles, which take 683,932 steps in 1,977 rounds
-    sizes = _record_displaced_angles(monkeypatch)
+    # the 512 x 512 raster, counted time-free: its columns share their
+    # angles, which take 694,400 steps in 2,057 rounds (1,977 until the last
+    # point decides, plus the rest of each call's last block) and 600 blocks
+    shapes = _record_displaced_angles(monkeypatch)
     rasterize(SYS3, 512, 512, 5000, 1e-6)
-    assert len(sizes) == 1977
-    assert sum(sizes) <= 700_000
+    assert len(shapes) == 600
+    assert sum(rounds for rounds, _ in shapes) == 2057
+    assert sum(rounds * angles for rounds, angles in shapes) <= 700_000
 
 
 # (system, n_max, delta) for every kind with a cosine and a step profile, at
@@ -661,6 +711,24 @@ def test_separator_memory_stays_small_on_a_slowly_escaping_system():
         tracemalloc.stop()
     assert len(samples) == 202
     assert peak < 2e6
+
+
+def test_separator_stops_a_column_at_its_first_undecided_rung(monkeypatch):
+    # at eps = 0.05 every column reads Undecided at the first level of its
+    # search, which then stops: one classifier call of n_max rounds, where
+    # the full search took three levels and 15,000 rounds
+    sys_ = CylinderSystem(3, kan_family(0.05))
+    shapes = _record_displaced_angles(monkeypatch)
+    samples, good, pairs = separator_sweep(sys_, 101, 5000, 1e-6, 1e-3, seed=1)
+    assert sum(rounds for rounds, _ in shapes) == 5000
+    monkeypatch.undo()
+    assert (good, pairs) == (0, 0) and not any(s.decided for s in samples)
+    # the brackets the searches had when they stopped: lo reads Basin0 and
+    # hi Basin1
+    xs = np.array([s.x for s in samples])
+    for end, cls in (("lo", BasinClass.BASIN0), ("hi", BasinClass.BASIN1)):
+        ys = np.array([getattr(s, end) for s in samples])
+        assert (classify_points(sys_, xs, ys, 5000, 1e-6) == cls).all()
 
 
 @pytest.mark.parametrize("sys_, delta, tol, error", [
