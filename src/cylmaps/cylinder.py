@@ -42,7 +42,8 @@ EXACT_ORBIT_PREFIX = 50
 _SECTIONS = 12
 
 #: live points at or below which the classifier steps a block of up to
-#: _BLOCK_ROUNDS rounds before it tests for hits; above, a block is one round
+#: _BLOCK_ROUNDS rounds before it tests for hits; above, a block is one
+#: round, which bounds the block's rounds x live arrays
 _BLOCK_POINTS = 2048
 _BLOCK_ROUNDS = 32
 

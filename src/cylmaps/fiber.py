@@ -270,11 +270,6 @@ _ROUNDS = 8192
 #: views and a contiguous buffer at once: a column of a view touches one
 #: page per lane
 _BLOCK = 64
-#: twin lanes per orbit, at the starts of its stretches of _TWIN_SPAN steps,
-#: that test the contraction after _TWIN_ROUNDS rounds
-_TWINS = 8
-_TWIN_SPAN = 4096
-_TWIN_ROUNDS = 512
 
 
 def _apply_fiber(family: FiberFamily, x, y):
@@ -288,23 +283,19 @@ def _fiber_orbit(family: FiberFamily, a: np.ndarray, y: float,
     """out[i] = y_i for y_0 = y, y_{i+1} = f(y_i) at driving parameter a[i],
     for the quadratic kinds, whose coefficient is a itself; out is contiguous.
 
-    An orbit of at least _MIN_LANES lanes of _LANE steps is stepped in lanes,
-    all at once with the kind's step kernel (see :func:`_lane_orbit`): lane 0
-    from y, the others from a guess, then pass after pass from their
-    predecessor's end in the pass before.  A step is deterministic, so once
-    every lane's height equals the height the pass before stored, that pass
-    started every lane from its predecessor's true end and each stored
-    height is the scalar loop's.  Lanes converge because the fibre exponent
-    is negative (Lebesgue measure is invariant, so Jensen's inequality
-    applies).  Where twin lanes contract too slowly (Kan's attracting
-    boundaries, small displacements), or the lanes do not settle within
-    _ROUNDS rounds, the orbit goes to :func:`_scalar_orbit`, which skips,
+    An inverse-Kan orbit of at least _MIN_LANES lanes of _LANE steps is
+    stepped in lanes (see :func:`_lane_orbit`): its fibre exponent is
+    negative (Lebesgue measure is invariant, so Jensen's inequality
+    applies), and lanes started from a guess contract onto the true orbit.
+    Kan's boundaries attract, so its lanes drift to different boundaries
+    and do not meet: a Kan orbit, a short one, and lanes that do not settle
+    within _ROUNDS rounds go to :func:`_scalar_orbit`, which skips,
     verified, the runs where the height is stuck at a float that the fibres
     map to itself.
     """
     kernels = _KERNELS[family.kind]
     lanes = a.size // _LANE
-    if lanes >= _MIN_LANES:
+    if family.kind == INVERSE_KAN and lanes >= _MIN_LANES:
         body = lanes * _LANE
         end = _lane_orbit(kernels["step"], a[:body].reshape(lanes, _LANE), y,
                           out[:body].reshape(lanes, _LANE))
@@ -361,63 +352,42 @@ def _fixed_run(apply, a: np.ndarray, y: float, out: np.ndarray, lo: int) -> int:
 
 def _lane_orbit(step, A: np.ndarray, y: float, Y: np.ndarray):
     """Fill Y with the orbit of y over parameters A, both (lanes, length) views
-    of one orbit cut into lanes; returns the height after the last lane, or
-    None, with Y unfinished, when the twin lanes contract too slowly or the
-    lanes do not settle within _ROUNDS rounds.
+    of one orbit cut into lanes, stepping all lanes at once with the kind's
+    step kernel; returns the height after the last lane, or None, with Y
+    unfinished, when the lanes do not settle within _ROUNDS rounds.
 
     Pass 1 starts lane 0 at y and the others at a guess; each later pass
     starts every lane at its predecessor's end in the pass before.  The
     lanes have settled when all of them meet the heights stored by the pass
     before: that pass then started each lane at its predecessor's true end,
-    by induction from lane 0.  Heights are never NaN or -0.0, so == on
-    them is bit equality.
+    by induction from lane 0.  A step is deterministic, so each stored
+    height is then the scalar loop's.  Heights are never NaN or -0.0, so ==
+    on them is bit equality.
     """
     lanes, length = A.shape
-    span = _TWIN_SPAN // length
-    stretches = lanes // span
-    rows = range(span, span * stretches, span * max(1, (stretches - 1) // _TWINS))[:_TWINS]
-    buf = np.empty((_BLOCK, lanes + len(rows)))
-    # pass 1: lane 0 from y, the others from 1/2, twins of a few from 1/4
-    h = np.full(buf.shape[1], 0.5)
-    h[0], h[lanes:] = y, 0.25
+    P = np.empty((_BLOCK, lanes))
+    # pass 1: lane 0 from y, the others from 1/2
+    h = np.full(lanes, 0.5)
+    h[0] = y
     ends = None
-    for start in range(0, _ROUNDS, length):
-        Y[:, 0] = h[:lanes]
+    for _ in range(0, _ROUNDS, length):
+        Y[:, 0] = h
         for b in range(0, length, _BLOCK):
-            P = buf[:, :h.size]
-            P[:, :lanes] = A[:, b:b + _BLOCK].T
-            if h.size > lanes:
-                P[:, lanes:] = A[rows, b:b + _BLOCK].T
+            P[...] = A[:, b:b + _BLOCK].T
             # the step writes each round's heights over its parameters, so
             # P ends holding the heights of columns b + 1 .. b + _BLOCK
             for p in P:
                 h = step(p, h)
             h = h.copy()  # the last row of P, which the next block overwrites
             e = b + _BLOCK
-            if start + e == _TWIN_ROUNDS:
-                if not _contracting(h[rows], h[lanes:]):
-                    return None
-                h = h[:lanes]
             settled = ends is not None and (h == (Y[:, e] if e < length else ends)).all()
             out = Y[:, b + 1:e + 1]
-            out[...] = P[:out.shape[1], :lanes].T
+            out[...] = P[:out.shape[1]].T
             if settled:
                 return ends[-1]
         ends = h
         h = np.concatenate(([y], ends[:-1]))
     return None
-
-
-def _contracting(y: np.ndarray, twin: np.ndarray) -> bool:
-    """Whether every twin pair, started at 1/2 and 1/4 and run for
-    _TWIN_ROUNDS rounds, is equal or has shrunk its gap in
-    t = log(y/(1-y)), log 3 at the start, at the pace of 53 halvings per
-    _TWIN_SPAN rounds, which is what meeting bit for bit within that many
-    rounds takes.  A pair at an attracting boundary keeps its gap in t."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.abs(np.log(y) - np.log1p(-y) - np.log(twin) + np.log1p(-twin))
-    bound = math.log(3.0) * 2.0 ** (-53.0 * _TWIN_ROUNDS / _TWIN_SPAN)
-    return bool(((y == twin) | (gap <= bound)).all())
 
 
 def _translation_orbit(t0: float, steps: np.ndarray) -> np.ndarray:

@@ -54,16 +54,7 @@ def orbit_points(sys: CylinderSystem, p0: CylPoint, n: int,
 
     Angles come from :func:`cylmaps.cylinder.base_orbit_angles`; the heights
     follow the fiber maps driven by those angles, Moebius ones carried in t.
-    Quadratic heights equal the scalar loop's bit for bit, but a long orbit
-    is stepped as lanes from guessed starts, pass after pass, each lane from
-    its predecessor's end in the pass before; guesses contract onto the true
-    orbit and, the step being deterministic, stay on it from the first equal
-    height.  An orbit whose twin lanes contract too slowly (Kan), or whose
-    lanes do not settle within the round budget, goes to the scalar loop,
-    which steps it only until it sticks at a float the fibres fix, such as
-    1 - 2**-53, and then checks with the array kernel that each further
-    parameter leaves that height fixed (:func:`fiber._fiber_orbit`,
-    :func:`fiber._fixed_run`).
+    Quadratic heights equal the scalar loop's bit for bit (:func:`fiber._fiber_orbit`).
     """
     if not 0.0 < p0.y < 1.0:
         raise DomainError("orbit statistics need an interior starting height")

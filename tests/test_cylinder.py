@@ -403,6 +403,24 @@ def test_steps_past_a_first_hit_raise_no_warning():
     assert np.array_equal(got, _classify_by_remainder(sys_, xs, ys, 300, 1e-16))
 
 
+def test_blocks_above_the_point_switch_are_one_round_deep():
+    # a block's angle, coefficient and hit arrays hold rounds x live items:
+    # 50,000 undecided points peak at about 2.6 MB in one-round blocks, and
+    # at about 30 MB in blocks of _BLOCK_ROUNDS rounds
+    sys_ = CylinderSystem(3, kan_family(0.05))
+    rng = np.random.default_rng(50)
+    xs = rng.uniform(0.0, 1.0, 50_000)
+    ys = rng.uniform(0.1, 0.9, 50_000)
+    tracemalloc.start()
+    try:
+        got = classify_points(sys_, xs, ys, _BLOCK_ROUNDS + 1, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got == BasinClass.UNDECIDED).all()
+    assert peak < 6e6
+
+
 @pytest.mark.parametrize("k", (3, 5))
 @pytest.mark.parametrize("kind", (KAN, INVERSE_KAN, FRACTIONAL_LINEAR))
 @pytest.mark.parametrize("profile", ("cosine", "step"))

@@ -151,8 +151,8 @@ def _lane_and_plain_orbits(family, a, y):
 
 @pytest.fixture
 def paths(monkeypatch):
-    """Orbits of two lanes or more run in lanes; records each lane run's
-    verdict (None: fell back to the scalar loop) and its rounds."""
+    """Inverse-Kan orbits of two lanes or more run in lanes; records each
+    lane run's verdict (None: fell back to the scalar loop) and its rounds."""
     monkeypatch.setattr(fiber, "_MIN_LANES", 2)
     seen = {"lanes": [], "rounds": []}
     lane_orbit = fiber._lane_orbit
@@ -188,8 +188,9 @@ def test_lane_orbit_is_the_scalar_loop_bit_for_bit(family, paths):
     for y in (1e-3, 2.0**-40, 0.999, 1.0 - 2.0**-40):
         got, want = _lane_and_plain_orbits(family, a, y)
         assert np.array_equal(got, want), y
-    # the orbits of two lanes or more ran in lanes
-    assert len(paths["lanes"]) == 3 + 4
+    # the inverse-Kan orbits of two lanes or more ran in lanes, and Kan
+    # orbits only in the scalar loop
+    assert len(paths["lanes"]) == (3 + 4 if family.kind == fiber.INVERSE_KAN else 0)
 
 
 def test_lane_orbit_settles_in_the_second_pass(paths):
@@ -204,7 +205,7 @@ def test_lane_orbit_settles_in_the_second_pass(paths):
 
 def _orbit_with_identity_lanes(identity):
     """An inverse-Kan orbit of 40 strongly contracting lanes whose lanes
-    32, 33, ... are identity lanes (a = 0); the twins are lanes 2, 6, ..., 30.
+    32, 33, ... are identity lanes (a = 0).
     An identity lane hands its start on unchanged, so the true height
     crosses one of them a pass: m identity lanes settle in pass m + 2."""
     family = inverse_kan_family(0.9)
@@ -252,15 +253,17 @@ def test_lane_orbit_rounds_of_a_long_inverse_kan_orbit(monkeypatch):
     assert 0 < calls <= 4224
 
 
-@pytest.mark.parametrize("family", [inverse_kan_family(0.1), kan_family(0.5)],
+@pytest.mark.parametrize("family, rounds", [(inverse_kan_family(0.1), [fiber._ROUNDS]),
+                                            (kan_family(0.5), [])],
                          ids=["slow-contraction", "attracting-boundaries"])
-def test_lane_orbit_falls_back_when_twins_contract_too_slowly(family, paths):
+def test_lane_orbit_falls_back_when_lanes_contract_too_slowly(family, rounds, paths):
     a = family.displacement(base_orbit_angles(3, 0.1234, 12 * LANE, seed=7))
     got, want = _lane_and_plain_orbits(family, a, 0.4)
     assert np.array_equal(got, want)
-    assert paths["lanes"] == [None]
-    # at the twin test, not after the round budget
-    assert paths["rounds"] == [fiber._TWIN_ROUNDS]
+    # slow lanes fall back after the round budget; Kan lanes, whose
+    # boundaries attract, are never run
+    assert paths["lanes"] == [None] * len(rounds)
+    assert paths["rounds"] == rounds
 
 
 CHUNK = fiber._ORBIT_CHUNK

@@ -63,19 +63,25 @@ def test_negative_regime_collapses_to_boundaries():
 
 def test_kan_orbit_steps_the_scalar_kernel_only_until_it_sticks(monkeypatch):
     # c08's Kan orbit stays at 1 - 2**-53 from within its first chunk on:
-    # the loop takes one more chunk to see it, and the array kernel checks
-    # the rest of the 10**6 parameters
+    # the loop takes one more chunk to see it, the array kernel checks the
+    # rest of the 10**6 parameters, and the lanes' step kernel is never called
     kan = fiber._KERNELS[fiber.KAN]
-    apply, steps = kan["apply"], [0]
+    apply, step, steps, lane_rounds = kan["apply"], kan["step"], [0], [0]
 
     def counted(p, y, xp):
         steps[0] += xp is math
         return apply(p, y, xp)
 
+    def counted_step(p, y):
+        lane_rounds[0] += 1
+        return step(p, y)
+
     monkeypatch.setitem(kan, "apply", counted)
+    monkeypatch.setitem(kan, "step", counted_step)
     _, ys = orbit_points(KAN3, START, 10**6, seed=7)
     assert ys[-1] == 1.0 - 2.0**-53
     assert steps[0] <= 3 * fiber._ORBIT_CHUNK
+    assert lane_rounds[0] == 0
 
 
 HISTOGRAM_BINS = [(16, 16), (7, 13), (10, 3), (1, 1), (1000, 1)]
@@ -192,8 +198,8 @@ def test_orbit_points_heights_follow_fibers(monkeypatch):
     from cylmaps import CosineProfile, eval_fiber, fiber, fractional_linear_family
 
     # bit-exact for the quadratic kinds, across the lane boundaries at
-    # multiples of fiber._LANE: three lanes and a tail, stepped in lanes from
-    # two lanes on (three lanes hold no twins, and both orbits' lanes settle)
+    # multiples of fiber._LANE: three lanes and a tail, the inverse-Kan orbit
+    # stepped in lanes from two lanes on (its lanes settle)
     monkeypatch.setattr(fiber, "_MIN_LANES", 2)
     n = 3 * fiber._LANE + 100
     for family in (INV3.family, KAN3.family):
