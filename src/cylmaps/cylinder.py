@@ -41,11 +41,11 @@ EXACT_ORBIT_PREFIX = 50
 #: parts each open column search is cut into per classifier call
 _SECTIONS = 12
 
-#: live points at or below which the classifier steps a block of up to
-#: _BLOCK_ROUNDS rounds before it tests for hits; above, a block is one
-#: round, which bounds the block's rounds x live arrays
-_BLOCK_POINTS = 2048
+#: a classifier block steps up to _BLOCK_ROUNDS rounds before it tests for
+#: hits, and at most _BLOCK_ELEMENTS // live rounds (at least one) for live
+#: undecided points, which bounds the block's rounds x live arrays
 _BLOCK_ROUNDS = 32
+_BLOCK_ELEMENTS = 2048 * _BLOCK_ROUNDS
 
 #: finest separator ladder 2^-L: rung numerators j < 2^53 are exact floats
 _MAX_LADDER_DEPTH = 53
@@ -267,21 +267,21 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     1 - delta, Undecided when the budget n_max runs out first.  Heights that
     are exactly 0 or 1 classify immediately.
 
-    The rounds run in blocks: up to _BLOCK_ROUNDS rounds, cut at n_max,
-    while at most _BLOCK_POINTS points are undecided, and one round above
-    that.  A block steps the distinct angles of the undecided points once a
-    round, in place as k*x - floor(k*x), which is k*x mod 1 bit for bit,
-    into one row a round; computes the coefficients of all its rows in one
-    call and gathers them to the points that share each angle (nothing is
-    gathered when no angle repeats); steps the heights row by row with the
-    family's in-place step kernel, which rounds as its apply kernel does;
-    and then reads each point's class at its first hitting round, discards
-    its steps past that round, and drops the decided points.  Every point
-    meets the same coefficients, bit for bit and in the same order, as it
-    would alone (0.0 and -0.0 give the same ones), so a point's class does
-    not depend on the other points in the batch, and callers may classify
-    any union of questions in one call.  xs and ys are copied first and
-    never written.  Angles and heights must be finite.
+    The rounds run in blocks: min(_BLOCK_ROUNDS, _BLOCK_ELEMENTS // live)
+    rounds, at least one, for live undecided points, cut at n_max.  A block
+    steps the distinct angles of the undecided points once a round, in
+    place as k*x - floor(k*x), which is k*x mod 1 bit for bit, into one row
+    a round; computes the coefficients of all its rows in one call and
+    gathers them to the points that share each angle (nothing is gathered
+    when no angle repeats); steps the heights row by row with the family's
+    in-place step kernel, which rounds as its apply kernel does; and then
+    reads each point's class at its first hitting round, discards its steps
+    past that round, and drops the decided points.  Every point meets the
+    same coefficients, bit for bit and in the same order, as it would alone
+    (0.0 and -0.0 give the same ones), so a point's class does not depend
+    on the other points in the batch, and callers may classify any union of
+    questions in one call.  xs and ys are copied first and never written.
+    Angles and heights must be finite.
 
     Even k is refused: the float base orbit k*x mod 1 then sheds low bits each
     step and collapses onto x = 0, whose fiber alone would decide every class.
@@ -309,7 +309,7 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     weights = np.arange(2 * _BLOCK_ROUNDS - 1, 0, -2, dtype=np.uint8)[:, None]
     done = 0
     while idx.size and done < n_max:
-        rounds = min(_BLOCK_ROUNDS if idx.size <= _BLOCK_POINTS else 1, n_max - done)
+        rounds = min(_BLOCK_ROUNDS, max(1, _BLOCK_ELEMENTS // idx.size), n_max - done)
         done += rounds
         # row r of X holds the angles of round r: k*x - floor(k*x), stepped
         # in place, and x goes on to the next block's first round

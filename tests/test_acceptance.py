@@ -77,11 +77,23 @@ def test_c08_asymptotic_measure():
 
 
 def test_c09_random_walk():
-    _report(selftest.check_random_walk())
+    artifacts = {}
+    _report(selftest.check_random_walk(artifacts))
+    # pinned across versions: the walks behind these read the walk digit
+    # stream, so a change to that stream fails here; re-pin, with a note,
+    # only for a change meant to move the digits
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()} == {
+        "walk_ratios.csv": "c1c957e4117f948a6ae763b14c1e2fafe8393b77b83a2ad1d44410d85195ddd9",
+        "arcsine.csv": "3173d06956298efbe37df7d2bf35c83bc2a41bfd0a232e277fe133a0b0448e0d",
+    }
 
 
 def test_c10_equidistribution():
-    _report(selftest.check_equidistribution())
+    artifacts = {}
+    _report(selftest.check_equidistribution(artifacts))
+    # pinned across versions, as c09's walk artifacts are
+    assert (hashlib.sha256(artifacts["equidist.csv"]).hexdigest()
+            == "a55ed9c9d2134d784d304ebb2c97cf84b1c0198c5f5e24b0be7a2163dc392408")
 
 
 def _run_selftest_cli(out_dir: Path, threads: int) -> subprocess.CompletedProcess:

@@ -37,7 +37,7 @@ from cylmaps import (
     step,
     transverse_exponent_birkhoff,
 )
-from cylmaps.cylinder import _BLOCK_POINTS, _BLOCK_ROUNDS, _mod1, separator_sweep
+from cylmaps.cylinder import _BLOCK_ELEMENTS, _BLOCK_ROUNDS, _mod1, separator_sweep
 from cylmaps.fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN, _apply_fiber
 
 SYS3 = CylinderSystem(3, kan_family(0.5))
@@ -366,10 +366,10 @@ _SWING = StepProfile((0.9, -0.9, 0.0))
 
 
 @pytest.mark.parametrize("kind", (KAN, INVERSE_KAN, FRACTIONAL_LINEAR))
-def test_blocks_of_rounds_classify_as_the_remainder_round_loop(kind):
-    # a block steps up to _BLOCK_ROUNDS rounds and must read each point's
-    # class at its first hit, stop at n_max, and step batches above
-    # _BLOCK_POINTS points one round a block
+def test_blocks_of_rounds_classify_as_the_remainder_round_loop(kind, monkeypatch):
+    # a block steps min(_BLOCK_ROUNDS, _BLOCK_ELEMENTS // live) rounds, at
+    # least one, and must read each point's class at its first hit and stop
+    # at n_max; these batches start with blocks of 32, 31, 2 and 1 rounds
     sys_ = CylinderSystem(3, FiberFamily(kind, _SWING))
     delta = 0.01
     rng = np.random.default_rng(2048)
@@ -377,15 +377,25 @@ def test_blocks_of_rounds_classify_as_the_remainder_round_loop(kind):
     edges = [delta, 1.0 - delta, np.nextafter(delta, 0.0), np.nextafter(1.0 - delta, 1.0)]
     swing_y = np.tile(np.concatenate([near, 1.0 - near, edges]), 2)
     swing_x = np.repeat([3.0 / 8.0, 1.0 / 8.0], swing_y.size // 2)
-    for size in (_BLOCK_POINTS // 4, 2 * _BLOCK_POINTS):
-        # columns of four heights, with the swinging points, and then
-        # angles that never repeat
-        columns = np.concatenate([swing_x, np.repeat(rng.uniform(0.0, 1.0, size // 4), 4)])
-        heights = np.concatenate([swing_y, rng.uniform(0.0, 1.0, size)])
-        lone = rng.uniform(0.0, 1.0, size)
-        for xs, ys in ((columns, heights), (lone, heights[-size:])):
-            for n_max in (2, 45, 200):
+    swing_live = swing_y.size - 4  # the edges beyond a threshold decide at once
+    shapes = _record_displaced_angles(monkeypatch)
+    # the two large batches stop at 45 rounds, which keeps the reference
+    # loop quick
+    for live, first, budgets in ((_BLOCK_ELEMENTS // _BLOCK_ROUNDS, 32, (2, 45, 200)),
+                                 (_BLOCK_ELEMENTS // _BLOCK_ROUNDS + 1, 31, (2, 45, 200)),
+                                 (_BLOCK_ELEMENTS // 2, 2, (2, 45)),
+                                 (_BLOCK_ELEMENTS // 2 + 1, 1, (2, 45))):
+        # columns of four undecided heights, with the swinging points, and
+        # then angles that never repeat
+        n = live - swing_live
+        columns = np.concatenate([swing_x, np.repeat(rng.uniform(0.0, 1.0, n // 4 + 1), 4)[:n]])
+        heights = np.concatenate([swing_y, rng.uniform(delta, 1.0 - delta, n)])
+        lone = rng.uniform(0.0, 1.0, live)
+        for xs, ys in ((columns, heights), (lone, rng.uniform(delta, 1.0 - delta, live))):
+            for n_max in budgets:
+                shapes.clear()
                 got = classify_points(sys_, xs, ys, n_max, delta)
+                assert shapes[0][0] == min(first, n_max)
                 assert np.array_equal(got, _classify_by_remainder(sys_, xs, ys, n_max, delta))
 
 
@@ -403,14 +413,16 @@ def test_steps_past_a_first_hit_raise_no_warning():
     assert np.array_equal(got, _classify_by_remainder(sys_, xs, ys, 300, 1e-16))
 
 
-def test_blocks_above_the_point_switch_are_one_round_deep():
-    # a block's angle, coefficient and hit arrays hold rounds x live items:
-    # 50,000 undecided points peak at about 2.6 MB in one-round blocks, and
-    # at about 30 MB in blocks of _BLOCK_ROUNDS rounds
+@pytest.mark.parametrize("live", (2049, 5000, 20_000, 50_000))
+def test_blocks_hold_at_most_the_element_budget(live):
+    # a block's angle, coefficient and hit arrays hold rounds x live items,
+    # at most _BLOCK_ELEMENTS: 2,049 to 50,000 undecided points peak at
+    # about 1.2 to 2.6 MB, and 50,000 at about 30 MB in blocks of
+    # _BLOCK_ROUNDS rounds
     sys_ = CylinderSystem(3, kan_family(0.05))
     rng = np.random.default_rng(50)
-    xs = rng.uniform(0.0, 1.0, 50_000)
-    ys = rng.uniform(0.1, 0.9, 50_000)
+    xs = rng.uniform(0.0, 1.0, live)
+    ys = rng.uniform(0.1, 0.9, live)
     tracemalloc.start()
     try:
         got = classify_points(sys_, xs, ys, _BLOCK_ROUNDS + 1, 1e-6)
@@ -489,12 +501,12 @@ def test_columns_sharing_an_angle_classify_as_each_point_alone(kind, profile, mo
 
 def test_the_raster_steps_each_column_angle_once_per_round(monkeypatch):
     # the 512 x 512 raster, counted time-free: its columns share their
-    # angles, which take 694,400 steps in 2,057 rounds (1,977 until the last
-    # point decides, plus the rest of each call's last block) and 600 blocks
+    # angles, which take 694,464 steps in 2,059 rounds (1,977 until the last
+    # point decides, plus the rest of each call's last block) and 90 blocks
     shapes = _record_displaced_angles(monkeypatch)
     rasterize(SYS3, 512, 512, 5000, 1e-6)
-    assert len(shapes) == 600
-    assert sum(rounds for rounds, _ in shapes) == 2057
+    assert len(shapes) == 90
+    assert sum(rounds for rounds, _ in shapes) == 2059
     assert sum(rounds * angles for rounds, angles in shapes) <= 700_000
 
 
