@@ -805,6 +805,25 @@ def test_base_orbit_angles_prefix_and_regeneration():
     assert (ang == again).all()
 
 
+@pytest.mark.parametrize("n", [0, 1, 50, 51, 10**5])
+@pytest.mark.parametrize("x0", [0.1234, 0.0, 0.5])
+@pytest.mark.parametrize("seed", [None, 0, 1, 7, 12345])
+def test_base_orbit_angles_tail_is_numpys_uniform_draw(n, x0, seed):
+    # the i.i.d. tail after the 50-angle prefix is what
+    # default_rng(seed).uniform(0.0, 1.0, n - 50) returns, bit for bit;
+    # angles the float map fixes draw nothing
+    if (3 * x0) % 1.0 == x0:
+        want = np.full(n, x0)
+    else:
+        prefix = [x0]
+        while len(prefix) < min(n, 50):
+            prefix.append((3 * prefix[-1]) % 1.0)
+        bits = int(np.float64(x0).view(np.uint64)) if seed is None else seed
+        tail = np.random.default_rng(bits).uniform(0.0, 1.0, max(n - 50, 0))
+        want = np.concatenate([prefix[:n], tail])
+    assert base_orbit_angles(3, x0, n, seed=seed).tobytes() == want.tobytes()
+
+
 def test_base_orbit_angles_fixed_point_is_constant():
     ang = base_orbit_angles(3, 0.5, 500)
     assert (ang == 0.5).all()

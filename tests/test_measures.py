@@ -14,6 +14,7 @@ from cylmaps import (
     StepProfile,
     WrongFamilyError,
     birkhoff_average,
+    fractional_linear_family,
     inverse_kan_family,
     jacobian_branch_sum,
     kan_family,
@@ -22,7 +23,7 @@ from cylmaps import (
 )
 from cylmaps import fiber, measures
 from cylmaps.fiber import INVERSE_KAN
-from cylmaps.measures import Histogram2D, histogram_csv, orbit_points
+from cylmaps.measures import BIRKHOFF_MEMO_SIZE, TEST_FUNCTIONS, Histogram2D, histogram_csv, orbit_points
 
 INV3 = CylinderSystem(3, inverse_kan_family(0.5))
 KAN3 = CylinderSystem(3, kan_family(0.5))
@@ -192,6 +193,93 @@ def test_birkhoff_averages_match_lebesgue():
 def test_birkhoff_unknown_function_gate():
     with pytest.raises(PreconditionError):
         birkhoff_average(INV3, "sin_x", START, 10**4)
+
+
+# the test functions of (x, y) that TEST_FUNCTIONS restates in y and cos(2*pi*x)
+SPELLED_OUT = {
+    "y": lambda x, y: y,
+    "y_squared": lambda x, y: y * y,
+    "cos_x": lambda x, y: np.cos(2.0 * np.pi * x),
+    "y_cos_x": lambda x, y: y * np.cos(2.0 * np.pi * x),
+}
+MEMO_SYSTEMS = {
+    "INV3": INV3,
+    "KAN3": KAN3,
+    "moebius_step": CylinderSystem(3, fractional_linear_family(StepProfile((0.3, -0.1, -0.2)))),
+    "inverse_kan_step": CylinderSystem(3, FiberFamily(INVERSE_KAN, StepProfile((0.5, -0.25, -0.25)))),
+}
+
+
+@pytest.fixture
+def memo():
+    measures._memo_orbit_means.cache_clear()
+    return measures._memo_orbit_means
+
+
+@pytest.mark.parametrize("seed", [None, 8, np.int64(12)], ids=["None", "int", "int64"])
+@pytest.mark.parametrize("name", MEMO_SYSTEMS)
+def test_birkhoff_means_are_the_spelled_out_means(name, seed, memo):
+    # both burn-ins after one clear: a memo key without burn_in reads the
+    # first one's means for the second
+    sys_, n = MEMO_SYSTEMS[name], 20_000
+    xs, ys = orbit_points(sys_, START, n, seed=seed)
+    assert list(TEST_FUNCTIONS) == list(SPELLED_OUT)
+    for burn_in in (0, 1000):
+        for chi, f in SPELLED_OUT.items():
+            want = float(np.mean(f(xs[burn_in:], ys[burn_in:])))
+            got = birkhoff_average(sys_, chi, START, n, burn_in, seed=seed)
+            assert got.hex() == want.hex(), (chi, burn_in)
+
+
+def test_one_orbit_per_birkhoff_key(memo, monkeypatch):
+    calls = []
+    real = measures.orbit_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "orbit_points", counted)
+    key = (INV3, START, 5000, 100, 8)
+    for chi in ("y", "y_squared", "cos_x"):
+        birkhoff_average(INV3, chi, START, 5000, 100, seed=8)
+    assert len(calls) == 1
+    # an np.int64 seed is the same key as the int
+    birkhoff_average(INV3, "y_cos_x", START, 5000, 100, seed=np.int64(8))
+    assert len(calls) == 1
+    for field, value in enumerate((KAN3, CylPoint(0.2, 0.4), 5001, 101, 9)):
+        sys_, p0, n, burn_in, seed = key[:field] + (value,) + key[field + 1:]
+        birkhoff_average(sys_, "y", p0, n, burn_in, seed=seed)
+        assert len(calls) == field + 2, field
+    birkhoff_average(INV3, "y", START, 5000, 100, seed=None)
+    assert len(calls) == 7
+
+
+def test_generator_seeds_bypass_the_birkhoff_memo(memo):
+    # each call draws its orbit from where the generator stands
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    got = [birkhoff_average(INV3, "y", START, 5000, 100, seed=rng) for _ in range(2)]
+    want = [float(np.mean(orbit_points(INV3, START, 5000, seed=ref)[1][100:])) for _ in range(2)]
+    assert got == want and got[0] != got[1]
+    birkhoff_average(INV3, "y", START, 5000, 100, seed=np.random.SeedSequence(5))
+    assert memo.cache_info().currsize == 0
+
+
+def test_birkhoff_memo_keeps_only_the_means_of_a_bounded_number_of_orbits(memo):
+    import tracemalloc
+
+    birkhoff_average(INV3, "y", START, 10**4, 100)  # first-call allocations
+    memo.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for seed in range(4 * BIRKHOFF_MEMO_SIZE):
+            birkhoff_average(INV3, "y", START, 10**4, 100, seed=seed)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert memo.cache_info().currsize <= BIRKHOFF_MEMO_SIZE
+    assert retained < 64 * 1024  # one 10**4-step orbit array is 80 KB
 
 
 def test_orbit_points_heights_follow_fibers(monkeypatch):
