@@ -87,7 +87,6 @@ from .walks import (
     OccupationStats,
     WalkTrace,
     arcsine_ensemble,
-    average_displacement,
     circle_equidistribution,
     cyclic_support_check,
     final_counts,

@@ -63,8 +63,9 @@ def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
     Cells below the first index are Basin0, from the second on Basin1, and
     Undecided between; this equals classifying every cell whenever a
     column's classes are monotone in y, as increasing fibres make them up
-    to rounding.  The search runs on the calling thread; threads has no
-    effect.
+    to rounding.  The search runs on the calling thread.  threads has no
+    effect; it stays only because perfbench/ops.py passes threads=1 and
+    threads=2, and goes when the benchmark stops passing it.
     """
     if width < 1 or height < 1:
         raise PreconditionError("raster dimensions must be >= 1")
@@ -88,7 +89,7 @@ def measure_fractions(raster: BasinRaster) -> tuple[float, float, float]:
 
 def intermingle_probe(sys: CylinderSystem, num_boxes: int, box_side: float,
                       samples_per_box: int, n_max: int, delta: float,
-                      seed: int, threads: int = 1) -> IntermingleReport:
+                      seed: int) -> IntermingleReport:
     """Sample random boxes and count how many contain both basins.
 
     Box centers are uniform with the y-center restricted to [0.1, 0.9]
@@ -100,7 +101,7 @@ def intermingle_probe(sys: CylinderSystem, num_boxes: int, box_side: float,
     both basins is closed, since more samples cannot change its outcome,
     and every other box classifies every sample.  A point's class does not
     depend on the rest of its batch, so the report equals classifying every
-    sample.  threads has no effect.
+    sample.
     """
     if num_boxes < 1:
         raise PreconditionError("need at least one box")
@@ -135,11 +136,9 @@ def intermingle_probe(sys: CylinderSystem, num_boxes: int, box_side: float,
                              box_side=box_side, samples_per_box=samples_per_box, seed=seed)
 
 
-def write_ppm(raster: BasinRaster, palette=DEFAULT_PALETTE) -> bytes:
-    """Binary PPM (P6) bytes; top image row is the y-near-1 edge."""
-    lut = np.asarray(palette, dtype=np.uint8)
-    if lut.shape != (3, 3):
-        raise PreconditionError("palette must give three RGB triples")
+def write_ppm(raster: BasinRaster) -> bytes:
+    """Binary PPM (P6) bytes in DEFAULT_PALETTE; top image row is the y-near-1 edge."""
+    lut = np.asarray(DEFAULT_PALETTE, dtype=np.uint8)
     rgb = lut[raster.cells[::-1]]  # flip so the upper boundary is on top
     out = io.BytesIO()
     out.write(f"P6\n{raster.width} {raster.height}\n255\n".encode("ascii"))

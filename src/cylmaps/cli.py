@@ -54,6 +54,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be non-negative integers, got {text}")
+    return value
+
+
 def _angle(text: str) -> float:
     value = float(text)
     if not 0.0 <= value < 1.0:
@@ -119,41 +126,42 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("lyap", help="transverse boundary exponents by quadrature")
+    p.set_defaults(run=_run_lyap)
     _add_system_flags(p)
     p.add_argument("--nodes", type=_positive_int, default=4096)
 
     p = subs.add_parser("basins", help="rasterize the boundary basins")
+    p.set_defaults(run=_run_basins)
     _add_system_flags(p)
     p.add_argument("--width", type=_positive_int, default=512)
     p.add_argument("--height", type=_positive_int, default=512)
     p.add_argument("--max-iter", type=_positive_int, default=5000)
     p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="accepted and ignored: the raster runs on one thread")
     p.add_argument("--out", default=None, help="write a P6 PPM here")
 
     p = subs.add_parser("intermingle", help="box-sampling intermingling probe")
+    p.set_defaults(run=_run_intermingle)
     _add_system_flags(p)
     p.add_argument("--boxes", type=_positive_int, default=100)
     p.add_argument("--box-side", type=float, default=1.0 / 64.0)
     p.add_argument("--samples", type=_positive_int, default=500)
     p.add_argument("--max-iter", type=_positive_int, default=5000)
     p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="accepted and ignored: the probe runs on one thread")
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--out", default=None, help="write the report CSV here")
 
     p = subs.add_parser("separator", help="separator sweep by column search on a dyadic ladder")
+    p.set_defaults(run=_run_separator)
     _add_system_flags(p)
     p.add_argument("--angles", type=_positive_int, default=200)
     p.add_argument("--max-iter", type=_positive_int, default=5000)
     p.add_argument("--delta", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--out", default=None, help="write per-angle samples here")
 
     p = subs.add_parser("histogram", help="orbit histogram and uniformity stats")
+    p.set_defaults(run=_run_histogram)
     _add_system_flags(p, default_family="inverse-kan")
     p.add_argument("--x0", type=_angle, default=0.1234)
     p.add_argument("--y0", type=float, default=0.4)
@@ -161,42 +169,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins-x", type=_positive_int, default=16)
     p.add_argument("--bins-y", type=_positive_int, default=16)
     p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--out", default=None, help="write bin counts here")
 
     p = subs.add_parser("jacobian-check", help="inverse-branch Jacobian sums")
+    p.set_defaults(run=_run_jacobian_check)
     _add_system_flags(p, default_family="inverse-kan")
     p.add_argument("--points", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--seed", type=_seed, default=11)
 
     p = subs.add_parser("birkhoff", help="time average of a named test function")
+    p.set_defaults(run=_run_birkhoff)
     _add_system_flags(p, default_family="inverse-kan")
     p.add_argument("--chi", choices=tuple(TEST_FUNCTIONS), default="y")
     p.add_argument("--x0", type=_angle, default=0.1234)
     p.add_argument("--y0", type=float, default=0.4)
     p.add_argument("--n", type=_positive_int, default=10**6)
     p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=8)
+    p.add_argument("--seed", type=_seed, default=8)
 
     p = subs.add_parser("walk", help="step-profile random walk occupation ratios")
+    p.set_defaults(run=_run_walk)
     p.add_argument("--values", type=_values, default=(1.0, -1.0))
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--n", type=_positive_int, default=10**6)
     p.add_argument("--threshold", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--every", type=_positive_int, default=1000,
                    help="CSV downsampling stride")
     p.add_argument("--out", default=None, help="write the ratio table here")
 
     p = subs.add_parser("arcsine", help="arcsine-law ensemble frequencies")
+    p.set_defaults(run=_run_arcsine)
     p.add_argument("--values", type=_values, default=(1.0, -1.0))
     p.add_argument("--n", type=_positive_int, default=10**4)
     p.add_argument("--walks", type=_positive_int, default=2000)
     p.add_argument("--eps", type=_values, default=(0.5, 0.25))
-    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--seed", type=_seed, default=11)
     p.add_argument("--out", default=None, help="write the frequency table here")
 
     p = subs.add_parser("equidist", help="walk equidistribution mod L")
+    p.set_defaults(run=_run_equidist)
     p.add_argument("--values", default="1,-1",
                    help="comma-separated exact rationals, e.g. '1,-1' or '1/3,-1/3'")
     p.add_argument("--modulus", default="pi",
@@ -204,9 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=10**6)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--bins", type=_positive_int, default=256)
-    p.add_argument("--seed", type=int, default=123)
+    p.add_argument("--seed", type=_seed, default=123)
 
     p = subs.add_parser("backward", help="backward orbit toward a marked angle")
+    p.set_defaults(run=_run_backward)
     _add_system_flags(p)
     p.add_argument("--x0", type=_angle, default=0.1)
     p.add_argument("--y0", type=float, default=0.5)
@@ -215,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive_int, default=200)
 
     p = subs.add_parser("selftest", help="run the full acceptance suite")
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="accepted and ignored: the suite runs on one thread")
+    p.set_defaults(run=_run_selftest)
     p.add_argument("--out-dir", default=None,
                    help="write the suite artifacts into this directory")
     return parser
@@ -353,27 +366,11 @@ def _run_selftest(args) -> int:
     return 0
 
 
-_RUNNERS = {
-    "lyap": _run_lyap,
-    "basins": _run_basins,
-    "intermingle": _run_intermingle,
-    "separator": _run_separator,
-    "histogram": _run_histogram,
-    "jacobian-check": _run_jacobian_check,
-    "birkhoff": _run_birkhoff,
-    "walk": _run_walk,
-    "arcsine": _run_arcsine,
-    "equidist": _run_equidist,
-    "backward": _run_backward,
-    "selftest": _run_selftest,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _RUNNERS[args.command](args)
+        return args.run(args)
     except CylmapsError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except OSError as exc:

@@ -6,7 +6,7 @@ k >= 2 and a fiber family from :mod:`cylmaps.fiber`.  Both boundary circles
 backward orbits steered toward a marked angle, the push/pull hypothesis
 check near marked periodic angles, first-hitting classification of points
 into the two boundary basins (the points over one angle share its base
-orbit, and small batches run blocks of rounds between hit tests), the
+orbit, and every batch runs blocks of rounds between hit tests), the
 column search that finds where a column {x} x [0, 1] changes class, and
 estimates of the fiberwise separator height sigma(x) by that search on a
 dyadic ladder of heights, each bracket made of two classified heights.
@@ -137,13 +137,12 @@ def circle_distance(u: float, v: float) -> float:
     return min(d, 1.0 - d)
 
 
-def is_periodic_angle(k: int, x: float, period: int = 1,
-                      tol: float = _FIXED_ANGLE_TOL) -> bool:
+def is_periodic_angle(k: int, x: float, period: int = 1) -> bool:
     """True when k^period * x returns to x mod 1, up to rounding slack."""
     xx = x
     for _ in range(period):
         xx = (k * xx) % 1.0
-    return circle_distance(xx, x) <= tol
+    return circle_distance(xx, x) <= _FIXED_ANGLE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +296,11 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     out[y < delta] = BasinClass.BASIN0
     out[y > 1.0 - delta] = BasinClass.BASIN1
     # the undecided points only, as (slot in out, angle, height); when angles
-    # repeat, x holds each distinct angle once and point i reads x[col[i]]
+    # repeat, x holds each distinct angle once and point i reads x[col[i]].
+    # Batches of distinct angles (probe samples, random points) skip the
+    # gather: through an identity col they give the same bits, but 400,000
+    # distinct Kan points (k 3, n_max 300) took 3.0-3.2 s of CPU against
+    # 2.5-2.6 s without it, on a 2-core Xeon host
     idx = np.flatnonzero(out == BasinClass.UNDECIDED)
     x, y = x[idx], y[idx]
     shared = bool((np.diff(np.sort(x)) == 0.0).any())

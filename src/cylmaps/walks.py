@@ -20,8 +20,7 @@ import numpy as np
 
 from .cylinder import CylinderSystem, _mod1
 from .errors import DomainError, PreconditionError, WrongFamilyError
-from .fiber import (FRACTIONAL_LINEAR, DisplacementProfile, StepProfile, _translation_orbit,
-                    poincare_coord)
+from .fiber import FRACTIONAL_LINEAR, StepProfile, _translation_orbit, poincare_coord
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,6 @@ class ArcsinePoint:
     eps: float
     empirical: float
     theoretical: float
-
-
-def average_displacement(profile: DisplacementProfile) -> float:
-    """Mean of p(x) over the circle: exact 0 for cosine, value mean for steps."""
-    return profile.mean()
 
 
 def _require_step(profile) -> StepProfile:

@@ -96,29 +96,20 @@ def test_c10_equidistribution():
             == "a55ed9c9d2134d784d304ebb2c97cf84b1c0198c5f5e24b0be7a2163dc392408")
 
 
-def _run_selftest_cli(out_dir: Path, threads: int) -> subprocess.CompletedProcess:
+def _run_selftest_cli(out_dir: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "cylmaps", "selftest",
-         "--threads", str(threads), "--out-dir", str(out_dir)],
+        [sys.executable, "-m", "cylmaps", "selftest", "--out-dir", str(out_dir)],
         capture_output=True, text=True, timeout=600)
 
 
 def test_c11_selftest_determinism(tmp_path):
-    runs = {
-        "first": (tmp_path / "first", 1),
-        "second": (tmp_path / "second", 1),
-        "threaded": (tmp_path / "threaded", 8),
-    }
-    for label, (out_dir, threads) in runs.items():
-        proc = _run_selftest_cli(out_dir, threads)
-        assert proc.returncode == 0, f"{label} selftest failed:\n{proc.stdout}\n{proc.stderr}"
-    names = sorted(p.name for p in (tmp_path / "first").iterdir())
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out_dir in (first, second):
+        proc = _run_selftest_cli(out_dir)
+        assert proc.returncode == 0, f"{out_dir.name} selftest failed:\n{proc.stdout}\n{proc.stderr}"
+    names = sorted(p.name for p in first.iterdir())
     assert names, "selftest produced no artifacts"
-    for other in ("second", "threaded"):
-        other_names = sorted(p.name for p in (tmp_path / other).iterdir())
-        assert other_names == names
-        match, mismatch, errors = filecmp.cmpfiles(
-            tmp_path / "first", tmp_path / other, names, shallow=False)
-        assert not mismatch and not errors, f"artifacts differ vs {other}: {mismatch or errors}"
-    print(f"[PASS] selftest_determinism: {len(names)} artifacts byte-identical "
-          f"across reruns and --threads 1 vs 8")
+    assert sorted(p.name for p in second.iterdir()) == names
+    match, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
+    assert not mismatch and not errors, f"artifacts differ across reruns: {mismatch or errors}"
+    print(f"[PASS] selftest_determinism: {len(names)} artifacts byte-identical across reruns")

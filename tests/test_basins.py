@@ -117,12 +117,6 @@ def test_probe_reference_system():
     assert total == rep.boxes_total
 
 
-def test_probe_thread_invariance():
-    a = intermingle_probe(SYS3, 24, 1.0 / 64.0, 200, 2000, 1e-6, seed=9)
-    b = intermingle_probe(SYS3, 24, 1.0 / 64.0, 200, 2000, 1e-6, seed=9, threads=4)
-    assert a == b
-
-
 # (system, boxes, samples a box, n_max, delta): 200 samples cross every stage
 # end; inverse Kan at delta 0.01 reads all four outcomes; at epsilon 0.05 no
 # box decides, so every sample of every box is classified
@@ -134,10 +128,9 @@ PROBE_CASES = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("case", PROBE_CASES.values(), ids=PROBE_CASES.keys())
-def test_probe_matches_per_box_loop(case, seed, threads):
+def test_probe_matches_per_box_loop(case, seed):
     def per_box(sys_, num_boxes, side, samples, n_max, delta, seed):
         counts = [0, 0, 0, 0]  # both, only0, only1, neither
         for sub in np.random.SeedSequence(seed).spawn(num_boxes):
@@ -153,8 +146,7 @@ def test_probe_matches_per_box_loop(case, seed, threads):
         return counts
 
     sys_, boxes, samples, n_max, delta = case
-    rep = intermingle_probe(sys_, boxes, 1.0 / 64.0, samples, n_max, delta, seed=seed,
-                            threads=threads)
+    rep = intermingle_probe(sys_, boxes, 1.0 / 64.0, samples, n_max, delta, seed=seed)
     got = [rep.boxes_both, rep.boxes_only0, rep.boxes_only1, rep.boxes_undecided]
     assert got == per_box(sys_, boxes, 1.0 / 64.0, samples, n_max, delta, seed)
 
@@ -212,7 +204,7 @@ def test_probe_gates():
 
 def test_ppm_single_cell():
     r = rasterize(SYS3, 1, 1, 0, 1e-6)  # undecided -> black
-    data = write_ppm(r, palette=((0, 0, 255), (255, 200, 0), (0, 0, 0)))
+    data = write_ppm(r)
     assert data == b"P6\n1 1\n255\n\x00\x00\x00"
 
 

@@ -72,6 +72,18 @@ def test_usage_error_on_refused_input(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["intermingle", "separator", "histogram", "jacobian-check",
+                                     "birkhoff", "walk", "arcsine", "equidist"])
+def test_usage_error_on_negative_seed(command, capsys):
+    # refused while parsing, before any numpy generator can raise ValueError
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--seed", "-1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cylmaps {command}: error: argument --seed" in err
+    assert "Traceback" not in err
+
+
 def test_basins_writes_ppm(tmp_path, capsys):
     out = tmp_path / "b.ppm"
     code, text = run_cli(["basins", "--width", "32", "--height", "16",

@@ -16,7 +16,6 @@ from cylmaps import (
     WalkTrace,
     WrongFamilyError,
     arcsine_ensemble,
-    average_displacement,
     circle_equidistribution,
     CosineProfile,
     cyclic_support_check,
@@ -35,9 +34,9 @@ PM1 = StepProfile((1.0, -1.0))
 
 
 def test_average_displacement():
-    assert average_displacement(PM1) == 0.0
-    assert average_displacement(CosineProfile(0.75)) == 0.0
-    assert average_displacement(StepProfile((1.0, 1.0, -1.0))) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert PM1.mean() == 0.0
+    assert CosineProfile(0.75).mean() == 0.0
+    assert StepProfile((1.0, 1.0, -1.0)).mean() == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_simulate_walk_basics():
