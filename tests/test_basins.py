@@ -119,7 +119,9 @@ def test_probe_reference_system():
 
 # (system, boxes, samples a box, n_max, delta): 200 samples cross every stage
 # end; inverse Kan at delta 0.01 reads all four outcomes; at epsilon 0.05 no
-# box decides, so every sample of every box is classified
+# box decides, so every sample of every box is classified; a quarter-side box
+# wraps in x and clips to the boundary heights 0 and 1 far more often than a
+# 1/64 box does
 PROBE_CASES = {
     "kan-20": (SYS3, 40, 20, 120, 1e-6),
     "kan-200": (SYS3, 40, 200, 120, 1e-6),
@@ -128,9 +130,10 @@ PROBE_CASES = {
 }
 
 
+@pytest.mark.parametrize("side", [1.0 / 64.0, 0.25])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("case", PROBE_CASES.values(), ids=PROBE_CASES.keys())
-def test_probe_matches_per_box_loop(case, seed):
+def test_probe_matches_per_box_loop(case, seed, side):
     def per_box(sys_, num_boxes, side, samples, n_max, delta, seed):
         counts = [0, 0, 0, 0]  # both, only0, only1, neither
         for sub in np.random.SeedSequence(seed).spawn(num_boxes):
@@ -146,9 +149,9 @@ def test_probe_matches_per_box_loop(case, seed):
         return counts
 
     sys_, boxes, samples, n_max, delta = case
-    rep = intermingle_probe(sys_, boxes, 1.0 / 64.0, samples, n_max, delta, seed=seed)
+    rep = intermingle_probe(sys_, boxes, side, samples, n_max, delta, seed=seed)
     got = [rep.boxes_both, rep.boxes_only0, rep.boxes_only1, rep.boxes_undecided]
-    assert got == per_box(sys_, boxes, 1.0 / 64.0, samples, n_max, delta, seed)
+    assert got == per_box(sys_, boxes, side, samples, n_max, delta, seed)
 
 
 def test_probe_is_regime_specific():
