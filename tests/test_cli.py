@@ -63,8 +63,12 @@ def test_usage_error_on_malformed_profile(profile, family, capsys):
     ["basins", "--width", "32", "--height", "32", "--delta", "1e-17"],
     ["separator", "--angles", "20", "--delta", "1e-17"],
     ["lyap", "--family", "fractional-linear", "--epsilon", "0.3"],
+    ["walk", "--values", "1", "--n", "10"],
+    ["equidist", "--values", "1"],
+    ["arcsine", "--values", "1"],
 ], ids=["basins-even-k", "walk-nan", "walk-inf", "basins-delta", "separator-delta",
-        "fractional-linear-epsilon"])
+        "fractional-linear-epsilon", "walk-one-value", "equidist-one-value",
+        "arcsine-one-value"])
 def test_usage_error_on_refused_input(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)

@@ -117,6 +117,51 @@ def test_orbit_histogram_is_histogram2d(sys_, bins):
     assert np.array_equal(h.counts, _histogram2d(xs[1000:], ys[1000:], bins))
 
 
+CHUNK = measures._BIN_CHUNK
+
+
+@pytest.mark.parametrize("bins", [(16, 16), (7, 13)])
+@pytest.mark.parametrize("n,burn_in", [
+    (CHUNK - 1, 0), (CHUNK - 1, 1000), (CHUNK + 1, 0), (CHUNK + 1, CHUNK - 1),
+    (CHUNK + 1, CHUNK), (2 * CHUNK + 1, 3), (2 * CHUNK + 1, CHUNK + 2)])
+def test_chunked_histogram_is_histogram2d(n, burn_in, bins):
+    # one chunk less one, one more, two more and one; burn-ins short of,
+    # at and past a chunk's length, so the chunks start off the boundaries
+    xs, ys = orbit_points(INV3, START, n, seed=7)
+    h = orbit_histogram(INV3, START, n, *bins, burn_in=burn_in, seed=7)
+    assert h.counts.dtype == np.int64 and h.counts.flags.c_contiguous
+    assert np.array_equal(h.counts, _histogram2d(xs[burn_in:], ys[burn_in:], bins))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_small_chunks_bin_every_edge_as_histogram2d(chunk, monkeypatch):
+    # the edge points of both axes and points outside [0, 1], in a
+    # shuffled order, counted a few at a time
+    edges = np.linspace(0.0, 1.0, 14)
+    near = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0), [-3.0, 7.0]])
+    rng = np.random.default_rng(2)
+    xs, ys = rng.choice(near, 3001), rng.choice(near, 3001)
+    monkeypatch.setattr(measures, "orbit_points", lambda *args, **kwargs: (xs, ys))
+    monkeypatch.setattr(measures, "_BIN_CHUNK", chunk)
+    h = orbit_histogram(INV3, START, xs.size, 7, 13, burn_in=11)
+    assert np.array_equal(h.counts, _histogram2d(xs[11:], ys[11:], (7, 13)))
+
+
+def test_orbit_histogram_holds_no_orbit_length_temporary():
+    import tracemalloc
+
+    # the orbit's angles, parameters and heights take 24 MB; the binning of
+    # the whole orbit at once peaked at 41 MB
+    orbit_histogram(INV3, START, 2000, 16, 16, burn_in=1000, seed=7)  # first-call allocations
+    tracemalloc.start()
+    try:
+        orbit_histogram(INV3, START, 10**6, 16, 16, burn_in=1000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+
+
 def test_uniformity_hand_values():
     flat = Histogram2D(2, 2, np.full((2, 2), 5, dtype=np.int64), 20, 0)
     rep = uniformity_stats(flat)
@@ -233,13 +278,13 @@ def test_birkhoff_means_are_the_spelled_out_means(name, seed, memo):
 
 def test_one_orbit_per_birkhoff_key(memo, monkeypatch):
     calls = []
-    real = measures.orbit_points
+    real = measures._orbit
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(measures, "orbit_points", counted)
+    monkeypatch.setattr(measures, "_orbit", counted)
     key = (INV3, START, 5000, 100, 8)
     for chi in ("y", "y_squared", "cos_x"):
         birkhoff_average(INV3, chi, START, 5000, 100, seed=8)
@@ -253,6 +298,22 @@ def test_one_orbit_per_birkhoff_key(memo, monkeypatch):
         assert len(calls) == field + 2, field
     birkhoff_average(INV3, "y", START, 5000, 100, seed=None)
     assert len(calls) == 7
+
+
+@pytest.mark.parametrize("name,passes", [("INV3", [5000]), ("moebius_step", [4900])])
+def test_a_birkhoff_miss_takes_one_cosine_pass(name, passes, memo, monkeypatch):
+    # a cosine profile's fibre parameters give the unit cosines of all n
+    # angles; a step profile's angles take the cosine after the burn-in
+    sizes, cos = [], np.cos
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counted)
+    for chi in TEST_FUNCTIONS:
+        birkhoff_average(MEMO_SYSTEMS[name], chi, START, 5000, 100, seed=8)
+    assert sizes == passes
 
 
 def test_generator_seeds_bypass_the_birkhoff_memo(memo):

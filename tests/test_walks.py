@@ -62,6 +62,15 @@ def test_simulate_walk_rejects_cosine():
         simulate_walk(CosineProfile(1.0), 0.0, 10, seed=1)
 
 
+def test_walks_refuse_a_one_value_profile():
+    # base multiplier k = 1: every step is values[0], a translation
+    one = StepProfile((0.0,))
+    with pytest.raises(PreconditionError):
+        simulate_walk(one, 0.0, 10, seed=1)
+    with pytest.raises(PreconditionError):
+        arcsine_ensemble(one, 10, 2, [0.5], seed=1)
+
+
 def test_occupation_partition_identity():
     tr = simulate_walk(PM1, 0.0, 20000, seed=5)
     st = occupation_ratios(tr, 1.0)
