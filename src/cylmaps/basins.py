@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import BasinClass, CylinderSystem, _column_thresholds, _mod1, classify_points
+from .cylinder import BasinClass, CylinderSystem, _column_thresholds, _mod1, _require_seed, classify_points
 from .errors import PreconditionError
 
 #: samples a box has classified after each probe stage but the last, which takes the rest
@@ -109,6 +109,7 @@ def intermingle_probe(sys: CylinderSystem, num_boxes: int, box_side: float,
         raise PreconditionError("need at least one sample per box")
     if not 0.0 < box_side < 0.5:
         raise PreconditionError(f"box side must lie in (0, 0.5), got {box_side}")
+    _require_seed(seed)
     sx = np.empty((num_boxes, samples_per_box))
     sy = np.empty((num_boxes, samples_per_box))
     for i, sub in enumerate(np.random.SeedSequence(seed).spawn(num_boxes)):

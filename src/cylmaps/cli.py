@@ -23,7 +23,7 @@ from .cylinder import (
     separator_csv,
     separator_sweep,
 )
-from .errors import CylmapsError, PreconditionError
+from .errors import CylmapsError
 from .fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN, CosineProfile, FiberFamily, StepProfile
 from .lyapunov import exponent_report
 from .measures import (TEST_FUNCTIONS, birkhoff_average, histogram_csv, jacobian_max_defect,
@@ -38,13 +38,6 @@ from .walks import (
     occupation_ratios,
     simulate_walk,
 )
-
-
-def _epsilon(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"epsilon must lie in (0, 1), got {text}")
-    return value
 
 
 def _positive_int(text: str) -> int:
@@ -92,23 +85,17 @@ _KINDS = {"kan": KAN, "inverse-kan": INVERSE_KAN, "fractional-linear": FRACTIONA
 
 def _add_system_flags(sub, default_family="kan"):
     sub.add_argument("--family", choices=tuple(_KINDS), default=default_family)
-    sub.add_argument("--epsilon", type=_epsilon, default=None,
-                     help="cosine amplitude of the quadratic families (default 0.5)")
     sub.add_argument("--k", type=_positive_int, default=3)
     sub.add_argument("--profile", type=_profile, default=None,
                      help="displacement profile of any family, 'cosine:AMP' or "
-                          "'step:V1,V2,...'; overrides --epsilon")
+                          "'step:V1,V2,...' (default cosine:0.5 for the quadratic "
+                          "families, step:1,-1,...,-1 for fractional-linear)")
 
 
 def _build_system(args) -> CylinderSystem:
     kind = _KINDS[args.family]
-    if kind == FRACTIONAL_LINEAR:
-        if args.epsilon is not None and args.profile is None:
-            raise PreconditionError("--epsilon sets the quadratic families; give "
-                                    "fractional-linear a --profile")
-        default = StepProfile((1.0,) + (-1.0,) * (args.k - 1))
-    else:
-        default = CosineProfile(0.5 if args.epsilon is None else args.epsilon)
+    default = (StepProfile((1.0,) + (-1.0,) * (args.k - 1)) if kind == FRACTIONAL_LINEAR
+               else CosineProfile(0.5))
     return CylinderSystem(args.k, FiberFamily(kind, args.profile or default))
 
 
@@ -351,7 +338,8 @@ def _run_selftest(args) -> int:
         print(f"selftest [{_verdict(r.correct)}] {r.name}: {r.detail} ({r.seconds:.2f}s)")
         for b in r.bounds:
             print(f"selftest [{_verdict(b.passed)}] {r.name} {b.label} took "
-                  f"{b.seconds:.3g}s, bound < {b.limit:g}s")
+                  f"{b.cpu_seconds:.3g}s cpu ({b.wall_seconds:.3g}s wall), "
+                  f"bound < {b.limit:g}s cpu")
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)

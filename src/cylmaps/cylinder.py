@@ -50,10 +50,21 @@ _BLOCK_ELEMENTS = 2048 * _BLOCK_ROUNDS
 #: finest separator ladder 2^-L: rung numerators j < 2^53 are exact floats
 _MAX_LADDER_DEPTH = 53
 
+#: the marked-angle check samples (angles, heights) around each marked
+#: angle and lists at most _MAX_LISTED of its failing samples
+_HYPOTHESIS_GRID = (33, 17)
+_MAX_LISTED = 50
+
 
 def _require_multiplier(k) -> None:
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise PreconditionError(f"base multiplier k must be an integer >= 2, got {k}")
+
+
+def _require_seed(seed) -> None:
+    """Seeds are None or non-negative integers, numpy integers included."""
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise PreconditionError(f"seed must be None or a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -205,13 +216,14 @@ def canonical_fixed_angle(k: int) -> float:
 # ---------------------------------------------------------------------------
 
 def check_kan_hypothesis(sys: CylinderSystem, x_minus: float, x_plus: float,
-                         radius: float, grid: tuple = (33, 17),
-                         period: int = 1, max_listed: int = 50) -> HypothesisReport:
+                         radius: float, period: int = 1) -> HypothesisReport:
     """Grid check that fibers push down near x_minus and up near x_plus.
 
-    Samples angles within +-radius of each marked angle and interior heights;
-    passes iff the period-fold fiber map satisfies f(y) < y throughout the
-    x_minus neighborhood and f(y) > y throughout the x_plus neighborhood.
+    Samples _HYPOTHESIS_GRID angles within +-radius of each marked angle
+    times interior heights; passes iff the period-fold fiber map satisfies
+    f(y) < y throughout the x_minus neighborhood and f(y) > y throughout
+    the x_plus neighborhood.  The first _MAX_LISTED failing samples are
+    listed.
     """
     if not 0.0 < radius < np.inf:
         raise PreconditionError("radius must be positive and finite")
@@ -221,10 +233,8 @@ def check_kan_hypothesis(sys: CylinderSystem, x_minus: float, x_plus: float,
         if not is_periodic_angle(sys.k, xm, period):
             raise PreconditionError(
                 f"{label}={xm} is not periodic with period {period} under multiplication by {sys.k}")
-    nx, ny = grid
-    if nx < 1 or ny < 1:
-        raise PreconditionError("grid counts must be >= 1")
-    offsets = np.linspace(-radius, radius, nx) if nx > 1 else np.zeros(1)
+    nx, ny = _HYPOTHESIS_GRID
+    offsets = np.linspace(-radius, radius, nx)
     # sample order: x_minus then x_plus, angle offset, then height
     angles = _mod1(np.array([[x_minus], [x_plus]]) + offsets)
     shape = (2, nx, ny)
@@ -237,7 +247,7 @@ def check_kan_hypothesis(sys: CylinderSystem, x_minus: float, x_plus: float,
     down = np.repeat([True, False], nx * ny)  # x_minus must push down
     bad = np.flatnonzero(np.where(down, y >= y0, y <= y0))
     violations = tuple(("x_minus" if down[i] else "x_plus", float(x0[i]), float(y0[i]),
-                        float(y[i])) for i in bad[:max(max_listed, 0)])
+                        float(y[i])) for i in bad[:_MAX_LISTED])
     return HypothesisReport(passed=not bad.size, checked=y.size, violations=violations)
 
 
@@ -467,6 +477,7 @@ def separator_sweep(sys: CylinderSystem, num_angles: int, n_max: int, delta: flo
     both x and k*x, good satisfy the pushforward functional equation
     sigma(kx) = f_x(sigma(x)) within 1e-2.
     """
+    _require_seed(seed)
     xs = np.random.default_rng(seed).uniform(0.0, 1.0, num_angles)
     both = estimate_separator_batch(sys, np.concatenate([xs, _mod1(sys.k * xs)]),
                                     n_max, delta, tol)
@@ -500,9 +511,11 @@ def base_orbit_angles(k: int, x0: float, n: int, seed=None) -> np.ndarray:
 
     The default seed is derived from the bits of x0, so results are
     reproducible without an explicit seed.  A non-finite x0 is refused, and
-    so is a k that is not an integer >= 2.
+    so are a k that is not an integer >= 2 and a seed that is neither None
+    nor a non-negative integer.
     """
     _require_multiplier(k)
+    _require_seed(seed)
     if n < 0:
         raise PreconditionError("orbit length must be >= 0")
     if not np.isfinite(x0):

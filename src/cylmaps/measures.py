@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import CylinderSystem, CylPoint, base_orbit_angles
+from .cylinder import CylinderSystem, CylPoint, _require_seed, base_orbit_angles
 from .errors import DomainError, PreconditionError, WrongFamilyError
 from .fiber import (FRACTIONAL_LINEAR, INVERSE_KAN, CosineProfile, StepProfile, _fiber_orbit,
                     _translation_orbit, _unit_cosine, poincare_coord, poincare_coord_inv)
@@ -33,10 +32,6 @@ TEST_FUNCTIONS = {
     "cos_x": lambda y, c: c,
     "y_cos_x": lambda y, c: y * c,
 }
-
-#: orbits whose Birkhoff means birkhoff_average keeps, least recently used
-#: first out
-BIRKHOFF_MEMO_SIZE = 32
 
 #: points that orbit_histogram bins at a time
 _BIN_CHUNK = 1 << 16
@@ -174,6 +169,7 @@ def jacobian_branch_sum(sys: CylinderSystem, p: CylPoint) -> float:
 
 def jacobian_max_defect(sys: CylinderSystem, points: int, seed: int) -> float:
     """Largest |jacobian_branch_sum - 1| over seeded uniform random points."""
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(points):
@@ -194,35 +190,33 @@ def _orbit_means(sys: CylinderSystem, p0: CylPoint, n: int, burn_in: int,
     return {name: float(np.mean(chi(y, c))) for name, chi in TEST_FUNCTIONS.items()}
 
 
-_memo_orbit_means = functools.lru_cache(maxsize=BIRKHOFF_MEMO_SIZE)(_orbit_means)
+#: every caller asks for the test functions of one orbit in a row, so the
+#: means of the last orbit are all the memo keeps
+_memo_orbit_means = functools.lru_cache(maxsize=1)(_orbit_means)
 
 
 def birkhoff_average(sys: CylinderSystem, chi: str, p0: CylPoint, n: int,
                      burn_in: int = DEFAULT_BURN_IN, seed=None) -> float:
     """Orbit mean of the named test function after the burn-in prefix.
 
-    One orbit yields the means of every TEST_FUNCTIONS entry, and the last
-    BIRKHOFF_MEMO_SIZE of them are kept, keyed by (sys, p0, n, burn_in,
-    seed), so asking for another test function of the same orbit costs no
-    orbit.  Only a seed that is None or an integer (numpy integers
-    included, normalised with operator.index) is keyed; any other seed,
-    such as a Generator or a SeedSequence, computes its orbit afresh, so a
-    Generator advances between calls.  A call that misses costs one orbit
-    plus four means: about 75 ms for 1e6 inverse-Kan steps on one Xeon
-    core, of which the means take about 13 ms, because a cosine profile's
-    orbit hands the means the cosines of its fibre parameters.  The memo
-    keeps only floats, never an orbit array.
+    One orbit yields the means of every TEST_FUNCTIONS entry.  The means
+    of the last orbit are kept, keyed by (sys, p0, n, burn_in, seed), so
+    asking for another test function of the same orbit costs no orbit.
+    The seed must be None or a non-negative integer (numpy integers
+    included); it is checked before the memo is read, so a seed such as
+    8.0, which hashes like 8, is refused and not answered from the memo.
+    A call that misses costs one orbit plus four means: about 75 ms for
+    1e6 inverse-Kan steps on one Xeon core, of which the means take about
+    13 ms, because a cosine profile's orbit hands the means the cosines of
+    its fibre parameters.  The memo keeps only floats, never an orbit array.
     """
     if chi not in TEST_FUNCTIONS:
         raise PreconditionError(
             f"unknown test function {chi!r}; choose from {sorted(TEST_FUNCTIONS)}")
     if burn_in < 0 or n <= burn_in:
         raise PreconditionError("need n > burn_in >= 0")
-    try:
-        key_seed = None if seed is None else operator.index(seed)
-    except TypeError:
-        return _orbit_means(sys, p0, n, burn_in, seed)[chi]
-    return _memo_orbit_means(sys, p0, n, burn_in, key_seed)[chi]
+    _require_seed(seed)
+    return _memo_orbit_means(sys, p0, n, burn_in, seed)[chi]
 
 
 def histogram_csv(hist: Histogram2D) -> str:

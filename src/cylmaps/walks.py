@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cylinder import CylinderSystem, _mod1
+from .cylinder import CylinderSystem, _mod1, _require_seed
 from .errors import DomainError, PreconditionError, WrongFamilyError
 from .fiber import FRACTIONAL_LINEAR, StepProfile, _translation_orbit, poincare_coord
 
@@ -95,9 +95,12 @@ def simulate_walk(profile: StepProfile, t0: float, n: int, seed: int) -> WalkTra
     """Walk with i.i.d. uniform digits in {0..k-1}; t_{i+1} = t_i + values[digit].
 
     Deterministic for a fixed seed.  Integer-valued steps produce exactly
-    representable t throughout.
+    representable t throughout.  The seed is None, a non-negative integer
+    or a SeedSequence, such as the children arcsine_ensemble spawns.
     """
     profile = _require_step(profile)
+    if not isinstance(seed, np.random.SeedSequence):
+        _require_seed(seed)
     if not math.isfinite(t0):
         raise PreconditionError(f"walk start must be finite, got {t0}")
     if n < 0:
@@ -159,6 +162,7 @@ def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
     for eps in eps_list:
         if not 0.0 < eps <= 1.0:
             raise PreconditionError(f"eps must lie in (0, 1], got {eps}")
+    _require_seed(seed)
     seeds = np.random.SeedSequence(seed).spawn(num_walks)
     final_frac = final_counts(profile, n, seeds, 0.0)[:, 0] / n
     out = []

@@ -3,6 +3,7 @@
 import argparse
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ def run_cli(argv, capsys):
 
 
 def test_lyap_reference_output(capsys):
-    code, out = run_cli(["lyap", "--family", "kan", "--epsilon", "0.5",
+    code, out = run_cli(["lyap", "--family", "kan", "--profile", "cosine:0.5",
                          "--k", "3", "--nodes", "4096"], capsys)
     assert code == 0
     assert out.startswith("lyap ")
@@ -27,11 +28,19 @@ def test_lyap_reference_output(capsys):
     assert fields["sum_sign"] == "-1"
 
 
-def test_usage_error_on_bad_epsilon():
-    proc = subprocess.run([sys.executable, "-m", "cylmaps", "lyap",
-                           "--epsilon", "1.5"], capture_output=True, text=True)
+@pytest.mark.parametrize("family", ["kan", "inverse-kan"])
+def test_usage_error_on_cosine_amplitude_outside_the_unit_interval(family):
+    proc = subprocess.run([sys.executable, "-m", "cylmaps", "lyap", "--family", family,
+                           "--profile", "cosine:1.5"], capture_output=True, text=True)
     assert proc.returncode == 2
-    assert "epsilon" in proc.stderr
+    assert "sup|p|" in proc.stderr
+
+
+def test_profile_is_the_only_spelling_of_the_amplitude(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lyap", "--epsilon", "0.5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
 
 def test_usage_error_on_unknown_subcommand():
@@ -62,13 +71,11 @@ def test_usage_error_on_malformed_profile(profile, family, capsys):
     ["walk", "--t0", "inf"],
     ["basins", "--width", "32", "--height", "32", "--delta", "1e-17"],
     ["separator", "--angles", "20", "--delta", "1e-17"],
-    ["lyap", "--family", "fractional-linear", "--epsilon", "0.3"],
     ["walk", "--values", "1", "--n", "10"],
     ["equidist", "--values", "1"],
     ["arcsine", "--values", "1"],
 ], ids=["basins-even-k", "walk-nan", "walk-inf", "basins-delta", "separator-delta",
-        "fractional-linear-epsilon", "walk-one-value", "equidist-one-value",
-        "arcsine-one-value"])
+        "walk-one-value", "equidist-one-value", "arcsine-one-value"])
 def test_usage_error_on_refused_input(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -172,18 +179,64 @@ def test_selftest_prints_a_verdict_per_time_bound(monkeypatch, capsys):
     import cylmaps.cli as cli
     from cylmaps.selftest import CheckResult, TimeBound
 
+    # a bound reads the thread's CPU seconds: a stalled part (wall 3s) passes
     slow = CheckResult("slow_host", True, "value=1", 2.0,
-                       (TimeBound("elapsed", 2.0, 1.0), TimeBound("core", 0.5, 1.0)))
-    wrong = CheckResult("wrong_number", False, "value=2", 0.1, (TimeBound("elapsed", 0.1, 1.0),))
+                       (TimeBound("elapsed", 2.5, 2.0, 1.0), TimeBound("core", 3.0, 0.5, 1.0)))
+    wrong = CheckResult("wrong_number", False, "value=2", 0.1,
+                        (TimeBound("elapsed", 0.1, 0.1, 1.0),))
     assert not slow.passed and not wrong.passed
-    assert CheckResult("fine", True, "", 0.1, (TimeBound("elapsed", 0.1, 1.0),)).passed
+    assert CheckResult("fine", True, "", 0.1, (TimeBound("elapsed", 0.1, 0.1, 1.0),)).passed
     monkeypatch.setattr(cli, "run_selftest", lambda: ([slow, wrong], {}))
     code, out = run_cli(["selftest"], capsys)
     assert code == 1
     lines = out.splitlines()
     assert "selftest [PASS] slow_host: value=1 (2.00s)" in lines
-    assert "selftest [FAIL] slow_host elapsed took 2s, bound < 1s" in lines
-    assert "selftest [PASS] slow_host core took 0.5s, bound < 1s" in lines
+    assert "selftest [FAIL] slow_host elapsed took 2s cpu (2.5s wall), bound < 1s cpu" in lines
+    assert "selftest [PASS] slow_host core took 0.5s cpu (3s wall), bound < 1s cpu" in lines
     assert "selftest [FAIL] wrong_number: value=2 (0.10s)" in lines
-    assert "selftest [PASS] wrong_number elapsed took 0.1s, bound < 1s" in lines
+    assert "selftest [PASS] wrong_number elapsed took 0.1s cpu (0.1s wall), bound < 1s cpu" in lines
     assert lines[-1] == "selftest FAILED: slow_host, wrong_number"
+
+
+def _burn(seconds):
+    """Compute, not sleep, for this many CPU seconds of the thread."""
+    start = time.thread_time()
+    while time.thread_time() - start < seconds:
+        sum(range(1000))
+
+
+@pytest.mark.parametrize("check,callee,label,limit", [
+    ("check_exponent_oracle", "transverse_exponent_quadrature", "core", 0.1),
+    ("check_jacobian_branch_sum", "jacobian_max_defect", "elapsed", 0.1),
+    ("check_backward_orbit", "backward_orbit_toward", "elapsed", 0.01),
+])
+def test_cpu_burned_inside_a_timed_part_fails_its_bound(check, callee, label, limit,
+                                                        monkeypatch):
+    from cylmaps import selftest
+
+    real = getattr(selftest, callee)
+
+    def burned(*args, **kwargs):
+        _burn(limit)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selftest, callee, burned)
+    result = getattr(selftest, check)()
+    (bound,) = [b for b in result.bounds if b.label == label]
+    assert result.correct and not bound.passed and not result.passed
+    assert bound.cpu_seconds >= limit
+
+
+def test_a_stall_inside_a_timed_part_passes_its_bound(monkeypatch):
+    from cylmaps import selftest
+
+    real = selftest.backward_orbit_toward
+
+    def stalled(*args, **kwargs):
+        time.sleep(0.03)  # off the CPU: a descheduled thread spends no CPU time
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selftest, "backward_orbit_toward", stalled)
+    (bound,) = selftest.check_backward_orbit().bounds
+    assert bound.wall_seconds >= 0.03 > bound.limit
+    assert bound.passed

@@ -16,8 +16,10 @@ from cylmaps import (
     PreconditionError,
     StepProfile,
     WrongFamilyError,
+    arcsine_ensemble,
     backward_orbit_toward,
     base_orbit_angles,
+    birkhoff_average,
     canonical_fixed_angle,
     check_kan_hypothesis,
     circle_equidistribution,
@@ -26,7 +28,9 @@ from cylmaps import (
     estimate_separator,
     estimate_separator_batch,
     eval_fiber,
+    final_counts,
     fractional_linear_family,
+    intermingle_probe,
     inverse_kan_family,
     kan_family,
     occupation_ratios,
@@ -39,9 +43,11 @@ from cylmaps import (
 )
 from cylmaps.cylinder import _BLOCK_ELEMENTS, _BLOCK_ROUNDS, _mod1, separator_sweep
 from cylmaps.fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN, _apply_fiber
+from cylmaps.measures import jacobian_max_defect
 
 SYS3 = CylinderSystem(3, kan_family(0.5))
 SYS2 = CylinderSystem(2, kan_family(0.5))
+INV3 = CylinderSystem(3, inverse_kan_family(0.5))
 
 
 def test_system_validation():
@@ -193,27 +199,30 @@ def test_hypothesis_radius_gate(radius):
 @pytest.mark.parametrize("sys_, kwargs", [
     (SYS3, dict(x_minus=0.5, x_plus=0.0, radius=0.1)),
     (SYS3, dict(x_minus=0.5, x_plus=0.0, radius=0.3)),
-    (SYS3, dict(x_minus=0.5, x_plus=0.0, radius=0.45, grid=(5, 3), max_listed=4)),
+    (SYS3, dict(x_minus=0.5, x_plus=0.0, radius=0.45)),
     (SYS2, dict(x_minus=1.0 / 3.0, x_plus=0.0, radius=0.02, period=2)),
     (CylinderSystem(4, kan_family(0.5)), dict(x_minus=2.0 / 3.0, x_plus=0.0, radius=0.05)),
     (CylinderSystem(3, inverse_kan_family(0.5)), dict(x_minus=0.5, x_plus=0.0, radius=0.1)),
 ])
 def test_hypothesis_matches_scalar_orbit_loop(sys_, kwargs):
-    def by_orbit(sys_, x_minus, x_plus, radius, grid=(33, 17), period=1, max_listed=50):
-        nx, ny = grid
+    def by_orbit(sys_, x_minus, x_plus, radius, period=1):
+        nx, ny = 33, 17
         bad = []
         for center, want_down in ((x_minus, True), (x_plus, False)):
-            for dx in (np.linspace(-radius, radius, nx) if nx > 1 else [0.0]):
+            for dx in np.linspace(-radius, radius, nx):
                 x = (center + float(dx)) % 1.0
                 for j in range(ny):
                     y = (j + 1.0) / (ny + 1.0)
                     fy = orbit(sys_, CylPoint(x % 1.0, y), period)[-1].y
                     if (fy >= y) if want_down else (fy <= y):
                         bad.append(("x_minus" if want_down else "x_plus", x, y, fy))
-        return not bad, 2 * nx * ny, tuple(bad[:max_listed])
+        return not bad, 2 * nx * ny, tuple(bad[:50]), len(bad)
 
     rep = check_kan_hypothesis(sys_, **kwargs)
-    assert (rep.passed, rep.checked, rep.violations) == by_orbit(sys_, **kwargs)
+    passed, checked, listed, failures = by_orbit(sys_, **kwargs)
+    assert (rep.passed, rep.checked, rep.violations) == (passed, checked, listed)
+    if kwargs["radius"] == 0.45:  # more failures than the report lists
+        assert failures > len(rep.violations) == 50
 
 
 # ---------------------------------------------------------------------------
@@ -844,6 +853,23 @@ def test_base_orbit_angles_refuse_a_non_finite_start(k, x0, match):
             base_orbit_angles(k, x0, n)
     with pytest.raises(PreconditionError, match=match):
         transverse_exponent_birkhoff(CylinderSystem(k, kan_family(0.5)), 0, x0, 100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda seed: base_orbit_angles(3, 0.1234, 100, seed=seed),
+    lambda seed: birkhoff_average(INV3, "y", CylPoint(0.1234, 0.4), 100, 10, seed=seed),
+    lambda seed: intermingle_probe(SYS3, 2, 1.0 / 64.0, 10, 100, 1e-6, seed=seed),
+    lambda seed: separator_sweep(SYS3, 2, 100, 1e-6, 1e-3, seed=seed),
+    lambda seed: jacobian_max_defect(INV3, 10, seed=seed),
+    lambda seed: simulate_walk(StepProfile((1.0, -1.0)), 0.0, 10, seed=seed),
+    lambda seed: arcsine_ensemble(StepProfile((1.0, -1.0)), 10, 2, [0.5], seed=seed),
+    lambda seed: final_counts(StepProfile((1.0, -1.0)), 10, [0, seed], 0.0),
+], ids=["base_orbit_angles", "birkhoff_average", "intermingle_probe", "separator_sweep",
+        "jacobian_max_defect", "simulate_walk", "arcsine_ensemble", "final_counts"])
+def test_seeded_tools_refuse_a_negative_seed(call):
+    # numpy's own refusal is a bare ValueError; PreconditionError subclasses it
+    with pytest.raises(PreconditionError, match="seed"):
+        call(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,19 @@ from cylmaps import (
     PreconditionError,
     StepProfile,
     WrongFamilyError,
+    base_orbit_angles,
     birkhoff_average,
     fractional_linear_family,
     inverse_kan_family,
     jacobian_branch_sum,
     kan_family,
     orbit_histogram,
+    transverse_exponent_birkhoff,
     uniformity_stats,
 )
 from cylmaps import fiber, measures
 from cylmaps.fiber import INVERSE_KAN
-from cylmaps.measures import BIRKHOFF_MEMO_SIZE, TEST_FUNCTIONS, Histogram2D, histogram_csv, orbit_points
+from cylmaps.measures import TEST_FUNCTIONS, Histogram2D, histogram_csv, orbit_points
 
 INV3 = CylinderSystem(3, inverse_kan_family(0.5))
 KAN3 = CylinderSystem(3, kan_family(0.5))
@@ -316,14 +318,24 @@ def test_a_birkhoff_miss_takes_one_cosine_pass(name, passes, memo, monkeypatch):
     assert sizes == passes
 
 
-def test_generator_seeds_bypass_the_birkhoff_memo(memo):
-    # each call draws its orbit from where the generator stands
-    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    got = [birkhoff_average(INV3, "y", START, 5000, 100, seed=rng) for _ in range(2)]
-    want = [float(np.mean(orbit_points(INV3, START, 5000, seed=ref)[1][100:])) for _ in range(2)]
-    assert got == want and got[0] != got[1]
-    birkhoff_average(INV3, "y", START, 5000, 100, seed=np.random.SeedSequence(5))
-    assert memo.cache_info().currsize == 0
+SEED_TOOLS = {
+    "birkhoff_average": lambda seed: birkhoff_average(INV3, "y", START, 5000, 100, seed=seed),
+    "orbit_points": lambda seed: orbit_points(INV3, START, 5000, seed=seed),
+    "orbit_histogram": lambda seed: orbit_histogram(INV3, START, 5000, 8, 8, 100, seed=seed),
+    "base_orbit_angles": lambda seed: base_orbit_angles(3, START.x, 5000, seed=seed),
+    "transverse_exponent_birkhoff":
+        lambda seed: transverse_exponent_birkhoff(INV3, 0, START.x, 5000, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [np.random.default_rng(5), np.random.SeedSequence(5), 8.0, -1],
+                         ids=["Generator", "SeedSequence", "float", "negative"])
+@pytest.mark.parametrize("tool", SEED_TOOLS)
+def test_orbit_tools_refuse_seeds_that_are_not_non_negative_integers(tool, seed, memo):
+    # seed 8 first: 8.0 hashes like 8, and a memo hit must not answer for it
+    SEED_TOOLS[tool](8)
+    with pytest.raises(PreconditionError, match="seed"):
+        SEED_TOOLS[tool](seed)
 
 
 def test_birkhoff_memo_keeps_only_the_means_of_a_bounded_number_of_orbits(memo):
@@ -334,12 +346,12 @@ def test_birkhoff_memo_keeps_only_the_means_of_a_bounded_number_of_orbits(memo):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for seed in range(4 * BIRKHOFF_MEMO_SIZE):
+        for seed in range(4 * memo.cache_info().maxsize):
             birkhoff_average(INV3, "y", START, 10**4, 100, seed=seed)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert memo.cache_info().currsize <= BIRKHOFF_MEMO_SIZE
+    assert memo.cache_info().currsize <= memo.cache_info().maxsize
     assert retained < 64 * 1024  # one 10**4-step orbit array is 80 KB
 
 
