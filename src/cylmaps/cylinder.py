@@ -535,6 +535,6 @@ def base_orbit_angles(k: int, x0: float, n: int, seed=None) -> np.ndarray:
     if n > m:
         if seed is None:
             seed = int(np.float64(x0).view(np.uint64))
-        rng = np.random.default_rng(seed)
-        out[m:] = rng.uniform(0.0, 1.0, n - m)
+        # the bits of rng.uniform(0.0, 1.0, n - m), as 0 + 1*u = u, drawn in place
+        np.random.default_rng(seed).random(n - m, out=out[m:])
     return out

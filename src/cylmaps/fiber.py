@@ -251,17 +251,24 @@ def _moebius_step(w, y):
     return np.divide(y, w, out=w)
 
 
+# monotone: the rounded apply kernel is non-decreasing in its coefficient
+# at every height in [0, 1], so a height that the coefficients -B and +B
+# both map to itself is mapped to itself by every coefficient in [-B, B].
+# Kan's y + a*y*(1-y) is: a*y, then *(1-y), then y + are each monotone in
+# a for y, 1 - y >= 0, and round-to-nearest keeps x <= x' as fl(x) <= fl(x').
+# The inverse-Kan root has no such proof.
+
 _KERNELS = {
     KAN: dict(coef=lambda a: a, apply=_kan_apply, step=_kan_step, invert=_kan_invert,
-              derivative=_kan_derivative, schwarzian=_kan_schwarzian),
+              derivative=_kan_derivative, schwarzian=_kan_schwarzian, monotone=True),
     INVERSE_KAN: dict(
         coef=lambda a: a, apply=_kan_invert, step=_kan_invert_step, invert=_kan_apply,
         derivative=lambda a, y, xp: 1.0 / _kan_derivative(a, _kan_invert(a, y, xp), xp),
-        schwarzian=_inverse_kan_schwarzian),
+        schwarzian=_inverse_kan_schwarzian, monotone=False),
     FRACTIONAL_LINEAR: dict(
         coef=lambda c: np.exp(-c), apply=_moebius_apply, step=_moebius_step,
         invert=_moebius_invert, derivative=_moebius_derivative,
-        schwarzian=lambda w, y, xp: 0.0),
+        schwarzian=lambda w, y, xp: 0.0, monotone=False),
 }
 
 #: heights a scalar orbit loop collects before storing them into its array
@@ -287,69 +294,110 @@ def _apply_fiber(family: FiberFamily, x, y):
     return kernels["apply"](kernels["coef"](family.displacement(x)), y, np)
 
 
-def _fiber_orbit(family: FiberFamily, a: np.ndarray, y: float,
-                 out: np.ndarray) -> None:
-    """out[i] = y_i for y_0 = y, y_{i+1} = f(y_i) at driving parameter a[i],
-    for the quadratic kinds, whose coefficient is a itself; out is contiguous.
+class _Parameters:
+    """The fibre parameters of one orbit, read a slice at a time: slices of
+    values, an array the caller holds, or, given a family, the family's
+    displacement at slices of values, the orbit's angles, computed when the
+    slice is read.  A chunk's displacement equals the same slice of the
+    whole array's bit for bit: the profiles are elementwise."""
 
-    An inverse-Kan orbit of at least _MIN_LANES lanes of _LANE steps is
-    stepped in lanes (see :func:`_lane_orbit`): its fibre exponent is
-    negative (Lebesgue measure is invariant, so Jensen's inequality
-    applies), and lanes started from a guess contract onto the true orbit.
-    Kan's boundaries attract, so its lanes drift to different boundaries
-    and do not meet: a Kan orbit, a short one, and lanes that do not settle
-    within _ROUNDS rounds go to :func:`_scalar_orbit`, which skips,
-    verified, the runs where the height is stuck at a float that the fibres
-    map to itself.
+    def __init__(self, values: np.ndarray, family: FiberFamily | None = None):
+        self.values, self.family, self.size = values, family, values.size
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        v = self.values[s]
+        return v if self.family is None else self.family.displacement(v)
+
+    def bound(self, lo: int) -> float:
+        """A bound on |a| over the parameters from lo on, computing none of
+        them: sup|p| of the family's profile, or the largest held |a|."""
+        if self.family is not None:
+            return self.family.profile.bound()
+        return float(np.abs(self.values[lo:]).max(initial=0.0))
+
+
+def _fiber_orbit(family: FiberFamily, params: _Parameters, y: float,
+                 out: np.ndarray) -> None:
+    """out[i] = y_i for y_0 = y, y_{i+1} = f(y_i) at driving parameter a[i]
+    = params[i], for the quadratic kinds, whose coefficient is a itself;
+    out is contiguous.
+
+    An inverse-Kan orbit of at least _MIN_LANES lanes of _LANE steps reads
+    all its parameters at once and is stepped in lanes (see
+    :func:`_lane_orbit`): its fibre exponent is negative (Lebesgue measure
+    is invariant, so Jensen's inequality applies), and lanes started from a
+    guess contract onto the true orbit.  Kan's boundaries attract, so its
+    lanes drift to different boundaries and do not meet: a Kan orbit, a
+    short one, and lanes that do not settle within _ROUNDS rounds go to
+    :func:`_scalar_orbit`, which reads the parameters a chunk at a time and
+    skips, verified, the runs where the height is stuck at a float that
+    the fibres map to itself; a Kan orbit given its angles computes no
+    parameter of such a run.
     """
     kernels = _KERNELS[family.kind]
-    lanes = a.size // _LANE
+    lanes = params.size // _LANE
     if family.kind == INVERSE_KAN and lanes >= _MIN_LANES:
+        a = params[:]
+        params = _Parameters(a)
         body = lanes * _LANE
         end = _lane_orbit(kernels["step"], a[:body].reshape(lanes, _LANE), y,
                           out[:body].reshape(lanes, _LANE))
         if end is not None:
-            a, y, out = a[body:], end, out[body:]
-    _scalar_orbit(kernels["apply"], a, y, out)
+            params, y, out = _Parameters(a[body:]), end, out[body:]
+    _scalar_orbit(kernels, params, y, out)
 
 
-def _scalar_orbit(apply, a: np.ndarray, y: float, out: np.ndarray) -> float:
-    """The scalar loop: out[i] = y_i from y_0 = y; returns y_n.  Heights are
-    stored a chunk at a time: storing floats one by one costs more than the
-    arithmetic, and one list for the whole orbit would hold 32 bytes per step.
+def _scalar_orbit(kernels: dict, params: _Parameters, y: float, out: np.ndarray) -> float:
+    """The scalar loop of the kind's apply kernel: out[i] = y_i from y_0 = y;
+    returns y_n.  It reads the parameters, and so computes them when params
+    holds angles, one chunk of _ORBIT_CHUNK at a time, as it steps them.
+    Heights are stored a chunk at a time: storing floats one by one costs
+    more than the arithmetic, and one list for the whole orbit would hold
+    32 bytes per step.
 
     A full chunk that starts and ends at the height it hands on hints at a
     fixed height, such as Kan's 5e-324 or 1 - 2**-53: :func:`_fixed_run`
     then finds the next parameter that moves it and the loop goes on there.
     """
-    xp = math
+    apply, xp = kernels["apply"], math
     lo = 0
-    while lo < a.size:
+    while lo < params.size:
         heights = []
         push = heights.append
-        for p in a[lo:lo + _ORBIT_CHUNK].tolist():
+        for p in params[lo:lo + _ORBIT_CHUNK].tolist():
             push(y)
             y = apply(p, y, xp)
         out[lo:lo + len(heights)] = heights
         lo += len(heights)
         if len(heights) == _ORBIT_CHUNK and heights[0] == heights[-1] == y:
-            lo = _fixed_run(apply, a, y, out, lo)
+            lo = _fixed_run(kernels, params, y, out, lo)
     return y
 
 
-def _fixed_run(apply, a: np.ndarray, y: float, out: np.ndarray, lo: int) -> int:
-    """Store y from out[lo] on while the parameters a[lo:] map y to itself;
-    returns the index of the first one that moves it, or a.size.
+def _fixed_run(kernels: dict, params: _Parameters, y: float, out: np.ndarray,
+               lo: int) -> int:
+    """Store y from out[lo] on while the parameters params[lo:] map y to
+    itself; returns the index of the first one that moves it, or params.size.
 
-    Each parameter is checked, with the apply kernel on arrays, in windows
-    of one chunk and then twice the last: a false alarm costs one chunk,
-    a run costs O(its length).  The array kernel rounds as the scalar one
-    does and heights are never NaN or -0.0, so a parameter whose image
-    == y is a step the scalar loop takes from y to y bit for bit.
+    A monotone kind (see _KERNELS) first applies the two coefficients -B
+    and +B, for B = params.bound(lo) >= |a| of every parameter left: if
+    both leave y in place, so does every a in [-B, B], and the rest of the
+    orbit is y with no parameter computed.  Otherwise, and for the other
+    kinds, each parameter is checked, with the apply kernel on arrays, in
+    windows of one chunk and then twice the last: a false alarm costs one
+    chunk, a run costs O(its length).  The array kernel rounds as the
+    scalar one does and heights are never NaN or -0.0, so a parameter whose
+    image == y is a step the scalar loop takes from y to y bit for bit.
     """
+    apply = kernels["apply"]
+    if kernels["monotone"]:
+        b = params.bound(lo)
+        if (apply(np.array([-b, b]), y, np) == y).all():
+            out[lo:] = y
+            return params.size
     width = _ORBIT_CHUNK
-    while lo < a.size:
-        seg = a[lo:lo + width]
+    while lo < params.size:
+        seg = params[lo:lo + width]
         moved = np.flatnonzero(apply(seg, y, np) != y)
         stop = lo + (int(moved[0]) if moved.size else seg.size)
         out[lo:stop] = y

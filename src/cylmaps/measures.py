@@ -18,7 +18,8 @@ import numpy as np
 from .cylinder import CylinderSystem, CylPoint, _require_seed, base_orbit_angles
 from .errors import DomainError, PreconditionError, WrongFamilyError
 from .fiber import (FRACTIONAL_LINEAR, INVERSE_KAN, CosineProfile, StepProfile, _fiber_orbit,
-                    _translation_orbit, _unit_cosine, poincare_coord, poincare_coord_inv)
+                    _Parameters, _translation_orbit, _unit_cosine, poincare_coord,
+                    poincare_coord_inv)
 
 DEFAULT_BURN_IN = 1000
 
@@ -71,9 +72,13 @@ def _orbit(sys: CylinderSystem, p0: CylPoint, n: int, seed,
            unit_cosine: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """(xs, c, ys): the arrays of orbit_points and, when unit_cosine is set
     and the profile is a cosine, c_i = cos(2*pi*x_i), the unit cosines whose
-    scaling gave the fibre parameters, so that no caller takes the cosine
-    of the orbit twice; c is None otherwise.  Unset, the parameters are
-    scaled in place and the orbit holds one array fewer.
+    scaling gives the fibre parameters, so that no caller takes the cosine
+    of the orbit twice; c is None otherwise.  Unset, the quadratic kinds get
+    the angles, and the family's displacement computes the parameters a
+    chunk at a time, only for the steps the orbit loop takes: a Kan orbit
+    stuck at a boundary float computes none past the chunk that sees it
+    (:func:`fiber._fixed_run`).  Moebius fibres translate by every
+    parameter, so they get all of them.
     base_orbit_angles is looked up through this module at call time."""
     if not 0.0 < p0.y < 1.0:
         raise DomainError("orbit statistics need an interior starting height")
@@ -81,13 +86,14 @@ def _orbit(sys: CylinderSystem, p0: CylPoint, n: int, seed,
     profile, c = sys.family.profile, None
     if unit_cosine and isinstance(profile, CosineProfile):
         c = _unit_cosine(xs)
-        a = np.multiply(c, profile.amplitude)  # profile.displacement(xs), bit for bit
+        # profile.displacement(xs), bit for bit
+        params = _Parameters(np.multiply(c, profile.amplitude))
     else:
-        a = sys.family.displacement(xs)
+        params = _Parameters(xs, sys.family)
     if sys.family.kind == FRACTIONAL_LINEAR:
-        return xs, c, poincare_coord_inv(_translation_orbit(poincare_coord(p0.y), a)[:n])
+        return xs, c, poincare_coord_inv(_translation_orbit(poincare_coord(p0.y), params[:])[:n])
     ys = np.empty(n, dtype=float)
-    _fiber_orbit(sys.family, a, p0.y, ys)
+    _fiber_orbit(sys.family, params, p0.y, ys)
     return xs, c, ys
 
 

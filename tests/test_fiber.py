@@ -87,6 +87,13 @@ def test_cosine_displacement_matches_the_allocating_expression_bit_for_bit():
     assert eval_fiber(KAN05, 0.3, 0.4) == 0.4 + a * 0.4 * (1.0 - 0.4)
 
 
+#: heights at which rounding is most delicate: zero, subnormals, the
+#: floats next to 1/2 and the last floats below 1
+EDGE_HEIGHTS = [0.0, 5e-324, 1e-323, 2.0**-1022, 1e-300, 2.0**-53, 1e-3,
+                math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), 0.3, 0.7,
+                0.999, 1.0 - 2.0**-52, 1.0 - 2.0**-53, 1.0]
+
+
 @pytest.mark.parametrize("kind", [fiber.KAN, fiber.INVERSE_KAN])
 def test_array_apply_is_the_scalar_apply_bit_for_bit(kind):
     # the orbit loop steps one height with math and checks whether many
@@ -94,15 +101,58 @@ def test_array_apply_is_the_scalar_apply_bit_for_bit(kind):
     rng = np.random.default_rng(79)
     a = np.concatenate([rng.uniform(-0.999, 0.999, 2000),
                         [0.0, -0.0, 0.5, -0.5, 0.25, -0.25, 0.999, -0.999, 5e-324]])
-    heights = [0.0, 5e-324, 1e-323, 2.0**-1022, 1e-300, 2.0**-53, 1e-3,
-               math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), 0.3, 0.7,
-               0.999, 1.0 - 2.0**-52, 1.0 - 2.0**-53, 1.0]
+    heights = list(EDGE_HEIGHTS)
     heights += rng.uniform(0.0, 1e-300, 5).tolist() + rng.uniform(0.49, 0.51, 5).tolist()
     heights += (1.0 - rng.uniform(0.0, 1e-15, 5)).tolist()
     apply = _KERNELS[kind]["apply"]
     for y in heights:
         want = np.array([apply(p, y, math) for p in a.tolist()])
         assert np.array_equal(apply(a, y, np).view(np.uint64), want.view(np.uint64)), y
+
+
+def test_kan_apply_is_non_decreasing_in_the_parameter():
+    # the premise of the two-call check in _fixed_run: at a fixed height the
+    # rounded Kan image never falls as a grows, in the scalar and the array
+    # kernel, so a height that -B and +B both fix is fixed by all of [-B, B]
+    assert _KERNELS[fiber.KAN]["monotone"]
+    rng = np.random.default_rng(80)
+    a = np.sort(np.concatenate([
+        np.linspace(-0.999, 0.999, 1999), rng.uniform(-0.999, 0.999, 2000),
+        [-0.5, 0.5, math.nextafter(0.5, 0.0), math.nextafter(-0.5, 0.0),
+         -5e-324, 0.0, 5e-324, 2.0**-60, -(2.0**-60)]]))
+    assert a[0] >= -0.999 and a[-1] <= 0.999 and {-0.5, 0.5} <= set(a.tolist())
+    heights = EDGE_HEIGHTS + rng.uniform(0.0, 1e-300, 5).tolist()
+    heights += (1.0 - rng.uniform(0.0, 1e-15, 5)).tolist()
+    apply = _KERNELS[fiber.KAN]["apply"]
+    for y in heights:
+        scalar = np.array([apply(p, y, math) for p in a.tolist()])
+        assert (np.diff(scalar) >= 0.0).all(), y
+        assert (np.diff(apply(a, y, np)) >= 0.0).all(), y
+    # at 5e-324 the parameters +-0.5 are the ties: a*y rounds to 0
+    assert apply(-0.5, 5e-324, math) == 5e-324 == apply(0.5, 5e-324, math)
+    assert apply(-0.75, 5e-324, math) == 0.0 and apply(0.75, 5e-324, math) == 1e-323
+
+
+CHUNKED_FAMILIES = [KAN05, INV05, kan_family(0.05), FL_LOG2,
+                    fiber.FiberFamily(fiber.KAN, StepProfile((0.6, -0.3, 0.0))),
+                    fractional_linear_family(StepProfile((1.0, -1.0, 0.5, 2.0, -2.5)))]
+
+
+@pytest.mark.parametrize("family", CHUNKED_FAMILIES, ids=lambda f: f"{f.kind}-{f.profile}")
+def test_chunked_displacement_is_the_whole_arrays_slice_bit_for_bit(family):
+    # the orbit loop computes parameters a chunk at a time: a vectorised
+    # kernel's tail, at offsets and lengths off multiples of 8 and of the
+    # chunk, must not change a parameter
+    xs = np.concatenate([base_orbit_angles(3, 0.1234, 3 * CHUNK + 77, seed=5),
+                         [0.0, 0.25, 0.5, 0.75, 1.0, 1.0 - 2.0**-53, 1.0 / 3.0]])
+    whole = family.displacement(xs).view(np.uint64)
+    params = fiber._Parameters(xs, family)
+    for lo, hi in [(0, 1), (0, 7), (3, 12), (5, 5 + CHUNK), (13, 13 + CHUNK + 3),
+                   (CHUNK - 1, 3 * CHUNK + 1), (2 * CHUNK + 9, xs.size), (xs.size - 3, xs.size),
+                   (0, xs.size)]:
+        want = whole[lo:hi]
+        assert np.array_equal(family.displacement(xs[lo:hi]).view(np.uint64), want), (lo, hi)
+        assert np.array_equal(params[lo:hi].view(np.uint64), want), (lo, hi)
 
 
 @pytest.mark.parametrize("kind", sorted(_KERNELS))
@@ -144,7 +194,7 @@ def _plain_orbit(kind, a, y):
 def _lane_and_plain_orbits(family, a, y):
     """(_fiber_orbit, plain loop) heights as uint64 bit patterns."""
     got = np.empty(a.size)
-    fiber._fiber_orbit(family, a, y, got)
+    fiber._fiber_orbit(family, fiber._Parameters(a), y, got)
     want, _ = _plain_orbit(family.kind, a, y)
     return got.view(np.uint64), want.view(np.uint64)
 
@@ -249,7 +299,7 @@ def test_lane_orbit_rounds_of_a_long_inverse_kan_orbit(monkeypatch):
     family = inverse_kan_family(0.5)
     a = family.displacement(base_orbit_angles(3, 0.1234, 10**6, seed=5))
     out = np.empty(a.size)
-    fiber._fiber_orbit(family, a, 0.4, out)
+    fiber._fiber_orbit(family, fiber._Parameters(a), 0.4, out)
     assert 0 < calls <= 4224
 
 
@@ -282,7 +332,7 @@ def _counted_scalar_orbit(kind, a, y):
         return apply(p, y, xp)
 
     out = np.empty(a.size)
-    end = fiber._scalar_orbit(counted, a, y, out)
+    end = fiber._scalar_orbit(dict(_KERNELS[kind], apply=counted), fiber._Parameters(a), y, out)
     return out.view(np.uint64), end, steps[0]
 
 
@@ -306,6 +356,39 @@ def test_scalar_orbit_skips_kan_fixed_heights_bit_for_bit(eps, y, stuck):
     assert steps < a.size  # the stuck tail was checked by the array kernel
 
 
+@pytest.mark.parametrize("family", [kan_family(0.5), kan_family(0.9), kan_family(0.05),
+                                    inverse_kan_family(0.5),
+                                    fiber.FiberFamily(fiber.KAN, StepProfile((0.6, -0.3, 0.0)))],
+                         ids=lambda f: f"{f.kind}-{f.profile}")
+@pytest.mark.parametrize("y", [0.4, 1e-300, 1.0 - 1e-12, 1e-320, 0.0, 1.0])
+def test_scalar_orbit_from_angles_computes_only_the_parameters_it_steps(family, y):
+    # given the angles, the loop computes the parameters a chunk at a time:
+    # its heights are the plain loop's over all the parameters bit for bit,
+    # and once a Kan height sticks at a float that -sup|p| and +sup|p| both
+    # fix, no parameter is computed past the first full chunk after that
+    xs = base_orbit_angles(3, 0.1234, N_RUN, seed=5)
+    reach = [0]
+
+    class Counted(fiber._Parameters):
+        def __getitem__(self, s):
+            reach[0] = max(reach[0], s.indices(self.size)[1])
+            return super().__getitem__(s)
+
+    out = np.empty(N_RUN)
+    kernels = _KERNELS[family.kind]
+    end = fiber._scalar_orbit(kernels, Counted(xs, family), y, out)
+    want, want_end = _plain_orbit(family.kind, family.displacement(xs), y)
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+    assert np.array([end]).view(np.uint64) == np.array([want_end]).view(np.uint64)
+    # the first index from which the orbit stays at its end
+    moving = np.flatnonzero(want != want_end)
+    first = int(moving[-1]) + 1 if moving.size else 0
+    bound = family.profile.bound()
+    proved = (kernels["monotone"]
+              and (kernels["apply"](np.array([-bound, bound]), want_end, np) == want_end).all())
+    assert reach[0] <= min(first + 2 * CHUNK, N_RUN) if proved else reach[0] == N_RUN
+
+
 @pytest.mark.parametrize("y, steps", [(0.4, N_RUN), (1e-300, N_RUN), (0.0, CHUNK)])
 def test_scalar_orbit_of_inverse_kan_bit_for_bit(y, steps):
     # inverse-Kan fibres push heights off the ends: only 0 stays fixed (at 1
@@ -325,6 +408,18 @@ def test_fixed_run_ends_at_the_first_parameter_that_moves(kind, moved):
     a[moved] = 0.5
     end, steps = _assert_plain(kind, a, 0.4)
     assert end != 0.4 and steps <= 3 * CHUNK
+
+
+def test_fixed_run_needs_both_ends_of_the_bound():
+    # below 0.5 the floats are twice as dense: a*y*(1-y) = +-1.5 * 2**-55
+    # rounds back to 0.5 above it and to the float below it, so +B alone
+    # would not prove the run that -B ends
+    b = 1.5 * 2.0**-53
+    a = np.full(N_RUN, b)
+    a[3 * CHUNK + 5] = -b
+    apply = _KERNELS[fiber.KAN]["apply"]
+    assert apply(b, 0.5, math) == 0.5 and apply(-b, 0.5, math) == 0.5 - 2.0**-54
+    _assert_plain(fiber.KAN, a, 0.5)
 
 
 @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])

@@ -66,24 +66,39 @@ def test_negative_regime_collapses_to_boundaries():
 
 def test_kan_orbit_steps_the_scalar_kernel_only_until_it_sticks(monkeypatch):
     # c08's Kan orbit stays at 1 - 2**-53 from within its first chunk on:
-    # the loop takes one more chunk to see it, the array kernel checks the
-    # rest of the 10**6 parameters, and the lanes' step kernel is never called
+    # the loop takes one more chunk to see it, the kernel applied to
+    # -sup|p| and +sup|p| shows that every parameter left fixes it, so the
+    # rest of the 10**6 parameters are never computed, and the lanes' step
+    # kernel is never called
     kan = fiber._KERNELS[fiber.KAN]
-    apply, step, steps, lane_rounds = kan["apply"], kan["step"], [0], [0]
+    apply, step = kan["apply"], kan["step"]
+    steps, bound_calls, lane_rounds, computed = [0], [], [0], [0]
 
     def counted(p, y, xp):
-        steps[0] += xp is math
+        if xp is math:
+            steps[0] += 1
+        else:
+            bound_calls.append(np.size(p))
         return apply(p, y, xp)
 
     def counted_step(p, y):
         lane_rounds[0] += 1
         return step(p, y)
 
+    displacement = FiberFamily.displacement
+
+    def counted_displacement(family, x):
+        computed[0] += np.size(x)
+        return displacement(family, x)
+
     monkeypatch.setitem(kan, "apply", counted)
     monkeypatch.setitem(kan, "step", counted_step)
+    monkeypatch.setattr(FiberFamily, "displacement", counted_displacement)
     _, ys = orbit_points(KAN3, START, 10**6, seed=7)
     assert ys[-1] == 1.0 - 2.0**-53
+    assert computed[0] <= 3 * fiber._ORBIT_CHUNK
     assert steps[0] <= 3 * fiber._ORBIT_CHUNK
+    assert bound_calls == [2]  # one array call on the pair -sup|p|, +sup|p|
     assert lane_rounds[0] == 0
 
 
