@@ -309,7 +309,10 @@ def _run_equidist(args) -> int:
         modulus, support = math.pi, cyclic_support_check(values, modulus_irrational=True)
     else:
         support = cyclic_support_check(values, modulus=args.modulus)
-        modulus = float(Fraction(args.modulus))
+        try:
+            modulus = float(Fraction(args.modulus))
+        except OverflowError:  # past the largest float; circle_equidistribution refuses it
+            modulus = math.inf
     trace = simulate_walk(StepProfile(tuple(float(Fraction(v)) for v in values)),
                           args.t0, args.n, seed=args.seed)
     rep = circle_equidistribution(trace, modulus, args.bins)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +66,13 @@ def _require_seed(seed) -> None:
     """Seeds are None or non-negative integers, numpy integers included."""
     if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise PreconditionError(f"seed must be None or a non-negative integer, got {seed!r}")
+
+
+def _require_count(value, what: str, least: int = 0) -> None:
+    """Lengths and counts are integers >= least, numpy integers included;
+    a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise PreconditionError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -538,3 +546,103 @@ def base_orbit_angles(k: int, x0: float, n: int, seed=None) -> np.ndarray:
         # the bits of rng.uniform(0.0, 1.0, n - m), as 0 + 1*u = u, drawn in place
         np.random.default_rng(seed).random(n - m, out=out[m:])
     return out
+
+
+# ---------------------------------------------------------------------------
+# counter-based digit streams
+# ---------------------------------------------------------------------------
+
+_MASK64 = 2**64 - 1
+#: splitmix64's increment, the golden ratio in 64 bits
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser, in place on a uint64 array; array products
+    wrap mod 2^64 without a warning."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+@lru_cache(maxsize=64)
+def _digit_layout(k: int) -> tuple[int, int]:
+    """(M, limit): a word w < limit holds the M base-k digits floor(w/k^d)
+    mod k, d = 0..M-1, each exactly uniform for a uniform w, as limit =
+    k^M * floor(2^64/k^M) is a multiple of k^M.  Words at or above limit are
+    redrawn.  M maximises the digits a word yields, M * limit / 2^64: for a
+    power of two it is 64 // log2(k) and limit is 2^64, so nothing is
+    redrawn; at k = 3 it is 38, and 4.8 % of words are redrawn."""
+    m = max((m for m in range(1, 65) if k**m <= 2**64),
+            key=lambda m: m * k**m * (2**64 // k**m))
+    return m, k**m * (2**64 // k**m)
+
+
+def _redraw(words: np.ndarray, limit: int) -> np.ndarray:
+    """Replace, in place, every word >= limit by a hash of it and the attempt
+    counter a = 1, 2, ..., splitmix64(w + a * golden), until all are below
+    limit; a word below limit is kept."""
+    if limit > _MASK64:
+        return words
+    bad = np.flatnonzero(words >= np.uint64(limit))
+    attempt = 0
+    while bad.size:
+        attempt += 1
+        redrawn = words[bad]
+        redrawn += np.uint64(attempt * _GOLDEN & _MASK64)
+        words[bad] = _splitmix64(redrawn)
+        bad = bad[redrawn >= np.uint64(limit)]
+    return words
+
+
+def digits(key: int, start: int, n: int, k: int) -> np.ndarray:
+    """Digits start .. start+n-1 of the base-k stream ``key``, each i.i.d.
+    uniform in {0..k-1}, as the smallest unsigned dtype that holds k - 1.
+
+    Digit i is a pure function of (key, i): digit i mod M of word i // M,
+    where word j is splitmix64's output j from the state key, that is the
+    finaliser of key + (j + 1) * golden mod 2^64, redrawn by
+    :func:`_redraw` while it is at or above the limit of
+    :func:`_digit_layout`.  So a stream can be read in any pieces, in any
+    order.  At k = 2 the digits are the 64 bits of each word, least
+    significant first; for a power of two k, log2(k) bits per digit.
+    """
+    _require_count(key, "stream key")
+    _require_count(start, "stream start")
+    _require_count(n, "digit count")
+    _require_multiplier(k)
+    if key > _MASK64 or k > _MASK64:
+        raise PreconditionError(f"stream key and base k must be below 2^64, got {key!r}, {k!r}")
+    k = int(k)
+    per_word, limit = _digit_layout(k)
+    first = start // per_word
+    counter = np.arange(first + 1, -(-(start + n) // per_word) + 1, dtype=np.uint64)
+    counter *= np.uint64(_GOLDEN)
+    counter += np.uint64(key)
+    words = _redraw(_splitmix64(counter), limit)
+    if k == 2:
+        out = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    else:
+        out = np.empty((words.size, per_word), dtype=np.min_scalar_type(k - 1))
+        base, quotient = np.uint64(k), np.empty_like(words)
+        for d in range(per_word):
+            # floor_divide by a scalar is numpy's fast path; remainder is not
+            np.floor_divide(words, base, out=quotient)
+            words -= quotient * base
+            out[:, d] = words
+            words, quotient = quotient, words
+        out = out.reshape(-1)
+    lo = start - first * per_word
+    return out[lo:lo + n]
+
+
+def _stream_key(seed) -> int:
+    """The digit-stream key of a seed: a SeedSequence's own first uint64
+    word, so a spawned child keys its own stream, and otherwise that of
+    SeedSequence(seed), where None draws fresh entropy."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return int(seed.generate_state(1, np.uint64)[0])

@@ -447,12 +447,13 @@ def _lane_orbit(step, A: np.ndarray, y: float, Y: np.ndarray):
     return None
 
 
-def _translation_orbit(t0: float, steps: np.ndarray) -> np.ndarray:
-    """t_0 = t0, t_{i+1} = t_i + steps[i]: Moebius fibers translating t by c."""
-    t = np.empty(steps.size + 1, dtype=float)
-    t[0] = t0
-    np.cumsum(steps, out=t[1:])
-    t[1:] += t0
+def _translation_orbit(t0: float, t: np.ndarray) -> np.ndarray:
+    """t_0 = t0, t_i = t_{i-1} + c_i, rounded step by step as the orbit of
+    Moebius fibers translating t by c: in place on a float array t whose
+    t[1:] holds c_1..c_n.  Returns t."""
+    if t.size:
+        t[0] = t0
+        np.cumsum(t, out=t)
     return t
 
 

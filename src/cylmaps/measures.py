@@ -91,7 +91,9 @@ def _orbit(sys: CylinderSystem, p0: CylPoint, n: int, seed,
     else:
         params = _Parameters(xs, sys.family)
     if sys.family.kind == FRACTIONAL_LINEAR:
-        return xs, c, poincare_coord_inv(_translation_orbit(poincare_coord(p0.y), params[:])[:n])
+        t = np.empty(n, dtype=float)
+        t[1:] = params[:n - 1]
+        return xs, c, poincare_coord_inv(_translation_orbit(poincare_coord(p0.y), t))
     ys = np.empty(n, dtype=float)
     _fiber_orbit(sys.family, params, p0.y, ys)
     return xs, c, ys

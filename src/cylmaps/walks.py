@@ -7,6 +7,13 @@ those walks, computes the occupation ratios above/inside/below a threshold
 band, estimates the arcsine-law ensemble frequencies, measures
 equidistribution of the walk reduced modulo L, and decides the exact
 finite-cyclic-support condition that governs it.
+
+A walk's seed names a stream key (:func:`cylmaps.cylinder._stream_key`),
+and its digit i is digit i of that counter-based stream,
+:func:`cylmaps.cylinder.digits`; no numpy Generator draws them, so a walk's
+bits do not depend on numpy's generator algorithms.  Walks are built in
+their output array, and the running ratios are counted in cache-sized
+chunks into theirs: no temporary spans the walk.
 """
 
 from __future__ import annotations
@@ -18,26 +25,48 @@ from functools import cached_property
 
 import numpy as np
 
-from .cylinder import CylinderSystem, _mod1, _require_seed
+from .cylinder import (CylinderSystem, _mod1, _require_count, _require_seed, _stream_key,
+                       digits)
 from .errors import DomainError, PreconditionError, WrongFamilyError
 from .fiber import FRACTIONAL_LINEAR, StepProfile, _translation_orbit, poincare_coord
 
 
+#: walks take their digits, and the running ratios and final counts read
+#: their heights, this many at a time, so that every temporary stays in cache
+_CHUNK = 2**15
+
+
 @dataclass(frozen=True)
 class WalkTrace:
-    """A realized walk t_0 .. t_n with the step multiset and seed that made it."""
+    """A realized walk t_0 .. t_n with the step multiset and seed that made it.
+
+    The seed names the digit stream: digit i of the walk is digit i of
+    ``cylinder.digits(cylinder._stream_key(seed), 0, n, k)``.
+    """
 
     t: np.ndarray
     steps_used: tuple
     seed: int
 
 
-def _running_ratio(hits: np.ndarray) -> np.ndarray:
-    """count_i / i for i = 1..n; integer counts are exact, so with NaN
-    refused b_n equals n - a_n - c_n and every quotient is correctly rounded."""
-    count = np.cumsum(hits, dtype=np.int32 if hits.size < 2**31 else np.int64)
-    ratio = np.arange(1, hits.size + 1, dtype=float)
-    return np.divide(count, ratio, out=ratio)
+def _running_ratio(t: np.ndarray, hits) -> np.ndarray:
+    """count_i / i for i = 1..n, where count_i counts hits(t)[:i]; hits is
+    elementwise, and is called on chunks of _CHUNK heights, each counted into
+    the one float output.  Integer counts are exact, so with NaN refused b_n
+    equals n - a_n - c_n and every quotient is correctly rounded."""
+    ratio = np.empty(t.size, dtype=float)
+    count = np.empty(min(t.size, _CHUNK), dtype=np.int32 if t.size < 2**31 else np.int64)
+    ramp = np.arange(1, count.size + 1, dtype=float)
+    total = 0
+    for lo in range(0, t.size, _CHUNK):
+        hi = min(lo + _CHUNK, t.size)
+        c, out = count[:hi - lo], ratio[lo:hi]
+        np.cumsum(hits(t[lo:hi]), out=c)
+        c += total
+        total = int(c[-1])
+        np.add(ramp[:hi - lo], lo, out=out)  # lo + 1 .. hi, exact
+        np.divide(c, out, out=out)
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -55,15 +84,15 @@ class OccupationStats:
 
     @cached_property
     def a_over_n(self) -> np.ndarray:
-        return _running_ratio(self.t > self.threshold)
+        return _running_ratio(self.t, lambda t: t > self.threshold)
 
     @cached_property
     def b_over_n(self) -> np.ndarray:
-        return _running_ratio(np.abs(self.t) <= self.threshold)
+        return _running_ratio(self.t, lambda t: np.abs(t) <= self.threshold)
 
     @cached_property
     def c_over_n(self) -> np.ndarray:
-        return _running_ratio(self.t < -self.threshold)
+        return _running_ratio(self.t, lambda t: t < -self.threshold)
 
 
 @dataclass(frozen=True)
@@ -96,18 +125,24 @@ def simulate_walk(profile: StepProfile, t0: float, n: int, seed: int) -> WalkTra
 
     Deterministic for a fixed seed.  Integer-valued steps produce exactly
     representable t throughout.  The seed is None, a non-negative integer
-    or a SeedSequence, such as the children arcsine_ensemble spawns.
+    or a SeedSequence, such as the children arcsine_ensemble spawns; it
+    names the stream key of the walk's digits (see :class:`WalkTrace`).
     """
     profile = _require_step(profile)
     if not isinstance(seed, np.random.SeedSequence):
         _require_seed(seed)
     if not math.isfinite(t0):
         raise PreconditionError(f"walk start must be finite, got {t0}")
-    if n < 0:
-        raise PreconditionError("walk length must be >= 0")
-    digits = np.random.default_rng(seed).integers(0, profile.k, size=n)
-    steps = np.asarray(profile.values, dtype=float)[digits]
-    return WalkTrace(t=_translation_orbit(t0, steps), steps_used=profile.values, seed=seed)
+    _require_count(n, "walk length")
+    key, values = _stream_key(seed), np.asarray(profile.values, dtype=float)
+    # the step values are gathered into t[1:] a chunk of digits at a time,
+    # and summed there
+    t = np.empty(n + 1, dtype=float)
+    for lo in range(0, n, _CHUNK):
+        d = digits(key, lo, min(_CHUNK, n - lo), profile.k)
+        # mode "wrap" writes out directly ("raise" buffers it); digits < k never wrap
+        np.take(values, d, out=t[1 + lo:1 + lo + d.size], mode="wrap")
+    return WalkTrace(t=_translation_orbit(t0, t), steps_used=profile.values, seed=seed)
 
 
 def occupation_ratios(trace: WalkTrace, threshold: float) -> OccupationStats:
@@ -119,7 +154,7 @@ def occupation_ratios(trace: WalkTrace, threshold: float) -> OccupationStats:
     """
     _require_threshold(threshold)
     tt = trace.t[1:]
-    if np.isnan(tt).any():
+    if tt.size and np.isnan(tt.min()):  # min propagates NaN
         raise PreconditionError("trace contains NaN")
     return OccupationStats(threshold, tt)
 
@@ -133,13 +168,17 @@ def final_counts(profile: StepProfile, n: int, seeds, threshold: float) -> np.nd
     """Row w: the final counts (a_n, b_n, c_n), as int64, of the heights of
     ``simulate_walk(profile, 0.0, n, seeds[w])`` above, inside and below the
     band |t| <= threshold; over n they equal the last ``occupation_ratios``
-    ratios bit for bit.  Steps are finite, so no height is NaN."""
+    ratios bit for bit.  Steps are finite, so no height is NaN.  The heights
+    are counted a chunk at a time."""
+    _require_count(n, "walk length")
     _require_threshold(threshold)
-    counts = np.empty((len(seeds), 3), dtype=np.int64)
+    counts = np.zeros((len(seeds), 3), dtype=np.int64)
     for w, seed in enumerate(seeds):
-        t = simulate_walk(profile, 0.0, n, seed).t[1:]
-        counts[w, 0] = np.count_nonzero(t > threshold)
-        counts[w, 2] = np.count_nonzero(t < -threshold)
+        t = simulate_walk(profile, 0.0, n, seed).t
+        for lo in range(1, n + 1, _CHUNK):
+            chunk = t[lo:lo + _CHUNK]
+            counts[w, 0] += np.count_nonzero(chunk > threshold)
+            counts[w, 2] += np.count_nonzero(chunk < -threshold)
     counts[:, 1] = n - counts[:, 0] - counts[:, 2]
     return counts
 
@@ -156,8 +195,8 @@ def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
     profile = _require_step(profile)
     if math.fsum(profile.values) != 0.0:
         raise PreconditionError("arcsine statistics need a zero-mean step profile")
-    if n < 1 or num_walks < 1:
-        raise PreconditionError("need n >= 1 and num_walks >= 1")
+    _require_count(n, "walk length", 1)
+    _require_count(num_walks, "num_walks", 1)
     eps_list = list(eps_list)
     for eps in eps_list:
         if not 0.0 < eps <= 1.0:
@@ -176,10 +215,9 @@ def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
 def circle_equidistribution(trace: WalkTrace, modulus: float,
                             bins: int) -> CircleWalkReport:
     """Max deviation of the empirical CDF of (t_i/L mod 1) from uniform."""
-    if not modulus > 0.0:
-        raise PreconditionError("modulus must be positive")
-    if bins < 2:
-        raise PreconditionError("need at least 2 bins")
+    if not 0.0 < modulus < math.inf:
+        raise PreconditionError(f"modulus must be positive and finite, got {modulus!r}")
+    _require_count(bins, "bin count", 2)
     if trace.t.size == 0:
         raise PreconditionError("empty trace")
     if not np.isfinite(trace.t).all():
@@ -239,15 +277,13 @@ def fl_orbit_as_walk(sys: CylinderSystem, p0, n: int, seed: int) -> WalkTrace:
     profile = _require_step(sys.family.profile)
     if not 0.0 < p0.y < 1.0:
         raise DomainError("walk extraction needs an interior starting height")
-    if n < 0:
-        raise PreconditionError("walk length must be >= 0")
+    _require_count(n, "walk length")
     return simulate_walk(profile, poincare_coord(p0.y), n, seed)
 
 
 def occupation_csv(stats: OccupationStats, every: int = 1) -> str:
     """CSV rows (n, a_over_n, b_over_n, c_over_n), optionally downsampled."""
-    if every < 1:
-        raise PreconditionError("downsampling stride must be >= 1")
+    _require_count(every, "downsampling stride", 1)
     lines = ["n,a_over_n,b_over_n,c_over_n"]
     size = stats.a_over_n.size
     for i in range(every - 1, size, every):

@@ -74,8 +74,9 @@ def test_usage_error_on_malformed_profile(profile, family, capsys):
     ["walk", "--values", "1", "--n", "10"],
     ["equidist", "--values", "1"],
     ["arcsine", "--values", "1"],
+    ["equidist", "--modulus", "1e400"],
 ], ids=["basins-even-k", "walk-nan", "walk-inf", "basins-delta", "separator-delta",
-        "walk-one-value", "equidist-one-value", "arcsine-one-value"])
+        "walk-one-value", "equidist-one-value", "arcsine-one-value", "equidist-huge-modulus"])
 def test_usage_error_on_refused_input(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)

@@ -41,7 +41,17 @@ from cylmaps import (
     step,
     transverse_exponent_birkhoff,
 )
-from cylmaps.cylinder import _BLOCK_ELEMENTS, _BLOCK_ROUNDS, _mod1, separator_sweep
+from cylmaps.cylinder import (
+    _BLOCK_ELEMENTS,
+    _BLOCK_ROUNDS,
+    _digit_layout,
+    _mod1,
+    _redraw,
+    _splitmix64,
+    _stream_key,
+    digits,
+    separator_sweep,
+)
 from cylmaps.fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN, _apply_fiber
 from cylmaps.measures import jacobian_max_defect
 
@@ -870,6 +880,130 @@ def test_seeded_tools_refuse_a_negative_seed(call):
     # numpy's own refusal is a bare ValueError; PreconditionError subclasses it
     with pytest.raises(PreconditionError, match="seed"):
         call(-1)
+
+
+# ---------------------------------------------------------------------------
+# counter-based digit streams
+# ---------------------------------------------------------------------------
+
+_GOLDEN, _M64 = 0x9E3779B97F4A7C15, 2**64 - 1
+
+
+def _mix(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
+    return z ^ (z >> 31)
+
+
+def _reference_digits(key, start, n, k):
+    # Python integers throughout: word j is splitmix64's output j from the
+    # state key; a word at or above k^M * floor(2^64 / k^M) is redrawn as
+    # splitmix64(w + a * golden) for attempts a = 1, 2, ...; M maximises the
+    # digits a word yields.  Returns the digits and the number of redraws.
+    per_word = max((m for m in range(1, 65) if k**m <= 2**64),
+                   key=lambda m: m * k**m * (2**64 // k**m))
+    limit = k**per_word * (2**64 // k**per_word)
+    out, redraws = [], 0
+    for i in range(start, start + n):
+        j, d = divmod(i, per_word)
+        w, attempt = _mix((key + (j + 1) * _GOLDEN) & _M64), 0
+        while w >= limit:
+            attempt += 1
+            w = _mix((w + attempt * _GOLDEN) & _M64)
+            redraws += d == 0
+        out.append(w // k**d % k)
+    return out, redraws
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 10, 257])
+def test_digits_are_the_reference_stream(k):
+    key = _stream_key(2024)
+    want, redraws = _reference_digits(key, 0, 3000, k)
+    got = digits(key, 0, 3000, k)
+    assert got.dtype == np.min_scalar_type(k - 1)
+    assert got.tolist() == want
+    # a power of two redraws nothing; k = 3, 5, 6 and 10 redraw 1.5-4.8 % of
+    # words, and 7 and 257 under 0.1 %
+    if k & (k - 1) == 0:
+        assert redraws == 0
+    elif k in (3, 5, 6, 10):
+        assert redraws > 0
+
+
+def test_digits_at_k2_are_the_bits_of_each_word_least_significant_first():
+    key = _stream_key(5)
+    words = [_mix((key + (j + 1) * _GOLDEN) & _M64) for j in range(3)]
+    assert digits(key, 0, 192, 2).tolist() == [w >> b & 1 for w in words for b in range(64)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 6, 16])
+def test_digits_read_in_pieces_are_the_stream(k):
+    per_word = _digit_layout(k)[0]
+    key = _stream_key(7)
+    whole = digits(key, 0, 6 * per_word + 5, k)
+    for start in (0, 1, per_word - 1, per_word, per_word + 1, 2 * per_word, 3 * per_word - 2):
+        for n in (0, 1, per_word - 1, per_word, per_word + 1, 2 * per_word + 3):
+            assert np.array_equal(digits(key, start, n, k), whole[start:start + n])
+
+
+def _chi_square_z(counts):
+    # chi-square against equal cells, as a z-score by Wilson-Hilferty
+    counts = np.asarray(counts, dtype=float)
+    expected = counts.sum() / counts.size
+    chi2, df = float(((counts - expected) ** 2).sum() / expected), counts.size - 1
+    return ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / (2 / (9 * df)) ** 0.5
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_digit_frequencies_and_serial_pairs_pass_chi_square(k):
+    d = digits(_stream_key(11), 0, 10**7, k).astype(np.int64)
+    assert abs(_chi_square_z(np.bincount(d, minlength=k))) < 4.0
+    pairs = d[0::2] * k + d[1::2]
+    assert abs(_chi_square_z(np.bincount(pairs, minlength=k * k))) < 4.0
+
+
+def test_chi_square_sees_the_bias_of_unrejected_digits():
+    # 39 base-3 digits of each 63-bit word without a redraw: the top digit
+    # reads 0 with probability about 0.41 (exact: 0.4142), not 1/3
+    words = _splitmix64(np.arange(1, 10**7 // 39 + 1, dtype=np.uint64)
+                        * np.uint64(_GOLDEN) + np.uint64(_stream_key(11))) >> np.uint64(1)
+    counts = np.zeros(3, dtype=np.int64)
+    for _ in range(39):
+        words, d = np.divmod(words, np.uint64(3))
+        counts += np.bincount(d.astype(np.int64), minlength=3)
+    assert _chi_square_z(counts) > 10.0
+
+
+def test_redraw_keeps_words_below_the_limit_and_rehashes_the_rest():
+    limit = _digit_layout(3)[1]
+    words = np.array([0, limit - 1, limit, limit + 1, _M64], dtype=np.uint64)
+    got = _redraw(words.copy(), limit).tolist()
+    assert got[:2] == [0, limit - 1]
+    for w, g in zip(words[2:].tolist(), got[2:]):
+        attempt = 0
+        while w >= limit:
+            attempt += 1
+            w = _mix((w + attempt * _GOLDEN) & _M64)
+        assert g == w < limit
+    # a limit of 2^64 (k a power of two) redraws nothing
+    assert _redraw(words.copy(), 2**64).tolist() == words.tolist()
+
+
+def test_stream_keys_follow_the_seed_sequence():
+    assert _stream_key(3) == int(np.random.SeedSequence(3).generate_state(1, np.uint64)[0])
+    child = np.random.SeedSequence(3).spawn(2)[1]
+    assert _stream_key(child) == int(child.generate_state(1, np.uint64)[0]) != _stream_key(3)
+    assert _stream_key(None) != _stream_key(None)  # fresh entropy
+
+
+@pytest.mark.parametrize("args", [
+    (-1, 0, 10, 2), (2**64, 0, 10, 2), (1.0, 0, 10, 2), (True, 0, 10, 2),
+    (1, -1, 10, 2), (1, 0.5, 10, 2), (1, 0, -1, 2), (1, 0, 2.5, 2), (1, 0, True, 2),
+    (1, 0, 10, 1), (1, 0, 10, 2.0), (1, 0, 10, 2**64),
+])
+def test_digits_refuse_bad_arguments(args):
+    with pytest.raises(PreconditionError):
+        digits(*args)
 
 
 # ---------------------------------------------------------------------------

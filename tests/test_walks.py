@@ -29,6 +29,7 @@ from cylmaps import (
     poincare_coord_inv,
     simulate_walk,
 )
+from cylmaps import cylinder, walks
 
 PM1 = StepProfile((1.0, -1.0))
 
@@ -121,7 +122,7 @@ def test_arcsine_checks_eps_before_simulating(monkeypatch):
     def no_walks(*args, **kwargs):
         raise AssertionError("walks simulated before eps was checked")
 
-    monkeypatch.setattr(np.random, "default_rng", no_walks)
+    monkeypatch.setattr(walks, "simulate_walk", no_walks)
     for bad in (0.0, 1.5):
         with pytest.raises(PreconditionError):
             arcsine_ensemble(PM1, 10, 5, [0.5, bad], seed=1)
@@ -166,8 +167,6 @@ def test_equidistribution_gates():
         circle_equidistribution(tr, 0.0, 16)
     with pytest.raises(PreconditionError):
         circle_equidistribution(tr, 1.0, 1)
-    import cylmaps.walks as walks
-
     empty = walks.WalkTrace(t=np.empty(0), steps_used=(1.0, -1.0), seed=0)
     with pytest.raises(PreconditionError):
         circle_equidistribution(empty, 1.0, 16)
@@ -256,7 +255,7 @@ def test_fl_orbit_follows_the_fiber_maps(values, seed):
     family = fractional_linear_family(profile)
     n = 2000
     t = fl_orbit_as_walk(CylinderSystem(k, family), CylPoint(0.3, 0.5), n, seed=seed).t
-    digits = np.random.default_rng(seed).integers(0, k, size=n)
+    digits = cylinder.digits(cylinder._stream_key(seed), 0, n, k)
     y, steps = 0.5, 0
     for i, digit in enumerate(digits.tolist(), 1):
         if abs(t[i]) > 10.0:
@@ -290,12 +289,12 @@ def test_occupation_matches_three_count_reference(values):
 
 
 def _arcsine_finals_reference(profile, n, num_walks, seed):
-    # the ensemble's own draw-and-sum, before it called simulate_walk
+    # the ensemble's draw-and-sum, each spawned child keying its digit stream
     values = np.asarray(profile.values, dtype=float)
     finals = []
     for sub in np.random.SeedSequence(seed).spawn(num_walks):
-        rng = np.random.default_rng(sub)
-        t = np.cumsum(values[rng.integers(0, profile.k, size=n)])
+        key = int(sub.generate_state(1, np.uint64)[0])
+        t = np.cumsum(values[cylinder.digits(key, 0, n, profile.k)])
         finals.append(np.count_nonzero(t > 0.0) / n)
     return np.array(finals)
 
@@ -408,3 +407,61 @@ def test_final_counts_refuse_the_thresholds_occupation_refuses(threshold):
         occupation_ratios(simulate_walk(PM1, 0.0, 10, seed=1), threshold)
     with pytest.raises(PreconditionError, match="threshold"):
         final_counts(PM1, 10, [1], threshold)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, walks._CHUNK + 1])
+def test_running_ratios_across_the_chunk_boundary(offset):
+    n = walks._CHUNK + offset
+    for values, threshold in (((1.0, -1.0), 1.0), ((0.3, -0.7, 0.1), 0.5)):
+        tr = simulate_walk(StepProfile(values), 0.0, n, seed=6)
+        st = occupation_ratios(tr, threshold)
+        for got, want in zip((st.a_over_n, st.b_over_n, st.c_over_n),
+                             _occupation_reference(tr, threshold)):
+            assert np.array_equal(got, want)
+
+
+def test_walks_and_ratios_allocate_no_full_size_temporary():
+    import tracemalloc
+
+    n = 10**6
+    tracemalloc.start()
+    try:
+        tr = simulate_walk(PM1, 0.0, n, seed=0)
+        walk_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        st = occupation_ratios(tr, 1.0)
+        for name in _RATIOS:
+            getattr(st, name)
+        ratio_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the 8 MB walk, then three 8 MB ratio arrays, each with chunk-sized
+    # temporaries: a digit, step, |t| or count array spanning the walk adds 1-8 MB
+    assert walk_peak < 8 * (n + 1) + 2**20
+    assert ratio_peak < 3 * 8 * n + 2**20
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: simulate_walk(PM1, 0.0, bad, seed=1),
+    lambda bad: final_counts(PM1, bad, [1], 0.0),
+    lambda bad: arcsine_ensemble(PM1, bad, 3, [0.5], seed=1),
+    lambda bad: arcsine_ensemble(PM1, 10, bad, [0.5], seed=1),
+    lambda bad: fl_orbit_as_walk(CylinderSystem(2, fractional_linear_family(PM1)),
+                                 CylPoint(0.3, 0.5), bad, seed=1),
+    lambda bad: walks.occupation_csv(occupation_ratios(simulate_walk(PM1, 0.0, 10, seed=1), 1.0),
+                                     every=bad),
+], ids=["simulate_walk", "final_counts", "arcsine_n", "arcsine_num_walks", "fl_orbit_as_walk",
+        "occupation_csv"])
+@pytest.mark.parametrize("bad", [10.5, 2.0, True, "3", None, -1])
+def test_walk_lengths_and_counts_must_be_integers(call, bad):
+    with pytest.raises(PreconditionError):
+        call(bad)
+
+
+@pytest.mark.parametrize("modulus,bins", [
+    (math.inf, 16), (-math.inf, 16), (-1.0, 16), (1.0, 2.5), (1.0, True), (1.0, 16.0)])
+def test_equidistribution_refuses_an_infinite_modulus_and_a_fractional_bin_count(modulus, bins):
+    tr = simulate_walk(PM1, 0.0, 100, seed=1)
+    with pytest.raises(PreconditionError):
+        circle_equidistribution(tr, modulus, bins)
