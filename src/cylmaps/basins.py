@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import BasinClass, CylinderSystem, _column_thresholds, _mod1, _require_seed, classify_points
+from .cylinder import (BasinClass, CylinderSystem, _column_thresholds, _mod1, _require_count,
+                       _require_seed, classify_points)
 from .errors import PreconditionError
 
 #: samples a box has classified after each probe stage but the last, which takes the rest
@@ -67,8 +68,8 @@ def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
     effect; it stays only because perfbench/ops.py passes threads=1 and
     threads=2, and goes when the benchmark stops passing it.
     """
-    if width < 1 or height < 1:
-        raise PreconditionError("raster dimensions must be >= 1")
+    _require_count(width, "raster width", 1)
+    _require_count(height, "raster height", 1)
     xs = (np.arange(width, dtype=float) + 0.5) / width
     first = _column_thresholds(sys, xs, lambda j: (j + 0.5) / height, height, n_max, delta)
     row = np.arange(height)[:, None]
@@ -103,10 +104,8 @@ def intermingle_probe(sys: CylinderSystem, num_boxes: int, box_side: float,
     depend on the rest of its batch, so the report equals classifying every
     sample.
     """
-    if num_boxes < 1:
-        raise PreconditionError("need at least one box")
-    if samples_per_box < 1:
-        raise PreconditionError("need at least one sample per box")
+    _require_count(num_boxes, "box count", 1)
+    _require_count(samples_per_box, "samples per box", 1)
     if not 0.0 < box_side < 0.5:
         raise PreconditionError(f"box side must lie in (0, 0.5), got {box_side}")
     _require_seed(seed)

@@ -175,8 +175,7 @@ def step(sys: CylinderSystem, p: CylPoint) -> CylPoint:
 
 def orbit(sys: CylinderSystem, p0: CylPoint, n: int) -> list[CylPoint]:
     """The n+1 points p0, F(p0), ..., F^n(p0)."""
-    if n < 0:
-        raise PreconditionError("orbit length must be >= 0")
+    _require_count(n, "orbit length")
     pts = [p0]
     for _ in range(n):
         pts.append(step(sys, pts[-1]))
@@ -197,8 +196,7 @@ def backward_orbit_toward(sys: CylinderSystem, p0: CylPoint, x_star: float,
         raise PreconditionError(f"x_star={x_star} is not fixed under multiplication by {sys.k}")
     if not 0.0 < p0.y < 1.0:
         raise DomainError("backward orbits need an interior starting height")
-    if n < 0:
-        raise PreconditionError("orbit length must be >= 0")
+    _require_count(n, "orbit length")
     pts = [p0]
     x, y = p0.x, p0.y
     for _ in range(n):
@@ -212,8 +210,7 @@ def backward_orbit_toward(sys: CylinderSystem, p0: CylPoint, x_star: float,
 def canonical_fixed_angle(k: int) -> float:
     """The marked repelling angle used by the quadratic examples:
     1/2 for odd k, k/(2k-2) for even k >= 4; always inside [1/3, 2/3]."""
-    if k < 3:
-        raise PreconditionError(f"canonical fixed angle needs k >= 3, got {k}")
+    _require_count(k, "canonical fixed angle's k", 3)
     if k % 2 == 1:
         return 0.5
     return k / (2.0 * k - 2.0)
@@ -235,8 +232,7 @@ def check_kan_hypothesis(sys: CylinderSystem, x_minus: float, x_plus: float,
     """
     if not 0.0 < radius < np.inf:
         raise PreconditionError("radius must be positive and finite")
-    if period < 1:
-        raise PreconditionError("period must be >= 1")
+    _require_count(period, "period", 1)
     for label, xm in (("x_minus", x_minus), ("x_plus", x_plus)):
         if not is_periodic_angle(sys.k, xm, period):
             raise PreconditionError(
@@ -268,8 +264,7 @@ def _check_classification(sys: CylinderSystem, n_max: int, delta: float) -> None
     them before doing any work of their own."""
     if not 0.0 < delta < 0.5 or 1.0 - delta == 1.0:
         raise PreconditionError(f"delta must lie in (0, 0.5) with 1 - delta < 1, got {delta}")
-    if n_max < 0:
-        raise PreconditionError("iteration budget must be >= 0")
+    _require_count(n_max, "iteration budget")
     if sys.k % 2 == 0:
         raise PreconditionError(
             f"classification needs an odd base multiplier k, got {sys.k}")
@@ -485,6 +480,7 @@ def separator_sweep(sys: CylinderSystem, num_angles: int, n_max: int, delta: flo
     both x and k*x, good satisfy the pushforward functional equation
     sigma(kx) = f_x(sigma(x)) within 1e-2.
     """
+    _require_count(num_angles, "angle count")
     _require_seed(seed)
     xs = np.random.default_rng(seed).uniform(0.0, 1.0, num_angles)
     both = estimate_separator_batch(sys, np.concatenate([xs, _mod1(sys.k * xs)]),
@@ -511,35 +507,34 @@ def base_orbit_angles(k: int, x0: float, n: int, seed=None) -> np.ndarray:
     """Driving angles x_0 .. x_{n-1} for a length-n orbit segment.
 
     Binary floating point cannot follow x -> k*x mod 1 for long: the orbit
-    collapses onto k-adic artifacts after roughly 50 steps.  The first
-    EXACT_ORBIT_PREFIX angles therefore come from the float map and the rest
+    collapses onto k-adic artifacts after roughly 50 steps, and at even k
+    onto the fixed angle 0 (from 0.1234 at k = 4, after 28 steps).  So the
+    angles come from the float map for at most EXACT_ORBIT_PREFIX steps,
+    ending before the first angle that the float map fixes, and the rest
     are drawn i.i.d. uniform, which has the same distribution for time
     averages of integrable observables.  Angles x0 that the float map fixes
     exactly are kept constant for all n (deliberate exceptional orbits).
 
     The default seed is derived from the bits of x0, so results are
     reproducible without an explicit seed.  A non-finite x0 is refused, and
-    so are a k that is not an integer >= 2 and a seed that is neither None
-    nor a non-negative integer.
+    so are a k that is not an integer >= 2, a seed that is neither None nor
+    a non-negative integer, and an n that is not an integer >= 0.
     """
     _require_multiplier(k)
     _require_seed(seed)
-    if n < 0:
-        raise PreconditionError("orbit length must be >= 0")
+    _require_count(n, "orbit length")
     if not np.isfinite(x0):
         raise PreconditionError(f"orbit start angle must be finite, got {x0}")
     x0 = x0 % 1.0
     out = np.empty(n, dtype=float)
-    if n == 0:
-        return out
-    if (k * x0) % 1.0 == x0:
+    m, x = 0, x0
+    while m < min(n, EXACT_ORBIT_PREFIX) and (nxt := (k * x) % 1.0) != x:
+        out[m] = x
+        x = nxt
+        m += 1
+    if m == 0:  # n = 0, or the float map fixes x0
         out.fill(x0)
         return out
-    m = min(n, EXACT_ORBIT_PREFIX)
-    x = x0
-    for i in range(m):
-        out[i] = x
-        x = (k * x) % 1.0
     if n > m:
         if seed is None:
             seed = int(np.float64(x0).view(np.uint64))

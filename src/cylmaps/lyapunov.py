@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import CylinderSystem, base_orbit_angles
-from .errors import DomainError, PreconditionError
+from .cylinder import CylinderSystem, _require_count, base_orbit_angles
+from .errors import PreconditionError
 from .fiber import FRACTIONAL_LINEAR, KAN, FiberFamily, StepProfile
 
 #: |lyap0 + lyap1| below this counts as a vanishing exponent sum
@@ -42,11 +42,10 @@ def _log_boundary_derivative(family: FiberFamily, boundary: int, x) -> np.ndarra
     if boundary not in (0, 1):
         raise PreconditionError(f"boundary must be 0 or 1, got {boundary}")
     a = family.displacement(x)
-    if family.kind == FRACTIONAL_LINEAR:
-        return a if boundary == 0 else -a
     signed = a if boundary == 0 else -a
-    if np.any(1.0 + signed <= 0.0):
-        raise DomainError("fiber derivative is not positive at the boundary")
+    if family.kind == FRACTIONAL_LINEAR:
+        return signed
+    # FiberFamily refuses sup|p| >= 1 for the quadratic kinds, so 1 + signed > 0
     val = np.log1p(signed)
     return val if family.kind == KAN else -val
 
@@ -55,8 +54,7 @@ def transverse_exponent_quadrature(family: FiberFamily, boundary: int,
                                    nodes: int) -> float:
     """Circle average of log f'_x(boundary) by the periodic trapezoid rule;
     a step profile takes one node per digit, which gives the exact mean."""
-    if nodes < 16:
-        raise PreconditionError(f"need at least 16 quadrature nodes, got {nodes}")
+    _require_count(nodes, "quadrature node count", 16)
     if isinstance(family.profile, StepProfile):
         # digit midpoints: at k = 22 the node 15/22 would read digit 14
         x = (np.arange(family.profile.k) + 0.5) / family.profile.k
@@ -73,8 +71,7 @@ def transverse_exponent_birkhoff(sys: CylinderSystem, boundary: int, x0: float,
     exact float prefix are drawn i.i.d. uniform; exactly fixed x0 stays put,
     which reproduces exceptional periodic-orbit averages.
     """
-    if n < 1:
-        raise PreconditionError("Birkhoff averages need n >= 1")
+    _require_count(n, "orbit length", 1)
     angles = base_orbit_angles(sys.k, x0, n, seed=seed)
     return float(np.mean(_log_boundary_derivative(sys.family, boundary, angles)))
 

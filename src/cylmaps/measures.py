@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import CylinderSystem, CylPoint, _require_seed, base_orbit_angles
+from .cylinder import CylinderSystem, CylPoint, _require_count, _require_seed, base_orbit_angles
 from .errors import DomainError, PreconditionError, WrongFamilyError
 from .fiber import (FRACTIONAL_LINEAR, INVERSE_KAN, CosineProfile, StepProfile, _fiber_orbit,
                     _Parameters, _translation_orbit, _unit_cosine, poincare_coord,
@@ -108,10 +108,10 @@ def orbit_histogram(sys: CylinderSystem, p0: CylPoint, n: int, bins_x: int,
     chunks of _BIN_CHUNK from burn_in on, whose temporaries stay in cache;
     no temporary spans the orbit.
     """
-    if bins_x < 1 or bins_y < 1:
-        raise PreconditionError("bin counts must be >= 1")
-    if burn_in < 0 or n <= burn_in:
-        raise PreconditionError("need n > burn_in >= 0")
+    _require_count(bins_x, "bins_x", 1)
+    _require_count(bins_y, "bins_y", 1)
+    _require_count(burn_in, "burn_in")
+    _require_count(n, "orbit length", burn_in + 1)
     xs, ys = orbit_points(sys, p0, n, seed=seed)
     # bins -1 and bins_x or bins_y hold the points outside [0, 1]: they are
     # counted on the rim of a padded grid and cut off, as np.histogram2d does
@@ -177,6 +177,7 @@ def jacobian_branch_sum(sys: CylinderSystem, p: CylPoint) -> float:
 
 def jacobian_max_defect(sys: CylinderSystem, points: int, seed: int) -> float:
     """Largest |jacobian_branch_sum - 1| over seeded uniform random points."""
+    _require_count(points, "point count", 1)
     _require_seed(seed)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -221,8 +222,8 @@ def birkhoff_average(sys: CylinderSystem, chi: str, p0: CylPoint, n: int,
     if chi not in TEST_FUNCTIONS:
         raise PreconditionError(
             f"unknown test function {chi!r}; choose from {sorted(TEST_FUNCTIONS)}")
-    if burn_in < 0 or n <= burn_in:
-        raise PreconditionError("need n > burn_in >= 0")
+    _require_count(burn_in, "burn_in")
+    _require_count(n, "orbit length", burn_in + 1)
     _require_seed(seed)
     return _memo_orbit_means(sys, p0, n, burn_in, seed)[chi]
 

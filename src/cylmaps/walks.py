@@ -274,11 +274,9 @@ def fl_orbit_as_walk(sys: CylinderSystem, p0, n: int, seed: int) -> WalkTrace:
     """
     if sys.family.kind != FRACTIONAL_LINEAR:
         raise WrongFamilyError("walk extraction needs a fractional-linear system")
-    profile = _require_step(sys.family.profile)
     if not 0.0 < p0.y < 1.0:
         raise DomainError("walk extraction needs an interior starting height")
-    _require_count(n, "walk length")
-    return simulate_walk(profile, poincare_coord(p0.y), n, seed)
+    return simulate_walk(sys.family.profile, poincare_coord(p0.y), n, seed)
 
 
 def occupation_csv(stats: OccupationStats, every: int = 1) -> str:

@@ -843,6 +843,21 @@ def test_base_orbit_angles_tail_is_numpys_uniform_draw(n, x0, seed):
     assert base_orbit_angles(3, x0, n, seed=seed).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_base_orbit_angles_prefix_ends_before_a_fixed_angle(k):
+    # at even k the float map reaches 0, which it fixes: from 0.1234 at
+    # k = 4 the 50-step float orbit held 22 zeros.  The prefix ends before
+    # the first fixed angle and the i.i.d. tail starts there
+    prefix = [0.1234]
+    while (k * prefix[-1]) % 1.0 != prefix[-1]:
+        prefix.append((k * prefix[-1]) % 1.0)
+    prefix.pop()
+    want = np.concatenate([prefix, np.random.default_rng(5).uniform(0.0, 1.0, 100 - len(prefix))])
+    ang = base_orbit_angles(k, 0.1234, 100, seed=5)
+    assert ang.tobytes() == want.tobytes()
+    assert not (ang == 0.0).any()
+
+
 def test_base_orbit_angles_fixed_point_is_constant():
     ang = base_orbit_angles(3, 0.5, 500)
     assert (ang == 0.5).all()

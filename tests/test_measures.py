@@ -353,6 +353,14 @@ def test_orbit_tools_refuse_seeds_that_are_not_non_negative_integers(tool, seed,
         SEED_TOOLS[tool](seed)
 
 
+@pytest.mark.parametrize("n,burn_in", [(1e5, 1000), (10**5, 1000.0)], ids=["n", "burn_in"])
+def test_birkhoff_refuses_float_counts_on_a_warm_memo(n, burn_in, memo):
+    # 1e5 and 1000.0 hash like 10**5 and 1000, so a memo hit would answer for them
+    birkhoff_average(INV3, "y", START, 10**5, 1000, seed=8)
+    with pytest.raises(PreconditionError, match="integer"):
+        birkhoff_average(INV3, "y", START, n, burn_in, seed=8)
+
+
 def test_birkhoff_memo_keeps_only_the_means_of_a_bounded_number_of_orbits(memo):
     import tracemalloc
 

@@ -16,20 +16,39 @@ from cylmaps import (
     WalkTrace,
     WrongFamilyError,
     arcsine_ensemble,
+    backward_orbit_toward,
+    base_orbit_angles,
+    birkhoff_average,
+    canonical_fixed_angle,
+    check_kan_hypothesis,
     circle_equidistribution,
+    classify_point,
+    classify_points,
     CosineProfile,
     cyclic_support_check,
+    estimate_separator,
+    estimate_separator_batch,
     eval_fiber,
+    exponent_report,
     final_counts,
     fl_orbit_as_walk,
     fractional_linear_family,
+    intermingle_probe,
+    inverse_kan_family,
     kan_family,
     occupation_ratios,
+    orbit,
+    orbit_histogram,
     poincare_coord,
     poincare_coord_inv,
+    rasterize,
     simulate_walk,
+    transverse_exponent_birkhoff,
+    transverse_exponent_quadrature,
 )
 from cylmaps import cylinder, walks
+from cylmaps.cylinder import separator_sweep
+from cylmaps.measures import jacobian_max_defect, orbit_points
 
 PM1 = StepProfile((1.0, -1.0))
 
@@ -442,18 +461,60 @@ def test_walks_and_ratios_allocate_no_full_size_temporary():
     assert ratio_peak < 3 * 8 * n + 2**20
 
 
-@pytest.mark.parametrize("call", [
-    lambda bad: simulate_walk(PM1, 0.0, bad, seed=1),
-    lambda bad: final_counts(PM1, bad, [1], 0.0),
-    lambda bad: arcsine_ensemble(PM1, bad, 3, [0.5], seed=1),
-    lambda bad: arcsine_ensemble(PM1, 10, bad, [0.5], seed=1),
-    lambda bad: fl_orbit_as_walk(CylinderSystem(2, fractional_linear_family(PM1)),
-                                 CylPoint(0.3, 0.5), bad, seed=1),
-    lambda bad: walks.occupation_csv(occupation_ratios(simulate_walk(PM1, 0.0, 10, seed=1), 1.0),
-                                     every=bad),
-], ids=["simulate_walk", "final_counts", "arcsine_n", "arcsine_num_walks", "fl_orbit_as_walk",
-        "occupation_csv"])
-@pytest.mark.parametrize("bad", [10.5, 2.0, True, "3", None, -1])
+KAN3 = CylinderSystem(3, kan_family(0.5))
+INV3 = CylinderSystem(3, inverse_kan_family(0.5))
+P = CylPoint(0.3, 0.5)
+
+#: every length, size, budget and count of the package: id -> (call, least)
+COUNTS = {
+    "simulate_walk": (lambda bad: simulate_walk(PM1, 0.0, bad, seed=1), 0),
+    "final_counts": (lambda bad: final_counts(PM1, bad, [1], 0.0), 0),
+    "arcsine_n": (lambda bad: arcsine_ensemble(PM1, bad, 3, [0.5], seed=1), 1),
+    "arcsine_num_walks": (lambda bad: arcsine_ensemble(PM1, 10, bad, [0.5], seed=1), 1),
+    "fl_orbit_as_walk": (lambda bad: fl_orbit_as_walk(
+        CylinderSystem(2, fractional_linear_family(PM1)), P, bad, seed=1), 0),
+    "occupation_csv": (lambda bad: walks.occupation_csv(
+        occupation_ratios(simulate_walk(PM1, 0.0, 10, seed=1), 1.0), every=bad), 1),
+    "orbit": (lambda bad: orbit(KAN3, P, bad), 0),
+    "backward_orbit_toward": (lambda bad: backward_orbit_toward(KAN3, P, 0.5, bad), 0),
+    "canonical_fixed_angle": (lambda bad: canonical_fixed_angle(bad), 3),
+    "check_kan_hypothesis": (lambda bad: check_kan_hypothesis(KAN3, 0.0, 0.5, 0.01, bad), 1),
+    "classify_points": (lambda bad: classify_points(KAN3, [0.3], [0.5], bad, 1e-3), 0),
+    "classify_point": (lambda bad: classify_point(KAN3, P, bad, 1e-3), 0),
+    "estimate_separator": (lambda bad: estimate_separator(KAN3, 0.3, bad, 1e-3, 1e-2), 0),
+    "estimate_separator_batch":
+        (lambda bad: estimate_separator_batch(KAN3, [0.3], bad, 1e-3, 1e-2), 0),
+    "separator_sweep_n_max": (lambda bad: separator_sweep(KAN3, 2, bad, 1e-3, 1e-2, 1), 0),
+    "separator_sweep_num_angles":
+        (lambda bad: separator_sweep(KAN3, bad, 50, 1e-3, 1e-2, 1), 0),
+    "rasterize_width": (lambda bad: rasterize(KAN3, bad, 4, 50, 1e-3), 1),
+    "rasterize_height": (lambda bad: rasterize(KAN3, 4, bad, 50, 1e-3), 1),
+    "rasterize_n_max": (lambda bad: rasterize(KAN3, 4, 4, bad, 1e-3), 0),
+    "probe_num_boxes": (lambda bad: intermingle_probe(KAN3, bad, 0.1, 4, 50, 1e-3, 1), 1),
+    "probe_samples_per_box":
+        (lambda bad: intermingle_probe(KAN3, 2, 0.1, bad, 50, 1e-3, 1), 1),
+    "probe_n_max": (lambda bad: intermingle_probe(KAN3, 2, 0.1, 4, bad, 1e-3, 1), 0),
+    "base_orbit_angles": (lambda bad: base_orbit_angles(3, 0.3, bad), 0),
+    "orbit_points": (lambda bad: orbit_points(INV3, P, bad), 0),
+    "orbit_histogram_n": (lambda bad: orbit_histogram(INV3, P, bad, 4, 4, burn_in=0), 1),
+    "orbit_histogram_bins_x": (lambda bad: orbit_histogram(INV3, P, 100, bad, 4, burn_in=0), 1),
+    "orbit_histogram_bins_y": (lambda bad: orbit_histogram(INV3, P, 100, 4, bad, burn_in=0), 1),
+    "orbit_histogram_burn_in": (lambda bad: orbit_histogram(INV3, P, 100, 4, 4, burn_in=bad), 0),
+    "birkhoff_n": (lambda bad: birkhoff_average(INV3, "y", P, bad, burn_in=0), 1),
+    "birkhoff_burn_in": (lambda bad: birkhoff_average(INV3, "y", P, 100, burn_in=bad), 0),
+    "quadrature_nodes":
+        (lambda bad: transverse_exponent_quadrature(kan_family(0.5), 0, bad), 16),
+    "exponent_report": (lambda bad: exponent_report(KAN3, bad), 16),
+    "transverse_exponent_birkhoff":
+        (lambda bad: transverse_exponent_birkhoff(KAN3, 0, 0.3, bad), 1),
+    "jacobian_max_defect": (lambda bad: jacobian_max_defect(INV3, bad, 1), 1),
+}
+
+
+@pytest.mark.parametrize("call,bad", [
+    pytest.param(call, bad, id=f"{bad}-{name}")
+    for name, (call, least) in COUNTS.items()
+    for bad in [10.5, 2.0, True, "3", None, -1] + ([0] if least >= 1 else [])])
 def test_walk_lengths_and_counts_must_be_integers(call, bad):
     with pytest.raises(PreconditionError):
         call(bad)
