@@ -593,17 +593,26 @@ def _redraw(words: np.ndarray, limit: int) -> np.ndarray:
     return words
 
 
+def _words(key: int, first: int, stop: int, limit: int) -> np.ndarray:
+    """Words first .. stop-1 of stream ``key``: word j is splitmix64's
+    output j from the state key, that is the finaliser of key + (j + 1) *
+    golden mod 2^64, redrawn by :func:`_redraw` while it is at or above
+    ``limit``."""
+    counter = np.arange(first + 1, stop + 1, dtype=np.uint64)
+    counter *= np.uint64(_GOLDEN)
+    counter += np.uint64(key)
+    return _redraw(_splitmix64(counter), limit)
+
+
 def digits(key: int, start: int, n: int, k: int) -> np.ndarray:
     """Digits start .. start+n-1 of the base-k stream ``key``, each i.i.d.
     uniform in {0..k-1}, as the smallest unsigned dtype that holds k - 1.
 
-    Digit i is a pure function of (key, i): digit i mod M of word i // M,
-    where word j is splitmix64's output j from the state key, that is the
-    finaliser of key + (j + 1) * golden mod 2^64, redrawn by
-    :func:`_redraw` while it is at or above the limit of
-    :func:`_digit_layout`.  So a stream can be read in any pieces, in any
-    order.  At k = 2 the digits are the 64 bits of each word, least
-    significant first; for a power of two k, log2(k) bits per digit.
+    Digit i is a pure function of (key, i): digit i mod M of word i // M
+    of :func:`_words`, with the M and limit of :func:`_digit_layout`.  So a
+    stream can be read in any pieces, in any order.  At k = 2 the digits
+    are the 64 bits of each word, least significant first; for a power of
+    two k, log2(k) bits per digit.
     """
     _require_count(key, "stream key")
     _require_count(start, "stream start")
@@ -614,10 +623,7 @@ def digits(key: int, start: int, n: int, k: int) -> np.ndarray:
     k = int(k)
     per_word, limit = _digit_layout(k)
     first = start // per_word
-    counter = np.arange(first + 1, -(-(start + n) // per_word) + 1, dtype=np.uint64)
-    counter *= np.uint64(_GOLDEN)
-    counter += np.uint64(key)
-    words = _redraw(_splitmix64(counter), limit)
+    words = _words(key, first, -(-(start + n) // per_word), limit)
     if k == 2:
         out = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
     else:

@@ -13,7 +13,10 @@ and its digit i is digit i of that counter-based stream,
 :func:`cylmaps.cylinder.digits`; no numpy Generator draws them, so a walk's
 bits do not depend on numpy's generator algorithms.  Walks are built in
 their output array, and the running ratios are counted in cache-sized
-chunks into theirs: no temporary spans the walk.
+chunks into theirs: no temporary spans the walk.  Where the answer is exact
+without a running sum, none is taken: a two-step walk of small integers
+reads eight steps per lookup in a byte table, and a ratio counts only the
+chunks whose heights straddle an end of its band.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .cylinder import (CylinderSystem, _mod1, _require_count, _require_seed, _stream_key,
-                       digits)
+                       _words, digits)
 from .errors import DomainError, PreconditionError, WrongFamilyError
 from .fiber import FRACTIONAL_LINEAR, StepProfile, _translation_orbit, poincare_coord
 
@@ -49,22 +52,45 @@ class WalkTrace:
     seed: int
 
 
-def _running_ratio(t: np.ndarray, hits) -> np.ndarray:
-    """count_i / i for i = 1..n, where count_i counts hits(t)[:i]; hits is
-    elementwise, and is called on chunks of _CHUNK heights, each counted into
-    the one float output.  Integer counts are exact, so with NaN refused b_n
+def _running_ratio(t: np.ndarray, low: float, high: float, closed: bool) -> np.ndarray:
+    """count_i / i for i = 1..n, where count_i counts the heights of t[:i]
+    in the interval from low to high, with its finite ends included if
+    closed; an infinite end always is, so +-inf heights count on their side.
+
+    A chunk of _CHUNK heights whose [min, max] lies inside the interval
+    counts total + 1 .. total + m, and one that does not meet it leaves the
+    count at total; only a chunk that straddles an end (or holds a NaN)
+    counts its hits.  Integer counts are exact, so with NaN refused b_n
     equals n - a_n - c_n and every quotient is correctly rounded."""
+    above, below = (np.greater_equal, np.less_equal) if closed else (np.greater, np.less)
+
+    def inside(x):
+        # an infinite end holds every height that is not NaN, so it is not compared
+        if high == math.inf:
+            return above(x, low)
+        if low == -math.inf:
+            return below(x, high)
+        return above(x, low) & below(x, high)
+
     ratio = np.empty(t.size, dtype=float)
     count = np.empty(min(t.size, _CHUNK), dtype=np.int32 if t.size < 2**31 else np.int64)
-    ramp = np.arange(1, count.size + 1, dtype=float)
+    ramp = np.arange(1, count.size + 1, dtype=count.dtype)
     total = 0
     for lo in range(0, t.size, _CHUNK):
         hi = min(lo + _CHUNK, t.size)
-        c, out = count[:hi - lo], ratio[lo:hi]
-        np.cumsum(hits(t[lo:hi]), out=c)
-        c += total
+        chunk, c, out = t[lo:hi], count[:hi - lo], ratio[lo:hi]
+        lowest, highest = chunk.min(), chunk.max()  # NaN if the chunk holds one
+        np.add(ramp[:hi - lo], lo, out=out, dtype=float)  # lo + 1 .. hi, exact
+        if inside(lowest) and inside(highest):  # every height is inside
+            np.add(ramp[:hi - lo], total, out=c)
+        elif lowest == lowest and not (above(highest, low) and below(lowest, high)):
+            # no height is inside (all heights on an infinite end took the branch above)
+            np.divide(total, out, out=out)
+            continue
+        else:
+            np.cumsum(inside(chunk), out=c)
+            c += total
         total = int(c[-1])
-        np.add(ramp[:hi - lo], lo, out=out)  # lo + 1 .. hi, exact
         np.divide(c, out, out=out)
     return ratio
 
@@ -74,9 +100,10 @@ class OccupationStats:
     """Running ratios a_n/n, b_n/n, c_n/n (above, inside, below the band).
 
     Built as ``OccupationStats(threshold, t)`` from the heights t_1..t_n.
-    Each ratio array is counted when it is first read, and kept.  ``t`` is
-    a view of the trace, so writing into ``trace.t`` before a read changes
-    that read.
+    Each ratio array is counted when it is first read, and kept: a chunk of
+    heights wholly inside or wholly outside the ratio's interval adds to
+    the count without a running sum.  ``t`` is a view of the trace, so
+    writing into ``trace.t`` before a read changes that read.
     """
 
     threshold: float
@@ -84,15 +111,15 @@ class OccupationStats:
 
     @cached_property
     def a_over_n(self) -> np.ndarray:
-        return _running_ratio(self.t, lambda t: t > self.threshold)
+        return _running_ratio(self.t, self.threshold, math.inf, False)
 
     @cached_property
     def b_over_n(self) -> np.ndarray:
-        return _running_ratio(self.t, lambda t: np.abs(t) <= self.threshold)
+        return _running_ratio(self.t, -self.threshold, self.threshold, True)
 
     @cached_property
     def c_over_n(self) -> np.ndarray:
-        return _running_ratio(self.t, lambda t: t < -self.threshold)
+        return _running_ratio(self.t, -math.inf, -self.threshold, False)
 
 
 @dataclass(frozen=True)
@@ -124,9 +151,13 @@ def simulate_walk(profile: StepProfile, t0: float, n: int, seed: int) -> WalkTra
     """Walk with i.i.d. uniform digits in {0..k-1}; t_{i+1} = t_i + values[digit].
 
     Deterministic for a fixed seed.  Integer-valued steps produce exactly
-    representable t throughout.  The seed is None, a non-negative integer
-    or a SeedSequence, such as the children arcsine_ensemble spawns; it
-    names the stream key of the walk's digits (see :class:`WalkTrace`).
+    representable t throughout.  At k = 2, with integer steps of at most
+    15, an integer start that is not -0.0 and every height within 2^53, the
+    walk reads eight steps per byte table lookup, with the bits of the
+    step-by-step sum that every other walk takes.  The seed is None, a
+    non-negative integer or a SeedSequence, such as the children
+    arcsine_ensemble spawns; it names the stream key of the walk's digits
+    (see :class:`WalkTrace`).
     """
     profile = _require_step(profile)
     if not isinstance(seed, np.random.SeedSequence):
@@ -134,15 +165,60 @@ def simulate_walk(profile: StepProfile, t0: float, n: int, seed: int) -> WalkTra
     if not math.isfinite(t0):
         raise PreconditionError(f"walk start must be finite, got {t0}")
     _require_count(n, "walk length")
-    key, values = _stream_key(seed), np.asarray(profile.values, dtype=float)
-    # the step values are gathered into t[1:] a chunk of digits at a time,
-    # and summed there
-    t = np.empty(n + 1, dtype=float)
+    key, t = _stream_key(seed), np.empty(n + 1, dtype=float)
+    if _takes_byte_table(profile.values, t0, n):
+        _byte_walk(key, t0, _byte_table(*profile.values), t)
+    else:
+        # the step values are gathered into t[1:] a chunk of digits at a
+        # time, and summed there
+        values = np.asarray(profile.values, dtype=float)
+        for lo in range(0, n, _CHUNK):
+            d = digits(key, lo, min(_CHUNK, n - lo), profile.k)
+            # mode "wrap" writes out directly ("raise" buffers it); digits < k never wrap
+            np.take(values, d, out=t[1 + lo:1 + lo + d.size], mode="wrap")
+        _translation_orbit(t0, t)
+    return WalkTrace(t=t, steps_used=profile.values, seed=seed)
+
+
+def _takes_byte_table(values: tuple, t0: float, n: int) -> bool:
+    """True when every height of the walk is an exact integer that a byte
+    table reaches: two integer steps of at most 15 (eight of them fit an
+    int8), an integer start that is not -0.0, and no height beyond 2^53.
+    Then any order of summation gives the float recurrence's bits."""
+    return (len(values) == 2 and all(v.is_integer() and abs(v) <= 15 for v in values)
+            and float(t0).is_integer() and not (t0 == 0.0 and math.copysign(1.0, t0) < 0.0)
+            and abs(int(t0)) + n * int(max(map(abs, values))) <= 2**53)
+
+
+@lru_cache(maxsize=16)
+def _byte_table(v0: float, v1: float) -> np.ndarray:
+    """Entry b packs, as eight int8 in one uint64, the partial sums of the
+    steps v0 (bit 0) and v1 (bit 1) read off bits 0..7 of the byte b."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    partial = np.cumsum(np.where(bits, int(v1), int(v0)), axis=1).astype(np.int8)
+    return partial.view(np.uint64).reshape(256)
+
+
+def _byte_walk(key: int, t0: float, table: np.ndarray, t: np.ndarray) -> None:
+    """The k = 2 walk t_0 = t0 .. t_n of stream ``key`` in place in t, eight
+    steps a table read: digit i is bit i % 8 of byte i // 8 of the stream's
+    words in little-endian order.  A chunk's bytes start from the exclusive
+    sums of the byte totals, and each height is its byte's start plus its
+    partial sum."""
+    t[0] = t0
+    n = t.size - 1
     for lo in range(0, n, _CHUNK):
-        d = digits(key, lo, min(_CHUNK, n - lo), profile.k)
-        # mode "wrap" writes out directly ("raise" buffers it); digits < k never wrap
-        np.take(values, d, out=t[1 + lo:1 + lo + d.size], mode="wrap")
-    return WalkTrace(t=_translation_orbit(t0, t), steps_used=profile.values, seed=seed)
+        m = min(_CHUNK, n - lo)
+        words = _words(key, lo // 64, -(-(lo + m) // 64), 2**64)  # k = 2 redraws nothing
+        data = words.astype("<u8", copy=False).view(np.uint8)[:-(-m // 8)]
+        partial = np.take(table, data).view(np.int8).reshape(-1, 8)
+        start = np.empty(data.size, dtype=float)
+        start[0] = t[lo]
+        start[1:] = partial[:-1, 7]
+        np.cumsum(start, out=start)
+        heights = t[1 + lo:1 + lo + m]
+        heights[:] = partial.reshape(-1)[:m]  # a cast copy, then a float add, beats a mixed add
+        np.add(heights, np.repeat(start, 8)[:m], out=heights)
 
 
 def occupation_ratios(trace: WalkTrace, threshold: float) -> OccupationStats:
@@ -214,14 +290,21 @@ def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
 
 def circle_equidistribution(trace: WalkTrace, modulus: float,
                             bins: int) -> CircleWalkReport:
-    """Max deviation of the empirical CDF of (t_i/L mod 1) from uniform."""
+    """Max deviation of the empirical CDF of (t_i/L mod 1) from uniform.
+
+    Refused when some |t_i|/L reaches 2^52: from there on t_i/L has no
+    fractional bits left, so it reads 0 mod 1 (or overflows)."""
     if not 0.0 < modulus < math.inf:
         raise PreconditionError(f"modulus must be positive and finite, got {modulus!r}")
     _require_count(bins, "bin count", 2)
     if trace.t.size == 0:
         raise PreconditionError("empty trace")
-    if not np.isfinite(trace.t).all():
+    lowest, highest = float(trace.t.min()), float(trace.t.max())  # NaN propagates
+    if not (math.isfinite(lowest) and math.isfinite(highest)):
         raise PreconditionError("trace contains non-finite entries")
+    if max(-lowest, highest) >= 2.0**52 * float(modulus):  # exact, or inf
+        raise PreconditionError(f"modulus {modulus!r} is too small: some |t|/L reaches "
+                                "2^52, where t/L mod 1 has no fractional bits")
     tau = _mod1(trace.t / modulus)
     tau.sort()
     edges = np.arange(1, bins + 1, dtype=float) / bins

@@ -75,8 +75,11 @@ def test_usage_error_on_malformed_profile(profile, family, capsys):
     ["equidist", "--values", "1"],
     ["arcsine", "--values", "1"],
     ["equidist", "--modulus", "1e400"],
+    ["equidist", "--modulus", "1e-320", "--n", "1000"],
+    ["equidist", "--modulus", "1e-300", "--n", "1000"],
 ], ids=["basins-even-k", "walk-nan", "walk-inf", "basins-delta", "separator-delta",
-        "walk-one-value", "equidist-one-value", "arcsine-one-value", "equidist-huge-modulus"])
+        "walk-one-value", "equidist-one-value", "arcsine-one-value", "equidist-huge-modulus",
+        "equidist-modulus-overflows-t-over-L", "equidist-modulus-leaves-no-fraction-bits"])
 def test_usage_error_on_refused_input(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)

@@ -46,7 +46,7 @@ from cylmaps import (
     transverse_exponent_birkhoff,
     transverse_exponent_quadrature,
 )
-from cylmaps import cylinder, walks
+from cylmaps import cylinder, fiber, walks
 from cylmaps.cylinder import separator_sweep
 from cylmaps.measures import jacobian_max_defect, orbit_points
 
@@ -526,3 +526,101 @@ def test_equidistribution_refuses_an_infinite_modulus_and_a_fractional_bin_count
     tr = simulate_walk(PM1, 0.0, 100, seed=1)
     with pytest.raises(PreconditionError):
         circle_equidistribution(tr, modulus, bins)
+
+
+def _loop_walk(values, t0, n, seed):
+    # the general path: the step values gathered off the digit stream, then summed in order
+    key, t = cylinder._stream_key(seed), np.empty(n + 1)
+    t[1:] = np.take(np.asarray(values, dtype=float), cylinder.digits(key, 0, n, len(values)))
+    return fiber._translation_orbit(t0, t)
+
+
+_BYTE_LENGTHS = [0, 1, 7, 8, 9, 63, 64, 65, walks._CHUNK - 1, walks._CHUNK, walks._CHUNK + 1,
+                 2 * walks._CHUNK + 5]
+
+
+@pytest.mark.parametrize("values,table", [
+    ((1.0, -1.0), True), ((3.0, -2.0), True), ((0.0, 5.0), True), ((15.0, -15.0), True),
+    ((16.0, -1.0), False), ((0.25, -0.25), False)])
+@pytest.mark.parametrize("t0", [0.0, -0.0, 7.0, -2.0**52 + 3])
+def test_byte_table_walk_equals_the_float_loop_bit_for_bit(values, table, t0):
+    takes = table and not (t0 == 0.0 and math.copysign(1.0, t0) < 0.0)
+    for n in _BYTE_LENGTHS:
+        assert walks._takes_byte_table(values, t0, n) == takes
+        for seed in (0, 7):
+            got = simulate_walk(StepProfile(values), t0, n, seed=seed).t
+            assert got.tobytes() == _loop_walk(values, t0, n, seed).tobytes()
+
+
+@pytest.mark.parametrize("values", [(1.0, 1.0), (-15.0, -15.0), (15.0, -15.0)])
+def test_byte_table_walk_at_the_exact_integer_edge(values):
+    n = 2 * walks._CHUNK + 5
+    edge = 2**53 - n * int(abs(values[0]))  # a height n steps away is at most 2^53
+    for t0, takes in ((edge, True), (edge + 1, False)):
+        t0 = math.copysign(t0, values[0])
+        assert walks._takes_byte_table(values, t0, n) == takes
+        got = simulate_walk(StepProfile(values), t0, n, seed=3).t
+        assert got.tobytes() == _loop_walk(values, t0, n, 3).tobytes()
+    if values == (1.0, 1.0):
+        assert got[-1] == 2.0**53  # past the edge the float loop rounds: 2^53 + 1 reads 2^53
+
+
+@pytest.mark.parametrize("values", [(0.0, -0.0), (-0.0, -0.0)])
+def test_byte_table_walk_keeps_the_signed_zeros_of_a_negative_zero_start(values):
+    for t0 in (-0.0, 0.0):
+        assert walks._takes_byte_table(values, t0, 200) == (not np.signbit(t0))
+        # seed 6 steps by values[1] first; -0.0 + -0.0 is the only sum that reads -0.0
+        got = simulate_walk(StepProfile(values), t0, 200, seed=6).t
+        assert got.tobytes() == _loop_walk(values, t0, 200, 6).tobytes()
+        assert np.signbit(got[1]) == bool(np.signbit(t0))
+    assert np.signbit(simulate_walk(StepProfile((-0.0, -0.0)), -0.0, 200, seed=2).t).all()
+
+
+def _chunks(threshold):
+    # one chunk of heights per verdict, each _CHUNK long, then a short straddling tail
+    rng, c, n = np.random.default_rng(5), walks._CHUNK, threshold
+    steps = rng.integers(0, 4, c).astype(float)
+    inside = rng.uniform(-n, n, c) if n else rng.choice([0.0, -0.0], c)
+    inside[:2] = -n, n
+    return [n + 1 + steps, -n - 1 - steps,  # wholly above, wholly below
+            inside,  # inside, min and max exactly at -N and N
+            n + steps, -n - steps,  # min exactly at N, max exactly at -N
+            rng.normal(0.0, 3 * n + 1, c),  # straddling both ends
+            rng.choice([math.inf, -math.inf, n + 1, 0.0], c),  # +-inf among finite heights
+            np.full(c, math.inf), np.full(c, -math.inf),
+            rng.choice([0.0, -0.0], c),  # signed zeros
+            rng.normal(0.0, 3 * n + 1, 17)]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 2.5])
+def test_running_ratio_verdicts_match_the_three_count_reference(threshold):
+    chunks = _chunks(threshold)
+    for order in (chunks, chunks[::-1], chunks[2::3] + chunks[::3] + chunks[1::3]):
+        tr = WalkTrace(t=np.concatenate([[0.0], *order]), steps_used=PM1.values, seed=0)
+        st = occupation_ratios(tr, threshold)
+        for got, want in zip((st.a_over_n, st.b_over_n, st.c_over_n),
+                             _occupation_reference(tr, threshold)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_running_ratio_of_a_nan_chunk_counts_its_hits(threshold):
+    # occupation_ratios refuses NaN; stats built directly count NaN in no band
+    c = walks._CHUNK
+    for fill in (threshold + 1, -threshold - 1, 0.0):
+        t = np.concatenate([[0.0], np.full(c, threshold + 2), np.full(c, fill), [0.0, -5.0]])
+        t[c + 5] = math.nan
+        st = walks.OccupationStats(threshold, t[1:])
+        for got, want in zip((st.a_over_n, st.b_over_n, st.c_over_n),
+                             _occupation_reference(WalkTrace(t, PM1.values, 0), threshold)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("modulus", [1e-320, 1e-300, 2.0**-52 * 20])
+def test_equidistribution_refuses_a_modulus_that_leaves_no_fraction_bits(modulus):
+    tr = simulate_walk(PM1, 0.0, 1000, seed=1)
+    assert np.abs(tr.t).max() >= 20.0  # so some |t|/L reaches 2^52
+    with pytest.raises(PreconditionError, match="2\\^52"):
+        circle_equidistribution(tr, modulus, 16)
+    below = WalkTrace(t=np.clip(tr.t, -19.0, 19.0), steps_used=PM1.values, seed=1)
+    assert 0.0 <= circle_equidistribution(below, 2.0**-52 * 20, 16).cdf_deviation <= 1.0
