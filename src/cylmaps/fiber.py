@@ -188,9 +188,9 @@ def _kan_derivative(a, y, xp):
 
 
 def _kan_invert(a, y, xp):
-    # cancellation-stable root of a*u^2 - (1+a)*u + y = 0; both summands of
-    # the denominator are positive for |a| < 1, so no subtraction occurs and
-    # the a -> 0 limit degrades gracefully to u = y
+    # root of a*u^2 - (1+a)*u + y = 0 with both summands of the denominator
+    # positive for |a| < 1, so the a -> 0 limit degrades gracefully to u = y;
+    # near y = 1 the radicand cancels to about (1-a)^2 (ROADMAP items 2, 23)
     s = 1.0 + a
     return 2.0 * y / (s + xp.sqrt(s * s - 4.0 * a * y))
 
@@ -253,7 +253,8 @@ def _moebius_step(w, y):
 
 # monotone: the rounded apply kernel is non-decreasing in its coefficient
 # at every height in [0, 1], so a height that the coefficients -B and +B
-# both map to itself is mapped to itself by every coefficient in [-B, B].
+# both map to itself is mapped to itself by every coefficient in [-B, B]:
+# the proof by which _scalar_orbit ends a stuck orbit.
 # Kan's y + a*y*(1-y) is: a*y, then *(1-y), then y + are each monotone in
 # a for y, 1 - y >= 0, and round-to-nearest keeps x <= x' as fl(x) <= fl(x').
 # The inverse-Kan root has no such proof.
@@ -330,9 +331,9 @@ def _fiber_orbit(family: FiberFamily, params: _Parameters, y: float,
     lanes drift to different boundaries and do not meet: a Kan orbit, a
     short one, and lanes that do not settle within _ROUNDS rounds go to
     :func:`_scalar_orbit`, which reads the parameters a chunk at a time and
-    skips, verified, the runs where the height is stuck at a float that
-    the fibres map to itself; a Kan orbit given its angles computes no
-    parameter of such a run.
+    fills the rest of a Kan orbit once it proves the height stuck at a
+    float that every parameter left maps to itself; a Kan orbit given its
+    angles computes no parameter past that proof.
     """
     kernels = _KERNELS[family.kind]
     lanes = params.size // _LANE
@@ -355,9 +356,12 @@ def _scalar_orbit(kernels: dict, params: _Parameters, y: float, out: np.ndarray)
     more than the arithmetic, and one list for the whole orbit would hold
     32 bytes per step.
 
-    A full chunk that starts and ends at the height it hands on hints at a
-    fixed height, such as Kan's 5e-324 or 1 - 2**-53: :func:`_fixed_run`
-    then finds the next parameter that moves it and the loop goes on there.
+    After a full chunk that starts and ends at the height y it hands on, a
+    monotone kind (see _KERNELS) applies the scalar kernel to -B and +B,
+    for B = params.bound(lo) >= |a| of every parameter left: if both leave
+    y in place, so does every a in [-B, B], and the rest of the orbit is y
+    (Kan's 5e-324 or 1 - 2**-53, say) with no parameter computed.
+    Otherwise, and always for the other kinds, the loop steps on.
     """
     apply, xp = kernels["apply"], math
     lo = 0
@@ -369,42 +373,13 @@ def _scalar_orbit(kernels: dict, params: _Parameters, y: float, out: np.ndarray)
             y = apply(p, y, xp)
         out[lo:lo + len(heights)] = heights
         lo += len(heights)
-        if len(heights) == _ORBIT_CHUNK and heights[0] == heights[-1] == y:
-            lo = _fixed_run(kernels, params, y, out, lo)
+        if (kernels["monotone"] and len(heights) == _ORBIT_CHUNK
+                and heights[0] == heights[-1] == y):
+            b = params.bound(lo)
+            if apply(-b, y, xp) == y == apply(b, y, xp):
+                out[lo:] = y
+                return y
     return y
-
-
-def _fixed_run(kernels: dict, params: _Parameters, y: float, out: np.ndarray,
-               lo: int) -> int:
-    """Store y from out[lo] on while the parameters params[lo:] map y to
-    itself; returns the index of the first one that moves it, or params.size.
-
-    A monotone kind (see _KERNELS) first applies the two coefficients -B
-    and +B, for B = params.bound(lo) >= |a| of every parameter left: if
-    both leave y in place, so does every a in [-B, B], and the rest of the
-    orbit is y with no parameter computed.  Otherwise, and for the other
-    kinds, each parameter is checked, with the apply kernel on arrays, in
-    windows of one chunk and then twice the last: a false alarm costs one
-    chunk, a run costs O(its length).  The array kernel rounds as the
-    scalar one does and heights are never NaN or -0.0, so a parameter whose
-    image == y is a step the scalar loop takes from y to y bit for bit.
-    """
-    apply = kernels["apply"]
-    if kernels["monotone"]:
-        b = params.bound(lo)
-        if (apply(np.array([-b, b]), y, np) == y).all():
-            out[lo:] = y
-            return params.size
-    width = _ORBIT_CHUNK
-    while lo < params.size:
-        seg = params[lo:lo + width]
-        moved = np.flatnonzero(apply(seg, y, np) != y)
-        stop = lo + (int(moved[0]) if moved.size else seg.size)
-        out[lo:stop] = y
-        if moved.size:
-            return stop
-        lo, width = stop, 2 * width
-    return lo
 
 
 def _lane_orbit(step, A: np.ndarray, y: float, Y: np.ndarray):

@@ -24,7 +24,8 @@ SUM_SIGN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExponentReport:
-    """Both boundary exponents (nats per iterate) with method metadata."""
+    """Both boundary exponents (nats per iterate) with method metadata;
+    resolution is the number of quadrature nodes used."""
 
     lyap0: float
     lyap1: float
@@ -50,16 +51,21 @@ def _log_boundary_derivative(family: FiberFamily, boundary: int, x) -> np.ndarra
     return val if family.kind == KAN else -val
 
 
-def transverse_exponent_quadrature(family: FiberFamily, boundary: int,
-                                   nodes: int) -> float:
-    """Circle average of log f'_x(boundary) by the periodic trapezoid rule;
-    a step profile takes one node per digit, which gives the exact mean."""
+def _quadrature_nodes(family: FiberFamily, nodes: int) -> np.ndarray:
+    """The angles of the periodic trapezoid rule: nodes of them, or for a
+    step profile one per digit, which gives the exact mean."""
     _require_count(nodes, "quadrature node count", 16)
     if isinstance(family.profile, StepProfile):
         # digit midpoints: at k = 22 the node 15/22 would read digit 14
-        x = (np.arange(family.profile.k) + 0.5) / family.profile.k
-    else:
-        x = np.arange(nodes, dtype=float) / nodes
+        return (np.arange(family.profile.k) + 0.5) / family.profile.k
+    return np.arange(nodes, dtype=float) / nodes
+
+
+def transverse_exponent_quadrature(family: FiberFamily, boundary: int,
+                                   nodes: int) -> float:
+    """Circle average of log f'_x(boundary) by the periodic trapezoid rule
+    (see :func:`_quadrature_nodes`)."""
+    x = _quadrature_nodes(family, nodes)
     return float(np.mean(_log_boundary_derivative(family, boundary, x)))
 
 
@@ -83,7 +89,7 @@ def exponent_report(sys: CylinderSystem, nodes: int) -> ExponentReport:
     total = l0 + l1
     sign = 0 if abs(total) < SUM_SIGN_TOL else (1 if total > 0.0 else -1)
     return ExponentReport(lyap0=l0, lyap1=l1, method="quadrature",
-                          resolution=nodes, sum_sign=sign)
+                          resolution=_quadrature_nodes(sys.family, nodes).size, sum_sign=sign)
 
 
 def kan_exponent_closed_form(epsilon: float) -> float:

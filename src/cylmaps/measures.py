@@ -76,8 +76,8 @@ def _orbit(sys: CylinderSystem, p0: CylPoint, n: int, seed,
     of the orbit twice; c is None otherwise.  Unset, the quadratic kinds get
     the angles, and the family's displacement computes the parameters a
     chunk at a time, only for the steps the orbit loop takes: a Kan orbit
-    stuck at a boundary float computes none past the chunk that sees it
-    (:func:`fiber._fixed_run`).  Moebius fibres translate by every
+    stuck at a boundary float computes none past the chunk that proves it
+    stuck (:func:`fiber._scalar_orbit`).  Moebius fibres translate by every
     parameter, so they get all of them.
     base_orbit_angles is looked up through this module at call time."""
     if not 0.0 < p0.y < 1.0:

@@ -26,6 +26,16 @@ def test_lyap_reference_output(capsys):
     assert abs(float(fields["lyap0"]) + 0.069336464) < 1e-6
     assert abs(float(fields["lyap1"]) + 0.069336464) < 1e-6
     assert fields["sum_sign"] == "-1"
+    assert fields["nodes"] == "4096"
+
+
+@pytest.mark.parametrize("nodes", [["--nodes", "20"], []])
+def test_lyap_reports_the_nodes_a_step_profile_uses(nodes, capsys):
+    # a step profile is integrated exactly at its k = 3 digit midpoints
+    code, out = run_cli(["lyap", "--family", "kan", "--profile", "step:0.5,-0.5,0",
+                         "--k", "3"] + nodes, capsys)
+    assert code == 0
+    assert dict(tok.split("=") for tok in out.split()[1:])["nodes"] == "3"
 
 
 @pytest.mark.parametrize("family", ["kan", "inverse-kan"])

@@ -96,8 +96,8 @@ EDGE_HEIGHTS = [0.0, 5e-324, 1e-323, 2.0**-1022, 1e-300, 2.0**-53, 1e-3,
 
 @pytest.mark.parametrize("kind", [fiber.KAN, fiber.INVERSE_KAN])
 def test_array_apply_is_the_scalar_apply_bit_for_bit(kind):
-    # the orbit loop steps one height with math and checks whether many
-    # parameters leave it fixed with numpy: both must round alike
+    # the orbit loop steps one height with math, eval_fiber and _apply_fiber
+    # use numpy: both must round alike
     rng = np.random.default_rng(79)
     a = np.concatenate([rng.uniform(-0.999, 0.999, 2000),
                         [0.0, -0.0, 0.5, -0.5, 0.25, -0.25, 0.999, -0.999, 5e-324]])
@@ -111,7 +111,7 @@ def test_array_apply_is_the_scalar_apply_bit_for_bit(kind):
 
 
 def test_kan_apply_is_non_decreasing_in_the_parameter():
-    # the premise of the two-call check in _fixed_run: at a fixed height the
+    # the premise of the -B, +B proof in _scalar_orbit: at a fixed height the
     # rounded Kan image never falls as a grows, in the scalar and the array
     # kernel, so a height that -B and +B both fix is fixed by all of [-B, B]
     assert _KERNELS[fiber.KAN]["monotone"]
@@ -321,19 +321,22 @@ CHUNK = fiber._ORBIT_CHUNK
 N_RUN = 5 * CHUNK + 123
 
 
+class _Reached(fiber._Parameters):
+    """_Parameters that record the end of the furthest slice read: the
+    steps an orbit loop took."""
+    reach = 0
+
+    def __getitem__(self, s):
+        self.reach = max(self.reach, s.indices(self.size)[1])
+        return super().__getitem__(s)
+
+
 def _counted_scalar_orbit(kind, a, y):
     """_scalar_orbit's heights as uint64 bits, the height after them and the
-    number of scalar kernel steps it took."""
-    apply = _KERNELS[kind]["apply"]
-    steps = [0]
-
-    def counted(p, y, xp):
-        steps[0] += xp is math
-        return apply(p, y, xp)
-
-    out = np.empty(a.size)
-    end = fiber._scalar_orbit(dict(_KERNELS[kind], apply=counted), fiber._Parameters(a), y, out)
-    return out.view(np.uint64), end, steps[0]
+    number of parameters it stepped."""
+    params, out = _Reached(a), np.empty(a.size)
+    end = fiber._scalar_orbit(_KERNELS[kind], params, y, out)
+    return out.view(np.uint64), end, params.reach
 
 
 def _assert_plain(kind, a, y):
@@ -353,7 +356,7 @@ def test_scalar_orbit_skips_kan_fixed_heights_bit_for_bit(eps, y, stuck):
     a = kan_family(eps).displacement(base_orbit_angles(3, 0.1234, N_RUN, seed=5))
     end, steps = _assert_plain(fiber.KAN, a, y)
     assert end == stuck
-    assert steps < a.size  # the stuck tail was checked by the array kernel
+    assert steps < a.size  # the stuck tail was proved by -max|a| and +max|a|
 
 
 @pytest.mark.parametrize("family", [kan_family(0.5), kan_family(0.9), kan_family(0.05),
@@ -367,16 +370,9 @@ def test_scalar_orbit_from_angles_computes_only_the_parameters_it_steps(family, 
     # and once a Kan height sticks at a float that -sup|p| and +sup|p| both
     # fix, no parameter is computed past the first full chunk after that
     xs = base_orbit_angles(3, 0.1234, N_RUN, seed=5)
-    reach = [0]
-
-    class Counted(fiber._Parameters):
-        def __getitem__(self, s):
-            reach[0] = max(reach[0], s.indices(self.size)[1])
-            return super().__getitem__(s)
-
-    out = np.empty(N_RUN)
+    params, out = _Reached(xs, family), np.empty(N_RUN)
     kernels = _KERNELS[family.kind]
-    end = fiber._scalar_orbit(kernels, Counted(xs, family), y, out)
+    end = fiber._scalar_orbit(kernels, params, y, out)
     want, want_end = _plain_orbit(family.kind, family.displacement(xs), y)
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
     assert np.array([end]).view(np.uint64) == np.array([want_end]).view(np.uint64)
@@ -384,15 +380,17 @@ def test_scalar_orbit_from_angles_computes_only_the_parameters_it_steps(family, 
     moving = np.flatnonzero(want != want_end)
     first = int(moving[-1]) + 1 if moving.size else 0
     bound = family.profile.bound()
+    apply = kernels["apply"]
     proved = (kernels["monotone"]
-              and (kernels["apply"](np.array([-bound, bound]), want_end, np) == want_end).all())
-    assert reach[0] <= min(first + 2 * CHUNK, N_RUN) if proved else reach[0] == N_RUN
+              and apply(-bound, want_end, math) == want_end == apply(bound, want_end, math))
+    assert params.reach <= min(first + 2 * CHUNK, N_RUN) if proved else params.reach == N_RUN
 
 
-@pytest.mark.parametrize("y, steps", [(0.4, N_RUN), (1e-300, N_RUN), (0.0, CHUNK)])
+@pytest.mark.parametrize("y, steps", [(0.4, N_RUN), (1e-300, N_RUN), (0.0, N_RUN)])
 def test_scalar_orbit_of_inverse_kan_bit_for_bit(y, steps):
     # inverse-Kan fibres push heights off the ends: only 0 stays fixed (at 1
-    # the quadratic root rounds off 1, see the xfail below)
+    # the quadratic root rounds off 1, see the xfail below), and the loop,
+    # which has no proof that an inverse-Kan height is stuck, steps it on
     a = inverse_kan_family(0.5).displacement(base_orbit_angles(3, 0.1234, N_RUN, seed=5))
     assert _assert_plain(fiber.INVERSE_KAN, a, y)[1] == steps
 
@@ -401,16 +399,19 @@ def test_scalar_orbit_of_inverse_kan_bit_for_bit(y, steps):
 @pytest.mark.parametrize("moved", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
                                    2 * CHUNK + 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1,
                                    N_RUN - 1])
-def test_fixed_run_ends_at_the_first_parameter_that_moves(kind, moved):
+def test_scalar_orbit_moves_at_the_first_parameter_that_moves(kind, moved):
     # a = 0 is the identity: the height is stuck but for one parameter, placed
-    # about the ends of the first chunk and of the windows the run is checked in
+    # about the ends of chunks.  A Kan run is proved stuck after the chunk
+    # that moves it and one full chunk more, when -max|a| and +max|a| of the
+    # parameters left both fix it; inverse Kan has no such proof and steps on
     a = np.zeros(N_RUN)
     a[moved] = 0.5
     end, steps = _assert_plain(kind, a, 0.4)
-    assert end != 0.4 and steps <= 3 * CHUNK
+    assert end != 0.4
+    assert steps == (min((moved // CHUNK + 2) * CHUNK, N_RUN) if kind == fiber.KAN else N_RUN)
 
 
-def test_fixed_run_needs_both_ends_of_the_bound():
+def test_stuck_proof_needs_both_ends_of_the_bound():
     # below 0.5 the floats are twice as dense: a*y*(1-y) = +-1.5 * 2**-55
     # rounds back to 0.5 above it and to the float below it, so +B alone
     # would not prove the run that -B ends
@@ -423,7 +424,7 @@ def test_fixed_run_needs_both_ends_of_the_bound():
 
 
 @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
-def test_fixed_run_at_short_and_ragged_lengths(n):
+def test_scalar_orbit_at_short_and_ragged_lengths(n):
     kan = kan_family(0.9).displacement(base_orbit_angles(3, 0.1234, n, seed=5))
     for a in (np.zeros(n), kan):
         for y in (0.4, 1.0):

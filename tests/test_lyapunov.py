@@ -90,7 +90,7 @@ def test_step_profile_kan_exponents_are_exact_finite_means(nodes):
     mean = (math.log1p(0.5) + math.log1p(-0.5)) / 3
     kan = exponent_report(CylinderSystem(3, FiberFamily(KAN, StepProfile((0.5, -0.5, 0.0)))), nodes)
     assert kan.lyap0 == kan.lyap1 == mean
-    assert kan.sum_sign == -1
+    assert kan.sum_sign == -1 and kan.resolution == 3
     inv = exponent_report(CylinderSystem(3, FiberFamily(INVERSE_KAN, StepProfile((0.5, -0.5, 0.0)))),
                           nodes)
     assert inv.lyap0 == inv.lyap1 == -mean

@@ -66,19 +66,19 @@ def test_negative_regime_collapses_to_boundaries():
 
 def test_kan_orbit_steps_the_scalar_kernel_only_until_it_sticks(monkeypatch):
     # c08's Kan orbit stays at 1 - 2**-53 from within its first chunk on:
-    # the loop takes one more chunk to see it, the kernel applied to
+    # the loop takes one more chunk to see it, the scalar kernel applied to
     # -sup|p| and +sup|p| shows that every parameter left fixes it, so the
-    # rest of the 10**6 parameters are never computed, and the lanes' step
-    # kernel is never called
+    # rest of the 10**6 parameters are never computed, and neither the array
+    # kernel nor the lanes' step kernel is ever called
     kan = fiber._KERNELS[fiber.KAN]
     apply, step = kan["apply"], kan["step"]
-    steps, bound_calls, lane_rounds, computed = [0], [], [0], [0]
+    steps, array_calls, lane_rounds, computed = [0], [], [0], [0]
 
     def counted(p, y, xp):
         if xp is math:
             steps[0] += 1
         else:
-            bound_calls.append(np.size(p))
+            array_calls.append(np.size(p))
         return apply(p, y, xp)
 
     def counted_step(p, y):
@@ -98,8 +98,24 @@ def test_kan_orbit_steps_the_scalar_kernel_only_until_it_sticks(monkeypatch):
     assert ys[-1] == 1.0 - 2.0**-53
     assert computed[0] <= 3 * fiber._ORBIT_CHUNK
     assert steps[0] <= 3 * fiber._ORBIT_CHUNK
-    assert bound_calls == [2]  # one array call on the pair -sup|p|, +sup|p|
+    assert array_calls == []
     assert lane_rounds[0] == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 23: the rounded inverse-Kan root "
+                   "fixes 1 - 2**-53 at every parameter of this profile")
+def test_inverse_kan_orbit_leaves_the_repelling_top_boundary():
+    # the top boundary repels (exponent +0.014 a step), so an orbit started
+    # within 4 ulps of 1 leaves the boundary layer, or is refused; fewer than
+    # _MIN_LANES lanes, so the scalar loop steps it
+    sys_ = CylinderSystem(3, FiberFamily(INVERSE_KAN, StepProfile((0.36, -0.5, 0.0))))
+    for seed in (0, 1):
+        for m in (1, 2, 4):
+            try:
+                _, ys = orbit_points(sys_, CylPoint(0.1234, 1.0 - m * 2.0**-53), 20_000, seed=seed)
+            except DomainError:
+                continue
+            assert ys.min() < 1.0 - 2.0**-40, (seed, m)
 
 
 HISTOGRAM_BINS = [(16, 16), (7, 13), (10, 3), (1, 1), (1000, 1)]

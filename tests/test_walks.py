@@ -295,18 +295,6 @@ def _occupation_reference(trace, threshold):
     return a / n, b / n, c / n
 
 
-@pytest.mark.parametrize("values", [
-    (1.0, -1.0), (0.25, -0.25), (2.0, -1.0, -1.0), (1.0, 1.0, -1.0)])
-def test_occupation_matches_three_count_reference(values):
-    for seed in (0, 5, 9):
-        tr = simulate_walk(StepProfile(values), 0.0, 20000, seed=seed)
-        for threshold in (0.0, 1.0, 2.5):
-            st = occupation_ratios(tr, threshold)
-            ref = _occupation_reference(tr, threshold)
-            for got, want in zip((st.a_over_n, st.b_over_n, st.c_over_n), ref):
-                assert np.array_equal(got, want)
-
-
 def _arcsine_finals_reference(profile, n, num_walks, seed):
     # the ensemble's draw-and-sum, each spawned child keying its digit stream
     values = np.asarray(profile.values, dtype=float)
@@ -341,40 +329,30 @@ def test_occupation_refuses_nan_trace():
 _RATIOS = ("a_over_n", "b_over_n", "c_over_n")
 
 
-def _eager_occupation(trace, threshold):
-    # the eager body the lazy counts replaced: float cumsums, b by partition
-    tt = trace.t[1:]
-    n = np.arange(1, tt.size + 1, dtype=float)
-    a = np.cumsum(tt > threshold, dtype=float)
-    c = np.cumsum(tt < -threshold, dtype=float)
-    b = n - a - c
-    for ratio in (a, b, c):
-        ratio /= n
-    return a, b, c
-
-
 def _ratio_bytes(stats, names=_RATIOS):
     return {name: (getattr(stats, name).dtype, getattr(stats, name).tobytes()) for name in names}
 
 
-def _assert_matches_eager(trace, threshold):
-    want = zip(_RATIOS, _eager_occupation(trace, threshold))
+def _assert_matches_reference(trace, threshold):
+    want = zip(_RATIOS, _occupation_reference(trace, threshold))
     assert _ratio_bytes(occupation_ratios(trace, threshold)) == {
         name: (arr.dtype, arr.tobytes()) for name, arr in want}
 
 
-@pytest.mark.parametrize("values", [(1.0, -1.0), (2.0, -1.0, -1.0), (0.3, -0.7, 0.1), (0.0, 0.0)])
-@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("values", [(1.0, -1.0), (0.25, -0.25), (2.0, -1.0, -1.0),
+                                    (1.0, 1.0, -1.0), (0.3, -0.7, 0.1), (0.0, 0.0)])
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, 2.5, 3.0])
 def test_lazy_occupation_matches_eager_bits(values, threshold):
-    for seed in (0, 4):
-        _assert_matches_eager(simulate_walk(StepProfile(values), 0.0, 30000, seed=seed), threshold)
+    for seed in (0, 4, 5, 9):
+        trace = simulate_walk(StepProfile(values), 0.0, 30000, seed=seed)
+        _assert_matches_reference(trace, threshold)
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, 3.0, math.inf])
 def test_lazy_occupation_matches_eager_bits_on_infinite_and_signed_zero_heights(threshold):
     t = np.array([0.0, math.inf, -0.0, -math.inf, 0.0, 0.5, -0.5, -0.0, math.inf, 3.0,
                   -3.0, 1.0, -math.inf, -1.0, 0.0])
-    _assert_matches_eager(WalkTrace(t=t, steps_used=PM1.values, seed=0), threshold)
+    _assert_matches_reference(WalkTrace(t=t, steps_used=PM1.values, seed=0), threshold)
 
 
 def test_lazy_occupation_read_order_does_not_matter():
