@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import (BasinClass, CylinderSystem, _column_thresholds, _mod1, _require_count,
-                       _require_seed, classify_points)
+from .cylinder import (BasinClass, CylinderSystem, _check_classification, _column_thresholds,
+                       _mod1, _require_count, _require_seed, classify_points)
 from .errors import PreconditionError
 
 #: samples a box has classified after each probe stage but the last, which takes the rest
@@ -68,6 +68,7 @@ def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
     effect; it stays only because perfbench/ops.py passes threads=1 and
     threads=2, and goes when the benchmark stops passing it.
     """
+    _check_classification(sys, n_max, delta)
     _require_count(width, "raster width", 1)
     _require_count(height, "raster height", 1)
     xs = (np.arange(width, dtype=float) + 0.5) / width
@@ -104,6 +105,7 @@ def intermingle_probe(sys: CylinderSystem, num_boxes: int, box_side: float,
     depend on the rest of its batch, so the report equals classifying every
     sample.
     """
+    _check_classification(sys, n_max, delta)
     _require_count(num_boxes, "box count", 1)
     _require_count(samples_per_box, "samples per box", 1)
     if not 0.0 < box_side < 0.5:

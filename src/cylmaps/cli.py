@@ -18,6 +18,7 @@ from .basins import intermingle_csv, intermingle_probe, measure_fractions, raste
 from .cylinder import (
     CylinderSystem,
     CylPoint,
+    _require_count,
     backward_orbit_toward,
     canonical_fixed_angle,
     separator_csv,
@@ -26,8 +27,8 @@ from .cylinder import (
 from .errors import CylmapsError
 from .fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN, CosineProfile, FiberFamily, StepProfile
 from .lyapunov import exponent_report
-from .measures import (TEST_FUNCTIONS, birkhoff_average, histogram_csv, jacobian_max_defect,
-                       orbit_histogram, uniformity_stats)
+from .measures import (DEFAULT_BURN_IN, TEST_FUNCTIONS, birkhoff_average, histogram_csv,
+                       jacobian_max_defect, orbit_histogram, uniformity_stats)
 from .selftest import run_selftest
 from .walks import (
     arcsine_csv,
@@ -38,27 +39,6 @@ from .walks import (
     occupation_ratios,
     simulate_walk,
 )
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seeds must be non-negative integers, got {text}")
-    return value
-
-
-def _angle(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"angles must lie in [0, 1), got {text}")
-    return value
 
 
 def _values(text: str) -> tuple:
@@ -85,7 +65,7 @@ _KINDS = {"kan": KAN, "inverse-kan": INVERSE_KAN, "fractional-linear": FRACTIONA
 
 def _add_system_flags(sub, default_family="kan"):
     sub.add_argument("--family", choices=tuple(_KINDS), default=default_family)
-    sub.add_argument("--k", type=_positive_int, default=3)
+    sub.add_argument("--k", type=int, default=3)
     sub.add_argument("--profile", type=_profile, default=None,
                      help="displacement profile of any family, 'cosine:AMP' or "
                           "'step:V1,V2,...' (default cosine:0.5 for the quadratic "
@@ -115,84 +95,84 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("lyap", help="transverse boundary exponents by quadrature")
     p.set_defaults(run=_run_lyap)
     _add_system_flags(p)
-    p.add_argument("--nodes", type=_positive_int, default=4096)
+    p.add_argument("--nodes", type=int, default=4096)
 
     p = subs.add_parser("basins", help="rasterize the boundary basins")
     p.set_defaults(run=_run_basins)
     _add_system_flags(p)
-    p.add_argument("--width", type=_positive_int, default=512)
-    p.add_argument("--height", type=_positive_int, default=512)
-    p.add_argument("--max-iter", type=_positive_int, default=5000)
+    p.add_argument("--width", type=int, default=512)
+    p.add_argument("--height", type=int, default=512)
+    p.add_argument("--max-iter", type=int, default=5000)
     p.add_argument("--delta", type=float, default=1e-6)
     p.add_argument("--out", default=None, help="write a P6 PPM here")
 
     p = subs.add_parser("intermingle", help="box-sampling intermingling probe")
     p.set_defaults(run=_run_intermingle)
     _add_system_flags(p)
-    p.add_argument("--boxes", type=_positive_int, default=100)
+    p.add_argument("--boxes", type=int, default=100)
     p.add_argument("--box-side", type=float, default=1.0 / 64.0)
-    p.add_argument("--samples", type=_positive_int, default=500)
-    p.add_argument("--max-iter", type=_positive_int, default=5000)
+    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--max-iter", type=int, default=5000)
     p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--seed", type=_seed, default=1)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None, help="write the report CSV here")
 
     p = subs.add_parser("separator", help="separator sweep by column search on a dyadic ladder")
     p.set_defaults(run=_run_separator)
     _add_system_flags(p)
-    p.add_argument("--angles", type=_positive_int, default=200)
-    p.add_argument("--max-iter", type=_positive_int, default=5000)
+    p.add_argument("--angles", type=int, default=200)
+    p.add_argument("--max-iter", type=int, default=5000)
     p.add_argument("--delta", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--seed", type=_seed, default=42)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default=None, help="write per-angle samples here")
 
     p = subs.add_parser("histogram", help="orbit histogram and uniformity stats")
     p.set_defaults(run=_run_histogram)
     _add_system_flags(p, default_family="inverse-kan")
-    p.add_argument("--x0", type=_angle, default=0.1234)
+    p.add_argument("--x0", type=float, default=0.1234)
     p.add_argument("--y0", type=float, default=0.4)
-    p.add_argument("--n", type=_positive_int, default=10**6)
-    p.add_argument("--bins-x", type=_positive_int, default=16)
-    p.add_argument("--bins-y", type=_positive_int, default=16)
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--seed", type=_seed, default=7)
+    p.add_argument("--n", type=int, default=10**6)
+    p.add_argument("--bins-x", type=int, default=16)
+    p.add_argument("--bins-y", type=int, default=16)
+    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
+    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None, help="write bin counts here")
 
     p = subs.add_parser("jacobian-check", help="inverse-branch Jacobian sums")
     p.set_defaults(run=_run_jacobian_check)
     _add_system_flags(p, default_family="inverse-kan")
-    p.add_argument("--points", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=_seed, default=11)
+    p.add_argument("--points", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=11)
 
     p = subs.add_parser("birkhoff", help="time average of a named test function")
     p.set_defaults(run=_run_birkhoff)
     _add_system_flags(p, default_family="inverse-kan")
     p.add_argument("--chi", choices=tuple(TEST_FUNCTIONS), default="y")
-    p.add_argument("--x0", type=_angle, default=0.1234)
+    p.add_argument("--x0", type=float, default=0.1234)
     p.add_argument("--y0", type=float, default=0.4)
-    p.add_argument("--n", type=_positive_int, default=10**6)
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--seed", type=_seed, default=8)
+    p.add_argument("--n", type=int, default=10**6)
+    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
+    p.add_argument("--seed", type=int, default=8)
 
     p = subs.add_parser("walk", help="step-profile random walk occupation ratios")
     p.set_defaults(run=_run_walk)
     p.add_argument("--values", type=_values, default=(1.0, -1.0))
     p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--n", type=_positive_int, default=10**6)
+    p.add_argument("--n", type=int, default=10**6)
     p.add_argument("--threshold", type=float, default=1.0)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--every", type=_positive_int, default=1000,
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--every", type=int, default=1000,
                    help="CSV downsampling stride")
     p.add_argument("--out", default=None, help="write the ratio table here")
 
     p = subs.add_parser("arcsine", help="arcsine-law ensemble frequencies")
     p.set_defaults(run=_run_arcsine)
     p.add_argument("--values", type=_values, default=(1.0, -1.0))
-    p.add_argument("--n", type=_positive_int, default=10**4)
-    p.add_argument("--walks", type=_positive_int, default=2000)
+    p.add_argument("--n", type=int, default=10**4)
+    p.add_argument("--walks", type=int, default=2000)
     p.add_argument("--eps", type=_values, default=(0.5, 0.25))
-    p.add_argument("--seed", type=_seed, default=11)
+    p.add_argument("--seed", type=int, default=11)
     p.add_argument("--out", default=None, help="write the frequency table here")
 
     p = subs.add_parser("equidist", help="walk equidistribution mod L")
@@ -201,19 +181,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated exact rationals, e.g. '1,-1' or '1/3,-1/3'")
     p.add_argument("--modulus", default="pi",
                    help="'pi' (irrational) or an exact rational like '2' or '5/7'")
-    p.add_argument("--n", type=_positive_int, default=10**6)
+    p.add_argument("--n", type=int, default=10**6)
     p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--bins", type=_positive_int, default=256)
-    p.add_argument("--seed", type=_seed, default=123)
+    p.add_argument("--bins", type=int, default=256)
+    p.add_argument("--seed", type=int, default=123)
 
     p = subs.add_parser("backward", help="backward orbit toward a marked angle")
     p.set_defaults(run=_run_backward)
     _add_system_flags(p)
-    p.add_argument("--x0", type=_angle, default=0.1)
+    p.add_argument("--x0", type=float, default=0.1)
     p.add_argument("--y0", type=float, default=0.5)
-    p.add_argument("--x-star", type=_angle, default=None,
+    p.add_argument("--x-star", type=float, default=None,
                    help="marked fixed angle (default: the canonical one)")
-    p.add_argument("--steps", type=_positive_int, default=200)
+    p.add_argument("--steps", type=int, default=200)
 
     p = subs.add_parser("selftest", help="run the full acceptance suite")
     p.set_defaults(run=_run_selftest)
@@ -284,12 +264,14 @@ def _run_birkhoff(args) -> int:
 
 
 def _run_walk(args) -> int:
+    _require_count(args.n, "walk length", 1)  # the report prints the last ratio
     trace = simulate_walk(StepProfile(args.values), args.t0, args.n, seed=args.seed)
     stats = occupation_ratios(trace, args.threshold)
+    table = occupation_csv(stats, every=args.every) if args.out else None  # before the report
     print(f"walk n={args.n} threshold={args.threshold!r} "
           f"a/n={float(stats.a_over_n[-1])!r} b/n={float(stats.b_over_n[-1])!r} "
           f"c/n={float(stats.c_over_n[-1])!r}")
-    _write(args, lambda: occupation_csv(stats, every=args.every).encode())
+    _write(args, lambda: table.encode())
     return 0
 
 

@@ -427,6 +427,15 @@ def _column_thresholds(sys: CylinderSystem, xs: np.ndarray, height_at, n: int,
 # separator estimation
 # ---------------------------------------------------------------------------
 
+def _check_separator(sys: CylinderSystem, n_max: int, delta: float, tol: float) -> None:
+    """The refusals of :func:`estimate_separator_batch`, raised before any work."""
+    if sys.family.kind != KAN:
+        raise WrongFamilyError("separator estimation applies to the quadratic (negative-curvature) family")
+    if not tol > 0.0:
+        raise PreconditionError("bracket tolerance must be positive")
+    _check_classification(sys, n_max, delta)
+
+
 def estimate_separator_batch(sys: CylinderSystem, xs, n_max: int, delta: float,
                              tol: float) -> list[SeparatorSample]:
     """Bracket estimates of sigma(x) for a batch of angles.
@@ -443,11 +452,7 @@ def estimate_separator_batch(sys: CylinderSystem, xs, n_max: int, delta: float,
     the height, the undecided rung lies between lo and hi, and the sample
     cannot be decided.
     """
-    if sys.family.kind != KAN:
-        raise WrongFamilyError("separator estimation applies to the quadratic (negative-curvature) family")
-    if not tol > 0.0:
-        raise PreconditionError("bracket tolerance must be positive")
-    _check_classification(sys, n_max, delta)
+    _check_separator(sys, n_max, delta, tol)
     xs = np.array(xs, dtype=float).ravel()
     if not np.isfinite(xs).all():
         raise PreconditionError("angles must be finite")
@@ -482,6 +487,7 @@ def separator_sweep(sys: CylinderSystem, num_angles: int, n_max: int, delta: flo
     """
     _require_count(num_angles, "angle count")
     _require_seed(seed)
+    _check_separator(sys, n_max, delta, tol)
     xs = np.random.default_rng(seed).uniform(0.0, 1.0, num_angles)
     both = estimate_separator_batch(sys, np.concatenate([xs, _mod1(sys.k * xs)]),
                                     n_max, delta, tol)

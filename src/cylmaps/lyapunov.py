@@ -34,14 +34,19 @@ class ExponentReport:
     sum_sign: int
 
 
+def _require_boundary(boundary) -> None:
+    """The integer 0 or 1, numpy integers included; not a bool or a float."""
+    if (isinstance(boundary, bool) or not isinstance(boundary, (int, np.integer))
+            or boundary not in (0, 1)):
+        raise PreconditionError(f"boundary must be the integer 0 or 1, got {boundary!r}")
+
+
 def _log_boundary_derivative(family: FiberFamily, boundary: int, x) -> np.ndarray:
     """log f'_x(boundary) for an array of angles, in closed form.
 
     Quadratic family: f'(0) = 1+a, f'(1) = 1-a with a = p(x);
     the inverse family reciprocates both; Moebius fibers give exactly +-c.
     """
-    if boundary not in (0, 1):
-        raise PreconditionError(f"boundary must be 0 or 1, got {boundary}")
     a = family.displacement(x)
     signed = a if boundary == 0 else -a
     if family.kind == FRACTIONAL_LINEAR:
@@ -65,6 +70,7 @@ def transverse_exponent_quadrature(family: FiberFamily, boundary: int,
                                    nodes: int) -> float:
     """Circle average of log f'_x(boundary) by the periodic trapezoid rule
     (see :func:`_quadrature_nodes`)."""
+    _require_boundary(boundary)
     x = _quadrature_nodes(family, nodes)
     return float(np.mean(_log_boundary_derivative(family, boundary, x)))
 
@@ -77,6 +83,7 @@ def transverse_exponent_birkhoff(sys: CylinderSystem, boundary: int, x0: float,
     exact float prefix are drawn i.i.d. uniform; exactly fixed x0 stays put,
     which reproduces exceptional periodic-orbit averages.
     """
+    _require_boundary(boundary)
     _require_count(n, "orbit length", 1)
     angles = base_orbit_angles(sys.k, x0, n, seed=seed)
     return float(np.mean(_log_boundary_derivative(sys.family, boundary, angles)))

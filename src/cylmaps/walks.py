@@ -202,15 +202,17 @@ def _byte_table(v0: float, v1: float) -> np.ndarray:
 def _byte_walk(key: int, t0: float, table: np.ndarray, t: np.ndarray) -> None:
     """The k = 2 walk t_0 = t0 .. t_n of stream ``key`` in place in t, eight
     steps a table read: digit i is bit i % 8 of byte i // 8 of the stream's
-    words in little-endian order.  A chunk's bytes start from the exclusive
-    sums of the byte totals, and each height is its byte's start plus its
-    partial sum."""
+    words in little-endian order, so chunk lo starts at byte (lo % 64) // 8
+    of word lo // 64 (_CHUNK is a multiple of 8).  A chunk's bytes start
+    from the exclusive sums of the byte totals, and each height is its
+    byte's start plus its partial sum."""
     t[0] = t0
     n = t.size - 1
     for lo in range(0, n, _CHUNK):
         m = min(_CHUNK, n - lo)
         words = _words(key, lo // 64, -(-(lo + m) // 64), 2**64)  # k = 2 redraws nothing
-        data = words.astype("<u8", copy=False).view(np.uint8)[:-(-m // 8)]
+        first = lo % 64 // 8
+        data = words.astype("<u8", copy=False).view(np.uint8)[first:first - (-m // 8)]
         partial = np.take(table, data).view(np.int8).reshape(-1, 8)
         start = np.empty(data.size, dtype=float)
         start[0] = t[lo]

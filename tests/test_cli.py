@@ -1,4 +1,4 @@
-"""Command-line surface: parsing gates, exit codes, artifact reproducibility."""
+"""Command-line surface: the library's refusals, exit codes, artifact reproducibility."""
 
 import argparse
 import subprocess
@@ -100,13 +100,114 @@ def test_usage_error_on_refused_input(argv, capsys):
 @pytest.mark.parametrize("command", ["intermingle", "separator", "histogram", "jacobian-check",
                                      "birkhoff", "walk", "arcsine", "equidist"])
 def test_usage_error_on_negative_seed(command, capsys):
-    # refused while parsing, before any numpy generator can raise ValueError
+    # refused by the library's seed rule, before any numpy generator can raise ValueError
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--seed", "-1"])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert f"cylmaps {command}: error: argument --seed" in err
+    assert "cylmaps: error: seed must be None or a non-negative integer, got -1" in err
     assert "Traceback" not in err
+
+
+def _subparsers():
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+#: every integer flag of every subcommand, with a value below the least the library takes
+_INT_FLAGS = {
+    "lyap": {"--k": 1, "--nodes": 15},
+    "basins": {"--k": 1, "--width": 0, "--height": 0, "--max-iter": -1},
+    "intermingle": {"--k": 1, "--boxes": 0, "--samples": 0, "--max-iter": -1, "--seed": -1},
+    "separator": {"--k": 1, "--angles": -1, "--max-iter": -1, "--seed": -1},
+    "histogram": {"--k": 1, "--n": 1000, "--bins-x": 0, "--bins-y": 0, "--burn-in": -1,
+                  "--seed": -1},
+    "jacobian-check": {"--k": 1, "--points": 0, "--seed": -1},
+    "birkhoff": {"--k": 1, "--n": 1000, "--burn-in": -1, "--seed": -1},
+    "walk": {"--n": 0, "--seed": -1, "--every": 0},
+    "arcsine": {"--n": 0, "--walks": 0, "--seed": -1},
+    "equidist": {"--n": -1, "--bins": 1, "--seed": -1},
+    "backward": {"--k": 2, "--steps": -1},
+    "selftest": {},
+}
+
+#: float flags at NaN and out of range
+_FLOAT_FLAGS = {
+    ("histogram", "birkhoff", "backward"): {"--x0": ["nan", "1.0", "-0.1", "inf"],
+                                           "--y0": ["nan", "1.5", "-0.1", "0.0"]},
+    ("backward",): {"--x-star": ["nan", "inf", "-inf", "1.25"]},
+    ("basins", "intermingle", "separator"): {"--delta": ["nan", "0.5", "0.0", "-1e-6", "1e-17"]},
+    ("separator",): {"--tol": ["nan", "0.0", "-1e-3"]},
+    ("intermingle",): {"--box-side": ["nan", "0.5", "0.0", "-0.1"]},
+    ("walk",): {"--threshold": ["nan", "-1.0"]},
+}
+
+
+def test_the_refusal_table_names_every_integer_flag():
+    for command, sub in _subparsers().items():
+        flags = {a.option_strings[0] for a in sub._actions if a.type is int}
+        assert flags == set(_INT_FLAGS[command]), command
+
+
+def _refused_argv():
+    for command, flags in _INT_FLAGS.items():
+        for flag, below in flags.items():
+            for value in dict.fromkeys([str(below), "-1", "1.5"]):
+                yield pytest.param([command, flag, value], id=f"{command} {flag} {value}")
+    for commands, flags in _FLOAT_FLAGS.items():
+        for command in commands:
+            for flag, values in flags.items():
+                for value in values:
+                    yield pytest.param([command, flag, value], id=f"{command} {flag} {value}")
+
+
+@pytest.mark.parametrize("argv", _refused_argv())
+def test_every_refusal_exits_2_before_any_report(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    if argv[1] == "--every":  # the stride is read where the table is written
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [c for c in _INT_FLAGS if c != "selftest"])
+def test_every_subcommand_runs_at_its_defaults(command, capsys):
+    code, out = run_cli([command], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == (2 if command == "arcsine" else 1)  # arcsine: one line per eps
+    assert all(line.startswith(command + " ") for line in lines)
+
+
+def _report(out):
+    return dict(tok.split("=", 1) for tok in out.split()[1:] if "=" in tok)
+
+
+@pytest.mark.parametrize("argv, want", [pytest.param(argv, want, id=argv) for argv, want in [
+    ("basins --max-iter 0", {"frac0": "0.0", "frac1": "0.0", "undecided": "1.0"}),
+    ("intermingle --max-iter 0", {"both": "0", "undecided": "100"}),
+    ("separator --max-iter 0", {"decided": "0/200", "functional_eq": "0/0"}),
+    ("separator --angles 0", {"decided": "0/0", "functional_eq": "0/0"}),
+    ("equidist --n 0", {"cdf_deviation": repr(1.0 - 1.0 / 256.0)}),
+    ("backward --steps 0", {"final_x": "0.1", "final_y": "0.5"}),
+]])
+def test_inputs_the_library_answers(argv, want, capsys):
+    code, out = run_cli(argv.split(), capsys)
+    assert code == 0
+    got = _report(out)
+    assert {key: got[key] for key in want} == want
+
+
+def test_a_marked_angle_outside_the_unit_interval_is_read_mod_1(capsys):
+    _, inside = run_cli(["backward", "--x-star", "0.5"], capsys)
+    code, outside = run_cli(["backward", "--x-star", "1.5"], capsys)
+    assert code == 0
+    assert outside == inside.replace("x_star=0.5", "x_star=1.5")
 
 
 def test_basins_writes_ppm(tmp_path, capsys):
@@ -184,8 +285,7 @@ def test_birkhoff_command(capsys):
 
 
 def test_birkhoff_chi_choices_are_the_named_test_functions():
-    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    (chi,) = [a for a in subs.choices["birkhoff"]._actions if a.dest == "chi"]
+    (chi,) = [a for a in _subparsers()["birkhoff"]._actions if a.dest == "chi"]
     assert tuple(chi.choices) == tuple(TEST_FUNCTIONS)
 
 

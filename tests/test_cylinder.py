@@ -40,7 +40,9 @@ from cylmaps import (
     simulate_walk,
     step,
     transverse_exponent_birkhoff,
+    transverse_exponent_quadrature,
 )
+from cylmaps import basins, lyapunov
 from cylmaps.cylinder import (
     _BLOCK_ELEMENTS,
     _BLOCK_ROUNDS,
@@ -793,6 +795,71 @@ def test_separator_refuses_before_any_pass(monkeypatch, sys_, delta, tol, error)
     monkeypatch.setattr(FiberFamily, "displacement", no_pass)
     with pytest.raises(error):
         estimate_separator_batch(sys_, [0.1, 0.3], 100, delta, tol)
+
+
+class _NoNumpy:
+    """A module's numpy, made to raise on first use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} ran before the refusal")
+
+
+def _raises(what):
+    def first_step(*args, **kwargs):
+        raise AssertionError(f"{what} ran before the refusal")
+    return first_step
+
+
+_K4 = CylinderSystem(4, kan_family(0.5))
+#: (system, n_max, delta) that classification refuses
+_BAD_CLASSIFICATION = {
+    "delta-tiny": (SYS3, 100, 1e-17), "delta-nan": (SYS3, 100, float("nan")),
+    "delta-half": (SYS3, 100, 0.5), "delta-zero": (SYS3, 100, 0.0),
+    "n_max-negative": (SYS3, -1, 1e-6), "n_max-float": (SYS3, 100.0, 1e-6),
+    "n_max-bool": (SYS3, True, 1e-6), "k2": (SYS2, 100, 1e-6), "k4": (_K4, 100, 1e-6),
+}
+_BAD_BOUNDARIES = [2, -1, True, False, 1.0, 0.0, np.float64(0.0), None, "0"]
+
+
+@pytest.mark.parametrize("call, error", [
+    *(pytest.param(lambda s=s, n=n, d=d: rasterize(s, 8, 8, n, d), PreconditionError,
+                   id=f"rasterize-{name}") for name, (s, n, d) in _BAD_CLASSIFICATION.items()),
+    *(pytest.param(lambda s=s, n=n, d=d: intermingle_probe(s, 4, 1.0 / 64.0, 10, n, d, seed=1),
+                   PreconditionError, id=f"intermingle_probe-{name}")
+      for name, (s, n, d) in _BAD_CLASSIFICATION.items()),
+    *(pytest.param(lambda s=s, n=n, d=d: separator_sweep(s, 4, n, d, 1e-3, seed=1),
+                   PreconditionError, id=f"separator_sweep-{name}")
+      for name, (s, n, d) in _BAD_CLASSIFICATION.items()),
+    pytest.param(lambda: separator_sweep(INV3, 4, 100, 1e-6, 1e-3, seed=1), WrongFamilyError,
+                 id="separator_sweep-family"),
+    *(pytest.param(lambda tol=tol: separator_sweep(SYS3, 4, 100, 1e-6, tol, seed=1),
+                   PreconditionError, id=f"separator_sweep-tol={tol}")
+      for tol in (float("nan"), 0.0, -1e-3)),
+    *(pytest.param(lambda b=b: transverse_exponent_quadrature(SYS3.family, b, 64),
+                   PreconditionError, id=f"quadrature-boundary={b!r}") for b in _BAD_BOUNDARIES),
+    *(pytest.param(lambda b=b: transverse_exponent_birkhoff(SYS3, b, 0.1234, 100),
+                   PreconditionError, id=f"birkhoff-boundary={b!r}") for b in _BAD_BOUNDARIES),
+])
+def test_entry_points_refuse_before_any_work(monkeypatch, call, error):
+    # every first step raises: a draw, a numpy call in basins, a fibre
+    # parameter, the quadrature nodes or the base orbit
+    monkeypatch.setattr(FiberFamily, "displacement", _raises("a fibre parameter"))
+    monkeypatch.setattr(basins, "np", _NoNumpy())
+    monkeypatch.setattr(np.random, "default_rng", _raises("a draw"))
+    monkeypatch.setattr(lyapunov, "_quadrature_nodes", _raises("a quadrature node"))
+    monkeypatch.setattr(lyapunov, "base_orbit_angles", _raises("a base orbit"))
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("boundary", [0, 1])
+@pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint64])
+def test_a_numpy_integer_boundary_is_a_boundary(boundary, kind):
+    for family in (SYS3.family, inverse_kan_family(0.3)):
+        assert (transverse_exponent_quadrature(family, kind(boundary), 64)
+                == transverse_exponent_quadrature(family, boundary, 64))
+    assert (transverse_exponent_birkhoff(SYS3, kind(boundary), 0.1234, 100, seed=2)
+            == transverse_exponent_birkhoff(SYS3, boundary, 0.1234, 100, seed=2))
 
 
 # ---------------------------------------------------------------------------

@@ -554,6 +554,18 @@ def test_byte_table_walk_keeps_the_signed_zeros_of_a_negative_zero_start(values)
     assert np.signbit(simulate_walk(StepProfile((-0.0, -0.0)), -0.0, 200, seed=2).t).all()
 
 
+@pytest.mark.parametrize("chunk", [200, 8])
+@pytest.mark.parametrize("values", [(1.0, -1.0), (3.0, -2.0)])
+def test_byte_table_walk_of_chunks_that_start_inside_a_word(monkeypatch, chunk, values):
+    # a chunk of 200 digits starts at digit 8, 16, 24, ... of a 64-digit
+    # word, and one of 8 digits at each of its bytes
+    monkeypatch.setattr(walks, "_CHUNK", chunk)
+    assert walks._takes_byte_table(values, 0.0, 1000)
+    for seed in (0, 5):
+        got = simulate_walk(StepProfile(values), 0.0, 1000, seed=seed).t
+        assert got.tobytes() == _loop_walk(values, 0.0, 1000, seed).tobytes()
+
+
 def _chunks(threshold):
     # one chunk of heights per verdict, each _CHUNK long, then a short straddling tail
     rng, c, n = np.random.default_rng(5), walks._CHUNK, threshold
