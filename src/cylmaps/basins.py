@@ -13,13 +13,12 @@ once it has seen both basins.  Both run on the calling thread.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .cylinder import (BasinClass, CylinderSystem, _check_classification, _column_thresholds,
-                       _mod1, _require_count, _require_seed, classify_points)
+                       _csv, _mod1, _require_count, _require_seed, classify_points)
 from .errors import PreconditionError
 
 #: samples a box has classified after each probe stage but the last, which takes the rest
@@ -142,17 +141,9 @@ def write_ppm(raster: BasinRaster) -> bytes:
     """Binary PPM (P6) bytes in DEFAULT_PALETTE; top image row is the y-near-1 edge."""
     lut = np.asarray(DEFAULT_PALETTE, dtype=np.uint8)
     rgb = lut[raster.cells[::-1]]  # flip so the upper boundary is on top
-    out = io.BytesIO()
-    out.write(f"P6\n{raster.width} {raster.height}\n255\n".encode("ascii"))
-    out.write(rgb.tobytes())
-    return out.getvalue()
+    return f"P6\n{raster.width} {raster.height}\n255\n".encode("ascii") + rgb.tobytes()
 
 
 def intermingle_csv(report: IntermingleReport) -> str:
-    """One-header CSV serialization of the probe report."""
-    head = ("boxes_total,boxes_both,boxes_only0,boxes_only1,"
-            "boxes_undecided,box_side,samples_per_box,seed")
-    row = (f"{report.boxes_total},{report.boxes_both},{report.boxes_only0},"
-           f"{report.boxes_only1},{report.boxes_undecided},{report.box_side!r},"
-           f"{report.samples_per_box},{report.seed}")
-    return head + "\n" + row + "\n"
+    """One-header CSV serialization of the probe report: its fields, in order."""
+    return _csv(",".join(f.name for f in fields(report)), [astuple(report)])

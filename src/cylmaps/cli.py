@@ -31,6 +31,8 @@ from .measures import (DEFAULT_BURN_IN, TEST_FUNCTIONS, birkhoff_average, histog
                        jacobian_max_defect, orbit_histogram, uniformity_stats)
 from .selftest import run_selftest
 from .walks import (
+    _check_circle,
+    _require_threshold,
     arcsine_csv,
     arcsine_ensemble,
     circle_equidistribution,
@@ -265,6 +267,7 @@ def _run_birkhoff(args) -> int:
 
 def _run_walk(args) -> int:
     _require_count(args.n, "walk length", 1)  # the report prints the last ratio
+    _require_threshold(args.threshold)
     trace = simulate_walk(StepProfile(args.values), args.t0, args.n, seed=args.seed)
     stats = occupation_ratios(trace, args.threshold)
     table = occupation_csv(stats, every=args.every) if args.out else None  # before the report
@@ -293,8 +296,9 @@ def _run_equidist(args) -> int:
         support = cyclic_support_check(values, modulus=args.modulus)
         try:
             modulus = float(Fraction(args.modulus))
-        except OverflowError:  # past the largest float; circle_equidistribution refuses it
+        except OverflowError:  # past the largest float; _check_circle refuses it
             modulus = math.inf
+    _check_circle(modulus, args.bins)
     trace = simulate_walk(StepProfile(tuple(float(Fraction(v)) for v in values)),
                           args.t0, args.n, seed=args.seed)
     rep = circle_equidistribution(trace, modulus, args.bins)

@@ -57,11 +57,6 @@ _HYPOTHESIS_GRID = (33, 17)
 _MAX_LISTED = 50
 
 
-def _require_multiplier(k) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise PreconditionError(f"base multiplier k must be an integer >= 2, got {k}")
-
-
 def _require_seed(seed) -> None:
     """Seeds are None or non-negative integers, numpy integers included."""
     if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
@@ -75,6 +70,13 @@ def _require_count(value, what: str, least: int = 0) -> None:
         raise PreconditionError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
+def _csv(header: str, rows) -> str:
+    """An artifact table: the header, then one comma-joined line per row,
+    each line ending in a newline.  Values are written with str, which
+    gives a float's round-trip repr and a numpy scalar's plain number."""
+    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
 @dataclass(frozen=True)
 class CylinderSystem:
     """Base multiplier k plus the fiber family; the cylinder map F."""
@@ -83,7 +85,7 @@ class CylinderSystem:
     family: FiberFamily
 
     def __post_init__(self):
-        _require_multiplier(self.k)
+        _require_count(self.k, "base multiplier k", 2)
         prof = self.family.profile
         if isinstance(prof, StepProfile) and prof.k != self.k:
             raise PreconditionError(
@@ -500,9 +502,8 @@ def separator_sweep(sys: CylinderSystem, num_angles: int, n_max: int, delta: flo
 
 def separator_csv(samples: list[SeparatorSample]) -> str:
     """CSV rows (x, sigma, bracket, decided) under a single header line."""
-    lines = ["x,sigma,bracket,decided"]
-    lines += [f"{s.x!r},{s.sigma!r},{s.bracket!r},{int(s.decided)}" for s in samples]
-    return "\n".join(lines) + "\n"
+    return _csv("x,sigma,bracket,decided",
+                ((s.x, s.sigma, s.bracket, int(s.decided)) for s in samples))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +527,7 @@ def base_orbit_angles(k: int, x0: float, n: int, seed=None) -> np.ndarray:
     so are a k that is not an integer >= 2, a seed that is neither None nor
     a non-negative integer, and an n that is not an integer >= 0.
     """
-    _require_multiplier(k)
+    _require_count(k, "base multiplier k", 2)
     _require_seed(seed)
     _require_count(n, "orbit length")
     if not np.isfinite(x0):
@@ -623,7 +624,7 @@ def digits(key: int, start: int, n: int, k: int) -> np.ndarray:
     _require_count(key, "stream key")
     _require_count(start, "stream start")
     _require_count(n, "digit count")
-    _require_multiplier(k)
+    _require_count(k, "base multiplier k", 2)
     if key > _MASK64 or k > _MASK64:
         raise PreconditionError(f"stream key and base k must be below 2^64, got {key!r}, {k!r}")
     k = int(k)

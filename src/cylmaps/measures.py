@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import CylinderSystem, CylPoint, _require_count, _require_seed, base_orbit_angles
+from .cylinder import CylinderSystem, CylPoint, _csv, _require_count, _require_seed, base_orbit_angles
 from .errors import DomainError, PreconditionError, WrongFamilyError
 from .fiber import (FRACTIONAL_LINEAR, INVERSE_KAN, CosineProfile, StepProfile, _fiber_orbit,
                     _Parameters, _translation_orbit, _unit_cosine, poincare_coord,
@@ -156,6 +156,12 @@ def uniformity_stats(hist: Histogram2D) -> UniformityReport:
                             max_rel_dev=float(np.abs(dev).max()))
 
 
+def _check_branch_family(sys: CylinderSystem) -> None:
+    """The family refusal of :func:`jacobian_branch_sum`, raised before any work."""
+    if sys.family.kind != INVERSE_KAN:
+        raise WrongFamilyError("the branch-Jacobian identity applies to the inverse-quadratic family")
+
+
 def jacobian_branch_sum(sys: CylinderSystem, p: CylPoint) -> float:
     """Sum of the k inverse-branch Jacobians of F at p: 1 + (1-2y)*mean(a_j).
 
@@ -165,8 +171,7 @@ def jacobian_branch_sum(sys: CylinderSystem, p: CylPoint) -> float:
     to zero, so the total is 1 and Lebesgue measure is invariant; a step
     profile gives a_j = values[j], so the total is 1 only for zero mean.
     """
-    if sys.family.kind != INVERSE_KAN:
-        raise WrongFamilyError("the branch-Jacobian identity applies to the inverse-quadratic family")
+    _check_branch_family(sys)
     k, prof = sys.k, sys.family.profile
     # branch j lands in [j/k, (j+1)/k), where a step profile reads values[j],
     # wherever the float (x + j)/k rounds to
@@ -177,6 +182,7 @@ def jacobian_branch_sum(sys: CylinderSystem, p: CylPoint) -> float:
 
 def jacobian_max_defect(sys: CylinderSystem, points: int, seed: int) -> float:
     """Largest |jacobian_branch_sum - 1| over seeded uniform random points."""
+    _check_branch_family(sys)
     _require_count(points, "point count", 1)
     _require_seed(seed)
     rng = np.random.default_rng(seed)
@@ -230,8 +236,5 @@ def birkhoff_average(sys: CylinderSystem, chi: str, p0: CylPoint, n: int,
 
 def histogram_csv(hist: Histogram2D) -> str:
     """CSV rows (bin_x, bin_y, count) under a single header line."""
-    lines = ["bin_x,bin_y,count"]
-    for ix in range(hist.bins_x):
-        for iy in range(hist.bins_y):
-            lines.append(f"{ix},{iy},{int(hist.counts[ix, iy])}")
-    return "\n".join(lines) + "\n"
+    return _csv("bin_x,bin_y,count",
+                ((ix, iy, count) for (ix, iy), count in np.ndenumerate(hist.counts)))

@@ -23,6 +23,7 @@ from .basins import intermingle_csv, intermingle_probe, measure_fractions, raste
 from .cylinder import (
     CylinderSystem,
     CylPoint,
+    _csv,
     backward_orbit_toward,
     check_kan_hypothesis,
     estimate_separator_batch,
@@ -233,9 +234,8 @@ def check_intermingled_basins(artifacts=None) -> CheckResult:
     probe_bound = probe_watch.bound("probe", 10.0)
     if artifacts is not None:
         artifacts["basins.ppm"] = write_ppm(raster)
-        artifacts["fractions.csv"] = (
-            "frac_basin0,frac_basin1,frac_undecided\n"
-            f"{f0!r},{f1!r},{fu!r}\n").encode()
+        artifacts["fractions.csv"] = _csv("frac_basin0,frac_basin1,frac_undecided",
+                                          [(f0, f1, fu)]).encode()
         artifacts["intermingle.csv"] = intermingle_csv(probe).encode()
     ok = (hyp.passed and fu < 0.02 and abs(f0 - f1) < 0.02
           and probe.boxes_both >= 90)
@@ -333,10 +333,9 @@ def check_equidistribution(artifacts=None) -> CheckResult:
     support_pi = cyclic_support_check([1, -1], modulus_irrational=True)
     support_2 = cyclic_support_check([1, -1], modulus=2)
     if artifacts is not None:
-        artifacts["equidist.csv"] = (
-            "modulus,bins,cdf_deviation,cyclic_support\n"
-            f"pi,{irr.bins},{irr.cdf_deviation!r},{int(support_pi)}\n"
-            f"2,{rat.bins},{rat.cdf_deviation!r},{int(support_2)}\n").encode()
+        artifacts["equidist.csv"] = _csv("modulus,bins,cdf_deviation,cyclic_support", [
+            ("pi", irr.bins, irr.cdf_deviation, int(support_pi)),
+            ("2", rat.bins, rat.cdf_deviation, int(support_2))]).encode()
     elapsed = watch.bound("elapsed", 5.0)
     ok = (irr.cdf_deviation < 0.01 and not support_pi
           and rat.cdf_deviation > 0.2 and support_2)

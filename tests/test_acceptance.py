@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from artifact_pins import ARTIFACT_SHA256
 from cylmaps import selftest
 
 
@@ -22,6 +23,12 @@ def _report(result):
                  f"({b.wall_seconds:.3g}s wall) < {b.limit:g}s cpu")
     print(line)
     assert result.passed, line
+
+
+def _assert_pinned(artifacts, *names):
+    """The check wrote exactly these artifacts, each with its pinned sha256."""
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()} == {
+        name: ARTIFACT_SHA256[name] for name in names}
 
 
 def test_c01_exponent_oracle():
@@ -45,11 +52,7 @@ def test_c05_intermingled_basins():
     _report(selftest.check_intermingled_basins(artifacts))
     # pinned across versions: every class the raster and the probe read goes
     # into these, so a classifier that moves one bit fails here
-    assert {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()} == {
-        "basins.ppm": "614638fd6571f11dc732a0d659d6ef8cc1ee7c0b4af8dc203923191701cc25d0",
-        "fractions.csv": "330e5c5e2a2e9e8abee7d2fed78793d48b1807a1d54daea76471bbf1dcc20f6f",
-        "intermingle.csv": "8346d554f085de58daf36b2078795b1c3a716b67a5f1561f59873e7a2451ac5a",
-    }
+    _assert_pinned(artifacts, "basins.ppm", "fractions.csv", "intermingle.csv")
 
 
 def test_c06_backward_orbit():
@@ -60,8 +63,7 @@ def test_c07_separator():
     artifacts = {}
     _report(selftest.check_separator(artifacts))
     # pinned across versions: every bracket end is a classified rung
-    assert (hashlib.sha256(artifacts["separator.csv"]).hexdigest()
-            == "dd0da76d8ee4d7e4bc6176690e784c67fd4c6b0ddc01bef4adaf642e6497e394")
+    _assert_pinned(artifacts, "separator.csv")
 
 
 def test_c08_asymptotic_measure():
@@ -71,8 +73,7 @@ def test_c08_asymptotic_measure():
     # pinned across versions: every orbit bit of c08 goes into these two, so
     # an orbit loop that moves one bit fails here; re-pin, with a note, only
     # for a change meant to move the orbits
-    assert (hashlib.sha256(artifacts["histogram.csv"]).hexdigest()
-            == "1e1a0ee98e51a0e32053798adba571076a456cc9a36a6cd9a8d2c7becce3e45e")
+    _assert_pinned(artifacts, "histogram.csv")
     assert result.detail == ("max_rel_dev=0.0578 <y>=0.5020 <y^2>=0.3355 "
                              "<cos>=-0.00039 kan_interior=0.0000")
 
@@ -83,18 +84,14 @@ def test_c09_random_walk():
     # pinned across versions: the walks behind these read the walk digit
     # stream, so a change to that stream fails here; re-pin, with a note,
     # only for a change meant to move the digits
-    assert {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()} == {
-        "walk_ratios.csv": "948a19f0781b3ac7be87029bb44dacfd86d953a7294c272674b3ef6959512920",
-        "arcsine.csv": "3665d76e52f4c0f821789611abe3fd244f7b1c86c3f889fcbefb4407f4153b98",
-    }
+    _assert_pinned(artifacts, "walk_ratios.csv", "arcsine.csv")
 
 
 def test_c10_equidistribution():
     artifacts = {}
     _report(selftest.check_equidistribution(artifacts))
     # pinned across versions, as c09's walk artifacts are
-    assert (hashlib.sha256(artifacts["equidist.csv"]).hexdigest()
-            == "6bd11a6e012a0df28df9f3fe56b45cb12563298f6c891c080868e0ccaa512f1e")
+    _assert_pinned(artifacts, "equidist.csv")
 
 
 def _run_selftest_cli(out_dir: Path) -> subprocess.CompletedProcess:

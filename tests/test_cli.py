@@ -1,12 +1,15 @@
 """Command-line surface: the library's refusals, exit codes, artifact reproducibility."""
 
 import argparse
+import hashlib
 import subprocess
 import sys
 import time
 
 import pytest
 
+from artifact_pins import ARTIFACT_SHA256
+from cylmaps import cli
 from cylmaps.cli import build_parser, main
 from cylmaps.measures import TEST_FUNCTIONS
 
@@ -175,13 +178,42 @@ def test_every_refusal_exits_2_before_any_report(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, error", [
+    ("walk --threshold nan", "threshold must be >= 0"),
+    ("walk --threshold -1", "threshold must be >= 0"),
+    ("equidist --bins 1", "bin count must be an integer >= 2, got 1"),
+    ("equidist --modulus 1e400", "modulus must be positive and finite, got inf"),
+])
+def test_walk_inputs_are_refused_before_the_walk_is_built(argv, error, monkeypatch, capsys):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk was built before the refusal")
+    monkeypatch.setattr(cli, "simulate_walk", no_walk)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.err == f"cylmaps: error: {error}\n"
+    assert captured.out == ""
+
+
+#: the --out file of a subcommand at its defaults is this selftest artifact
+_DEFAULT_ARTIFACTS = {"basins": "basins.ppm", "intermingle": "intermingle.csv",
+                      "separator": "separator.csv", "histogram": "histogram.csv",
+                      "walk": "walk_ratios.csv", "arcsine": "arcsine.csv"}
+
+
 @pytest.mark.parametrize("command", [c for c in _INT_FLAGS if c != "selftest"])
-def test_every_subcommand_runs_at_its_defaults(command, capsys):
-    code, out = run_cli([command], capsys)
+def test_every_subcommand_runs_at_its_defaults(command, tmp_path, capsys):
+    artifact = _DEFAULT_ARTIFACTS.get(command)
+    out = tmp_path / "out"
+    code, text = run_cli([command] + (["--out", str(out)] if artifact else []), capsys)
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == (2 if command == "arcsine" else 1)  # arcsine: one line per eps
+    lines = text.splitlines()
+    # arcsine prints one line per eps, and a written artifact adds one
+    assert len(lines) == (2 if command == "arcsine" else 1) + (artifact is not None)
     assert all(line.startswith(command + " ") for line in lines)
+    if artifact:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == ARTIFACT_SHA256[artifact]
 
 
 def _report(out):
@@ -290,7 +322,6 @@ def test_birkhoff_chi_choices_are_the_named_test_functions():
 
 
 def test_selftest_prints_a_verdict_per_time_bound(monkeypatch, capsys):
-    import cylmaps.cli as cli
     from cylmaps.selftest import CheckResult, TimeBound
 
     # a bound reads the thread's CPU seconds: a stalled part (wall 3s) passes

@@ -42,7 +42,7 @@ from cylmaps import (
     transverse_exponent_birkhoff,
     transverse_exponent_quadrature,
 )
-from cylmaps import basins, lyapunov
+from cylmaps import basins, lyapunov, measures
 from cylmaps.cylinder import (
     _BLOCK_ELEMENTS,
     _BLOCK_ROUNDS,
@@ -835,6 +835,8 @@ _BAD_BOUNDARIES = [2, -1, True, False, 1.0, 0.0, np.float64(0.0), None, "0"]
     *(pytest.param(lambda tol=tol: separator_sweep(SYS3, 4, 100, 1e-6, tol, seed=1),
                    PreconditionError, id=f"separator_sweep-tol={tol}")
       for tol in (float("nan"), 0.0, -1e-3)),
+    pytest.param(lambda: jacobian_max_defect(SYS3, 10, seed=1), WrongFamilyError,
+                 id="jacobian_max_defect-family"),
     *(pytest.param(lambda b=b: transverse_exponent_quadrature(SYS3.family, b, 64),
                    PreconditionError, id=f"quadrature-boundary={b!r}") for b in _BAD_BOUNDARIES),
     *(pytest.param(lambda b=b: transverse_exponent_birkhoff(SYS3, b, 0.1234, 100),
@@ -842,8 +844,9 @@ _BAD_BOUNDARIES = [2, -1, True, False, 1.0, 0.0, np.float64(0.0), None, "0"]
 ])
 def test_entry_points_refuse_before_any_work(monkeypatch, call, error):
     # every first step raises: a draw, a numpy call in basins, a fibre
-    # parameter, the quadrature nodes or the base orbit
+    # parameter, a point, the quadrature nodes or the base orbit
     monkeypatch.setattr(FiberFamily, "displacement", _raises("a fibre parameter"))
+    monkeypatch.setattr(measures, "CylPoint", _raises("a point"))
     monkeypatch.setattr(basins, "np", _NoNumpy())
     monkeypatch.setattr(np.random, "default_rng", _raises("a draw"))
     monkeypatch.setattr(lyapunov, "_quadrature_nodes", _raises("a quadrature node"))
