@@ -58,14 +58,17 @@ def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
 
     Each column is searched over its cell index for its first cell that is
     not Basin0 and its first Basin1 cell by the column search of the
-    classifier (``cylinder._column_thresholds``): at most
-    ceil(log12(height + 1)) classifier calls of at most 22 points a column.
-    Cells below the first index are Basin0, from the second on Basin1, and
-    Undecided between; this equals classifying every cell whenever a
-    column's classes are monotone in y, as increasing fibres make them up
-    to rounding.  The search runs on the calling thread.  threads has no
-    effect; it stays only because perfbench/ops.py passes threads=1 and
-    threads=2, and goes when the benchmark stops passing it.
+    classifier (``cylinder._column_thresholds``): L = ceil(log12(height + 1))
+    classifier calls, each cutting a search into the fewest parts s with
+    s^L >= height + 1, so at most 2 * (s - 1) points a column (s = 9, 16
+    points, at height 512).  Cells below the first index are Basin0, from
+    the second on Basin1, and Undecided between, written straight into the
+    int8 cells with Basin0 last, so that it wins where the indices cross;
+    this equals classifying every cell whenever a column's classes are
+    monotone in y, as increasing fibres make them up to rounding.  The
+    search runs on the calling thread.  threads has no effect; it stays
+    only because perfbench/ops.py passes threads=1 and threads=2, and goes
+    when the benchmark stops passing it.
     """
     _check_classification(sys, n_max, delta)
     _require_count(width, "raster width", 1)
@@ -73,9 +76,10 @@ def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
     xs = (np.arange(width, dtype=float) + 0.5) / width
     first = _column_thresholds(sys, xs, lambda j: (j + 0.5) / height, height, n_max, delta)
     row = np.arange(height)[:, None]
-    cells = np.where(row < first[0], BasinClass.BASIN0,
-                     np.where(row < first[1], BasinClass.UNDECIDED, BasinClass.BASIN1))
-    return BasinRaster(width=width, height=height, cells=cells.astype(np.int8),
+    cells = np.full((height, width), BasinClass.UNDECIDED, dtype=np.int8)
+    cells[row >= first[1]] = BasinClass.BASIN1
+    cells[row < first[0]] = BasinClass.BASIN0  # last: below both indices it wins
+    return BasinRaster(width=width, height=height, cells=cells,
                        n_max=n_max, delta=delta, system=repr(sys))
 
 

@@ -32,6 +32,7 @@ from .measures import (DEFAULT_BURN_IN, TEST_FUNCTIONS, birkhoff_average, histog
 from .selftest import run_selftest
 from .walks import (
     _check_circle,
+    _require_stride,
     _require_threshold,
     arcsine_csv,
     arcsine_ensemble,
@@ -268,6 +269,8 @@ def _run_birkhoff(args) -> int:
 def _run_walk(args) -> int:
     _require_count(args.n, "walk length", 1)  # the report prints the last ratio
     _require_threshold(args.threshold)
+    if args.out:
+        _require_stride(args.every)
     trace = simulate_walk(StepProfile(args.values), args.t0, args.n, seed=args.seed)
     stats = occupation_ratios(trace, args.threshold)
     table = occupation_csv(stats, every=args.every) if args.out else None  # before the report

@@ -39,7 +39,8 @@ _FIXED_ANGLE_TOL = 1e-9
 #: float orbits of x -> k*x mod 1 degenerate after about this many steps
 EXACT_ORBIT_PREFIX = 50
 
-#: parts each open column search is cut into per classifier call
+#: most parts each open column search is cut into per classifier call; the
+#: search over n + 1 answers takes ceil(log_SECTIONS(n + 1)) calls
 _SECTIONS = 12
 
 #: a classifier block steps up to _BLOCK_ROUNDS rounds before it tests for
@@ -367,8 +368,11 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
             if shared:
                 col = col[keep]
                 if 2 * col.size < x.size:  # most angles have no point left
-                    live, col = np.unique(col, return_inverse=True)
-                    x = x[live]
+                    # keep the live angles in order and renumber col to them
+                    alive = np.zeros(x.size, dtype=bool)
+                    alive[col] = True
+                    col = (np.cumsum(alive) - 1)[col]
+                    x = x[alive]
             else:
                 x = x[keep]
     return out
@@ -392,21 +396,30 @@ def _column_thresholds(sys: CylinderSystem, xs: np.ndarray, height_at, n: int,
     row 0 one past an index read Basin0 (or 0), row 1 an index read Basin1
     (or n).
 
-    Each level cuts every open search into _SECTIONS parts with one
-    classifier call that classifies each distinct probe point once: at most
-    ceil(log_SECTIONS(n + 1)) calls of 2 * (_SECTIONS - 1) points a column.
-    Each answer below n read the class sought and the index below each
-    answer above 0 did not, so answers rest on classified heights; they
-    equal a scan of every height when the classes are monotone in y.
+    Each level is one classifier call that classifies each distinct probe
+    point once.  The search keeps L = ceil(log_SECTIONS(n + 1)) levels and
+    cuts every open search into the fewest parts s with s^L >= n + 1, which
+    closes the n + 1 possible answers of a search in L levels: L calls of
+    at most 2 * (s - 1) points a column (s = 9 for 512 heights, 11 for the
+    separator's 1,023 rungs).  Each answer below n read the class sought
+    and the index below each answer above 0 did not, so answers rest on
+    classified heights; they equal a scan of every height when the classes
+    are monotone in y.
     classify_points is looked up through this module at call time.
     """
     lo = np.zeros((2, xs.size), dtype=np.int64)
     hi = np.full((2, xs.size), n, dtype=np.int64)
-    part = np.arange(1, _SECTIONS)
+    levels = 1
+    while _SECTIONS ** levels <= n:
+        levels += 1
+    sections = 2
+    while sections ** levels <= n:
+        sections += 1
+    part = np.arange(1, sections)
     while (lo < hi).any():
         search, col = np.nonzero(lo < hi)
         below, above = lo[search, col], hi[search, col]
-        probe = below[:, None] + (above - below)[:, None] * part // _SECTIONS
+        probe = below[:, None] + (above - below)[:, None] * part // sections
         # one complex point x + iy per probe: unique keeps each distinct point once
         point, seen = np.unique(xs[col, None] + 1j * height_at(probe), return_inverse=True)
         cls = classify_points(sys, point.real, point.imag, n_max, delta)[seen].reshape(probe.shape)

@@ -369,9 +369,14 @@ def fl_orbit_as_walk(sys: CylinderSystem, p0, n: int, seed: int) -> WalkTrace:
     return simulate_walk(sys.family.profile, poincare_coord(p0.y), n, seed)
 
 
+def _require_stride(every: int) -> None:
+    """The refusal of :func:`occupation_csv`, which reads no statistics."""
+    _require_count(every, "downsampling stride", 1)
+
+
 def occupation_csv(stats: OccupationStats, every: int = 1) -> str:
     """CSV rows (n, a_over_n, b_over_n, c_over_n), optionally downsampled."""
-    _require_count(every, "downsampling stride", 1)
+    _require_stride(every)
     rows = slice(every - 1, None, every)
     # as lists, since str of a float is faster than str of a numpy scalar
     a, b, c = (r[rows].tolist() for r in (stats.a_over_n, stats.b_over_n, stats.c_over_n))

@@ -71,16 +71,17 @@ def _record_classifier_calls(monkeypatch):
     return calls
 
 
-def test_raster_cuts_each_column_search_into_12_parts_a_level(monkeypatch):
-    # 48 cells a column: at most ceil(log12(49)) = 2 levels, and two searches
-    # of 11 probes a column; the short budget leaves an Undecided band, so
-    # the two searches of a column probe different cells
+def test_raster_cuts_each_column_search_evenly_a_level(monkeypatch):
+    # 48 cells a column: at most ceil(log12(49)) = 2 levels, each cutting a
+    # search into 7 parts (7^2 >= 49 answers), so two searches of 6 probes a
+    # column; the short budget leaves an Undecided band, so the two searches
+    # of a column probe different cells
     calls = _record_classifier_calls(monkeypatch)
     r = rasterize(SYS3, 64, 48, 40, 1e-6)
     assert (r.cells == BasinClass.UNDECIDED).any()
     assert 0 < len(calls) <= math.ceil(math.log(48 + 1, 12))
     for xs, _ in calls:
-        assert np.unique(xs, return_counts=True)[1].max() <= 2 * 11
+        assert np.unique(xs, return_counts=True)[1].max() <= 2 * 6
 
 
 def test_raster_classifies_a_cell_both_searches_probe_once(monkeypatch):

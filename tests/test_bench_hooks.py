@@ -63,10 +63,11 @@ def test_traced_raster_makes_one_classifier_call_per_search_level(tracer):
     assert np.array_equal(plain, traced)
     (raster,) = [s for s in tr.spans if s.name == "basins.rasterize"]
     calls = [s for s in tr.spans if s.name == CLASSIFY]
-    # each level cuts at most two open searches a column into 12 parts
+    # two levels cut at most two open searches a column into 7 parts each
+    # (7^2 >= 49 heights and answers)
     assert all(s.parent is raster for s in calls)
     assert 0 < len(calls) <= math.ceil(math.log(height + 1, 12))
-    assert all(0 < s.work["points"] <= 2 * 11 * width for s in calls)
+    assert all(0 < s.work["points"] <= 2 * 6 * width for s in calls)
     ((chunks, _, steps),) = tracer.raster_counts(tr.spans)
     assert chunks == len(calls) and steps > 0
 

@@ -183,17 +183,22 @@ def test_every_refusal_exits_2_before_any_report(argv, tmp_path, capsys):
     ("walk --threshold -1", "threshold must be >= 0"),
     ("equidist --bins 1", "bin count must be an integer >= 2, got 1"),
     ("equidist --modulus 1e400", "modulus must be positive and finite, got inf"),
+    # the stride is read only where the table is written, so only with --out
+    ("walk --every 0 --out {out}", "downsampling stride must be an integer >= 1, got 0"),
 ])
-def test_walk_inputs_are_refused_before_the_walk_is_built(argv, error, monkeypatch, capsys):
+def test_walk_inputs_are_refused_before_the_walk_is_built(argv, error, tmp_path, monkeypatch,
+                                                          capsys):
     def no_walk(*args, **kwargs):
         raise AssertionError("the walk was built before the refusal")
     monkeypatch.setattr(cli, "simulate_walk", no_walk)
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_info:
-        main(argv.split())
+        main(argv.format(out=out).split())
     captured = capsys.readouterr()
     assert exit_info.value.code == 2
     assert captured.err == f"cylmaps: error: {error}\n"
     assert captured.out == ""
+    assert not out.exists()
 
 
 #: the --out file of a subcommand at its defaults is this selftest artifact

@@ -42,10 +42,11 @@ from cylmaps import (
     transverse_exponent_birkhoff,
     transverse_exponent_quadrature,
 )
-from cylmaps import basins, lyapunov, measures
+from cylmaps import basins, cylinder, lyapunov, measures
 from cylmaps.cylinder import (
     _BLOCK_ELEMENTS,
     _BLOCK_ROUNDS,
+    _column_thresholds,
     _digit_layout,
     _mod1,
     _redraw,
@@ -522,13 +523,59 @@ def test_columns_sharing_an_angle_classify_as_each_point_alone(kind, profile, mo
 
 def test_the_raster_steps_each_column_angle_once_per_round(monkeypatch):
     # the 512 x 512 raster, counted time-free: its columns share their
-    # angles, which take 694,464 steps in 2,059 rounds (1,977 until the last
-    # point decides, plus the rest of each call's last block) and 90 blocks
+    # angles, which take 692,992 steps in 1,928 rounds (1,870 until the last
+    # point decides, plus the rest of each call's last block) and 77 blocks
     shapes = _record_displaced_angles(monkeypatch)
     rasterize(SYS3, 512, 512, 5000, 1e-6)
-    assert len(shapes) == 90
-    assert sum(rounds for rounds, _ in shapes) == 2059
-    assert sum(rounds * angles for rounds, angles in shapes) <= 700_000
+    assert len(shapes) == 77
+    assert sum(rounds for rounds, _ in shapes) == 1928
+    assert sum(rounds * angles for rounds, angles in shapes) == 692_992
+
+
+def _even_cut(n):
+    """(L, s) for a column search over n heights: L = ceil(log12(n + 1))
+    levels, and the fewest parts s a level with s^L >= n + 1."""
+    levels = next(L for L in range(1, 64) if 12**L >= n + 1)
+    return levels, next(s for s in range(2, 13) if s**levels >= n + 1)
+
+
+@pytest.mark.parametrize("n", (1, 11, 12, 48, 143, 144, 512, 1023, 1728))
+def test_the_column_search_cuts_each_level_evenly(n, monkeypatch):
+    # a short budget leaves an Undecided band, so the two searches of a
+    # column probe different heights; the answers equal a scan of every height
+    levels, parts = _even_cut(n)
+    calls = []
+    classify = cylinder.classify_points
+    monkeypatch.setattr(cylinder, "classify_points", lambda sys_, xs, ys, *a:
+                        calls.append(np.copy(xs)) or classify(sys_, xs, ys, *a))
+    xs = (np.arange(16) + 0.5) / 16
+    first = _column_thresholds(SYS3, xs, lambda j: (j + 0.5) / n, n, 40, 1e-6)
+    assert 0 < len(calls) <= levels
+    for angles in calls:
+        assert np.unique(angles, return_counts=True)[1].max() <= 2 * (parts - 1)
+    monkeypatch.undo()
+    gx, gy = np.meshgrid(xs, (np.arange(n) + 0.5) / n)
+    cls = classify_points(SYS3, gx, gy, 40, 1e-6).reshape(n, xs.size)
+    for row, sought in zip(first, (cls != BasinClass.BASIN0, cls == BasinClass.BASIN1)):
+        assert row.tolist() == np.where(sought.any(axis=0), sought.argmax(axis=0), n).tolist()
+
+
+def test_the_even_cut_closes_every_search_in_its_levels(monkeypatch):
+    # a stand-in classifier reads Basin0 below the column's angle and Basin1
+    # from it on, so the n + 1 columns of angles 0 .. n try every answer
+    calls = []
+
+    def threshold(sys_, xs, ys, n_max, delta):
+        calls.append(xs.size)
+        return np.where(ys < xs, BasinClass.BASIN0, BasinClass.BASIN1).astype(np.int8)
+
+    monkeypatch.setattr(cylinder, "classify_points", threshold)
+    for n in range(1, 301):
+        calls.clear()
+        answers = np.arange(n + 1, dtype=float)
+        first = _column_thresholds(SYS3, answers, lambda j: j * 1.0, n, 1, 1e-6)
+        assert (first == answers).all(), n
+        assert len(calls) <= _even_cut(n)[0], n
 
 
 # (system, n_max, delta) for every kind with a cosine and a step profile, at
@@ -550,7 +597,7 @@ RASTER_CASES = {
 @pytest.mark.parametrize("case", RASTER_CASES)
 @pytest.mark.parametrize("width, height", ((64, 48), (1, 1), (1, 48), (64, 1), (24, 37)))
 def test_non_square_raster_matches_the_reference_loop_at_any_thread_count(case, width, height):
-    # the 12-part search over each column must land on the classes of every
+    # the evenly cut search over each column must land on the classes of every
     # cell, and a slip between columns and rows would scramble a non-square
     # raster
     sys_, n_max, delta = RASTER_CASES[case]
@@ -694,7 +741,7 @@ def _sweep_angles(seed, n=200):
 @pytest.mark.parametrize("seed, n, eps, delta, tol", [
     (42, 200, 0.5, 1e-6, 1e-3), (7, 200, 0.5, 1e-6, 1e-3), (2024, 200, 0.5, 1e-6, 1e-3),
     # the classifier decides within a few steps, so ladder rungs next to the
-    # threshold are classified by rounding: the 12-part column search must
+    # threshold are classified by rounding: the evenly cut column search must
     # still bracket it by the last Basin0 rung and the first Basin1 rung
     (42, 100, 0.5, 0.1, 1e-3),
     # a tolerance far below the c07 one: bisection needs 20 passes
@@ -780,6 +827,30 @@ def test_separator_stops_a_column_at_its_first_undecided_rung(monkeypatch):
     for end, cls in (("lo", BasinClass.BASIN0), ("hi", BasinClass.BASIN1)):
         ys = np.array([getattr(s, end) for s in samples])
         assert (classify_points(sys_, xs, ys, 5000, 1e-6) == cls).all()
+
+
+def test_a_sweep_with_undecided_samples_keeps_classified_brackets():
+    # at eps = 0.2 most columns read Undecided on some rung and stop: their
+    # brackets are where the search was, and depend on where it probed.  A
+    # decided sample is the bracket of a scan of all 1,023 rungs j / 2^10
+    sys_ = CylinderSystem(3, kan_family(0.2))
+    samples, _, _ = separator_sweep(sys_, 200, 3000, 1e-6, 1e-3, seed=42)
+    decided = [s for s in samples if s.decided]
+    undecided = [s for s in samples if not s.decided]
+    assert decided and len(undecided) > 100
+    ends = np.concatenate([[np.nextafter(1e-6, 0.0)], np.arange(1, 1024) / 1024,
+                           [np.nextafter(1.0 - 1e-6, 1.0)]])
+    xs = np.array([s.x for s in decided])
+    scan = classify_points(sys_, np.repeat(xs, 1023), np.tile(ends[1:-1], xs.size),
+                           3000, 1e-6).reshape(xs.size, 1023)
+    for s, row in zip(decided, scan):
+        t = int(np.argmax(row != BasinClass.BASIN0)) if (row != BasinClass.BASIN0).any() else 1023
+        assert (row[t:] == BasinClass.BASIN1).all()
+        assert (s.lo, s.hi) == (ends[t], ends[t + 1])
+    xs = np.array([s.x for s in undecided])
+    for end, cls in (("lo", BasinClass.BASIN0), ("hi", BasinClass.BASIN1)):
+        ys = np.array([getattr(s, end) for s in undecided])
+        assert (classify_points(sys_, xs, ys, 3000, 1e-6) == cls).all()
 
 
 @pytest.mark.parametrize("sys_, delta, tol, error", [
