@@ -7,6 +7,7 @@ positive sign produces a common asymptotic distribution for almost all
 orbits, and zero sign turns the height coordinate into a recurrent random
 walk with arcsine-law statistics.  Each regime gets a module:
 
+* :mod:`cylmaps.base`     -- the base map x -> k*x mod 1 and its digit streams
 * :mod:`cylmaps.fiber`    -- the fiber families and their calculus
 * :mod:`cylmaps.cylinder` -- orbits, classification, separator estimation
 * :mod:`cylmaps.lyapunov` -- transverse exponents of the boundary circles
@@ -24,14 +25,13 @@ from .basins import (
     rasterize,
     write_ppm,
 )
+from .base import base_orbit_angles, canonical_fixed_angle
 from .cylinder import (
     BasinClass,
     CylinderSystem,
     CylPoint,
     SeparatorSample,
     backward_orbit_toward,
-    base_orbit_angles,
-    canonical_fixed_angle,
     check_kan_hypothesis,
     classify_point,
     classify_points,

@@ -17,9 +17,10 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from .base import _mod1
 from .cylinder import (BasinClass, CylinderSystem, _check_classification, _column_thresholds,
-                       _csv, _mod1, _require_count, _require_seed, classify_points)
-from .errors import PreconditionError
+                       _csv, classify_points)
+from .errors import PreconditionError, _require_count, _require_seed
 
 #: samples a box has classified after each probe stage but the last, which takes the rest
 _STAGE_ENDS = (8, 32, 128)

@@ -15,16 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .basins import intermingle_csv, intermingle_probe, measure_fractions, rasterize, write_ppm
-from .cylinder import (
-    CylinderSystem,
-    CylPoint,
-    _require_count,
-    backward_orbit_toward,
-    canonical_fixed_angle,
-    separator_csv,
-    separator_sweep,
-)
-from .errors import CylmapsError
+from .base import canonical_fixed_angle
+from .cylinder import CylinderSystem, CylPoint, backward_orbit_toward, separator_csv, separator_sweep
+from .errors import CylmapsError, _require_count
 from .fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN, CosineProfile, FiberFamily, StepProfile
 from .lyapunov import exponent_report
 from .measures import (DEFAULT_BURN_IN, TEST_FUNCTIONS, birkhoff_average, histogram_csv,

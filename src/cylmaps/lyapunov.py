@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import CylinderSystem, _require_count, base_orbit_angles
-from .errors import PreconditionError
+from .base import base_orbit_angles
+from .cylinder import CylinderSystem
+from .errors import PreconditionError, _require_count
 from .fiber import FRACTIONAL_LINEAR, KAN, FiberFamily, StepProfile
 
 #: |lyap0 + lyap1| below this counts as a vanishing exponent sum
@@ -79,7 +80,7 @@ def transverse_exponent_birkhoff(sys: CylinderSystem, boundary: int, x0: float,
                                  n: int, seed=None) -> float:
     """(1/n) sum of log f'_{x_i}(boundary) along the base orbit of x0.
 
-    Uses :func:`cylmaps.cylinder.base_orbit_angles`, so angles beyond the
+    Uses :func:`cylmaps.base.base_orbit_angles`, so angles beyond the
     exact float prefix are drawn i.i.d. uniform; exactly fixed x0 stays put,
     which reproduces exceptional periodic-orbit averages.
     """

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import CylinderSystem, CylPoint, _csv, _require_count, _require_seed, base_orbit_angles
-from .errors import DomainError, PreconditionError, WrongFamilyError
+from .base import base_orbit_angles
+from .cylinder import CylinderSystem, CylPoint, _csv
+from .errors import DomainError, PreconditionError, WrongFamilyError, _require_count, _require_seed
 from .fiber import (FRACTIONAL_LINEAR, INVERSE_KAN, CosineProfile, StepProfile, _fiber_orbit,
                     _Parameters, _translation_orbit, _unit_cosine, poincare_coord,
                     poincare_coord_inv)
@@ -60,7 +61,7 @@ def orbit_points(sys: CylinderSystem, p0: CylPoint, n: int,
                  seed=None) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of the first n orbit points (x_i, y_i), i = 0..n-1.
 
-    Angles come from :func:`cylmaps.cylinder.base_orbit_angles`; the heights
+    Angles come from :func:`cylmaps.base.base_orbit_angles`; the heights
     follow the fiber maps driven by those angles, Moebius ones carried in t.
     Quadratic heights equal the scalar loop's bit for bit (:func:`fiber._fiber_orbit`).
     """

@@ -8,9 +8,9 @@ band, estimates the arcsine-law ensemble frequencies, measures
 equidistribution of the walk reduced modulo L, and decides the exact
 finite-cyclic-support condition that governs it.
 
-A walk's seed names a stream key (:func:`cylmaps.cylinder._stream_key`),
+A walk's seed names a stream key (:func:`cylmaps.base._stream_key`),
 and its digit i is digit i of that counter-based stream,
-:func:`cylmaps.cylinder.digits`; no numpy Generator draws them, so a walk's
+:func:`cylmaps.base.digits`; no numpy Generator draws them, so a walk's
 bits do not depend on numpy's generator algorithms.  Walks are built in
 their output array, and the running ratios are counted in cache-sized
 chunks into theirs: no temporary spans the walk.  Where the answer is exact
@@ -28,9 +28,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cylinder import (CylinderSystem, _csv, _mod1, _require_count, _require_seed, _stream_key,
-                       _words, digits)
-from .errors import DomainError, PreconditionError, WrongFamilyError
+from .base import _mod1, _stream_key, _words, digits
+from .cylinder import CylinderSystem, _csv
+from .errors import DomainError, PreconditionError, WrongFamilyError, _require_count, _require_seed
 from .fiber import FRACTIONAL_LINEAR, StepProfile, _translation_orbit, poincare_coord
 
 
@@ -44,7 +44,7 @@ class WalkTrace:
     """A realized walk t_0 .. t_n with the step multiset and seed that made it.
 
     The seed names the digit stream: digit i of the walk is digit i of
-    ``cylinder.digits(cylinder._stream_key(seed), 0, n, k)``.
+    ``base.digits(base._stream_key(seed), 0, n, k)``.
     """
 
     t: np.ndarray

@@ -42,19 +42,18 @@ from cylmaps import (
     transverse_exponent_birkhoff,
     transverse_exponent_quadrature,
 )
-from cylmaps import basins, cylinder, lyapunov, measures
-from cylmaps.cylinder import (
-    _BLOCK_ELEMENTS,
-    _BLOCK_ROUNDS,
-    _column_thresholds,
+from cylmaps import base, basins, cylinder, lyapunov, measures
+from cylmaps.base import (
     _digit_layout,
     _mod1,
     _redraw,
     _splitmix64,
     _stream_key,
+    advance,
+    advance_rows,
     digits,
-    separator_sweep,
 )
+from cylmaps.cylinder import _BLOCK_ELEMENTS, _BLOCK_ROUNDS, _column_thresholds, separator_sweep
 from cylmaps.fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN, _apply_fiber
 from cylmaps.measures import jacobian_max_defect
 
@@ -334,6 +333,22 @@ def test_mod1_matches_float_remainder_bit_for_bit():
     with np.errstate(invalid="ignore"):
         assert np.isnan(_mod1(bad.copy())).all()
         assert np.isnan(np.mod(bad, 1.0)).all()
+    # the base map's two steps: advance on floats and arrays, and the
+    # classifier's rows, each row one more advance of the row before
+    for k in (2, 3, 5, 7):
+        want = np.mod(k * v, 1.0)
+        floats = [advance(k, a) for a in v.tolist()]
+        assert all(type(a) is float for a in floats)
+        assert np.array_equal(np.array(floats).view(np.uint64), want.view(np.uint64))
+        got = advance(k, v)
+        assert got is not v and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        X = np.empty((4, v.size))
+        rows = [v]
+        for _ in range(4):
+            rows.append(advance(k, rows[-1]))
+        after = advance_rows(k, v, X)
+        assert np.array_equal(X.view(np.uint64), np.array(rows[:4]).view(np.uint64))
+        assert np.array_equal(after.view(np.uint64), rows[4].view(np.uint64))
 
 
 def _classify_by_remainder(sys_, xs, ys, n_max, delta):
@@ -912,11 +927,20 @@ _BAD_BOUNDARIES = [2, -1, True, False, 1.0, 0.0, np.float64(0.0), None, "0"]
                    PreconditionError, id=f"quadrature-boundary={b!r}") for b in _BAD_BOUNDARIES),
     *(pytest.param(lambda b=b: transverse_exponent_birkhoff(SYS3, b, 0.1234, 100),
                    PreconditionError, id=f"birkhoff-boundary={b!r}") for b in _BAD_BOUNDARIES),
+    *(pytest.param(lambda x=x: backward_orbit_toward(SYS3, CylPoint(0.2, 0.4), x, 5),
+                   PreconditionError, id=f"backward_orbit_toward-x_star={x}")
+      for x in (float("nan"), float("inf"), -float("inf"))),
+    pytest.param(lambda: check_kan_hypothesis(SYS3, float("nan"), 0.0, 0.1), PreconditionError,
+                 id="check_kan_hypothesis-x_minus=nan"),
 ])
 def test_entry_points_refuse_before_any_work(monkeypatch, call, error):
     # every first step raises: a draw, a numpy call in basins, a fibre
-    # parameter, a point, the quadrature nodes or the base orbit
+    # parameter, a point, the quadrature nodes, the base orbit or a step
+    # of the base map
     monkeypatch.setattr(FiberFamily, "displacement", _raises("a fibre parameter"))
+    monkeypatch.setattr(cylinder, "advance", _raises("a base-map step"))
+    monkeypatch.setattr(cylinder, "advance_rows", _raises("a base-map block"))
+    monkeypatch.setattr(base, "advance", _raises("a base-map step"))
     monkeypatch.setattr(measures, "CylPoint", _raises("a point"))
     monkeypatch.setattr(basins, "np", _NoNumpy())
     monkeypatch.setattr(np.random, "default_rng", _raises("a draw"))
@@ -1004,6 +1028,18 @@ def test_base_orbit_angles_fixed_point_is_constant():
     assert (ang == 0.5).all()
     ang0 = base_orbit_angles(3, 0.0, 500)
     assert (ang0 == 0.0).all()
+
+
+@pytest.mark.parametrize("x0", [-1e-20, -5e-324, -2.0 ** -54, -1e-17, -0.0])
+def test_base_orbit_angles_tiny_negative_start_is_the_zero_orbit(x0):
+    # x0 % 1.0 rounds such a start to 1.0, which is the angle 0.0: it once
+    # started an orbit at 1.0 with an i.i.d. tail, where 0.0 stays fixed
+    for n in (1, 4, 100):
+        ang = base_orbit_angles(3, x0, n, seed=1)
+        assert ang.tobytes() == base_orbit_angles(3, 0.0, n, seed=1).tobytes()
+        assert ((ang >= 0.0) & (ang < 1.0)).all()
+    assert (transverse_exponent_birkhoff(SYS3, 0, x0, 10**4, seed=1)
+            == transverse_exponent_birkhoff(SYS3, 0, 0.0, 10**4, seed=1))
 
 
 @pytest.mark.parametrize("k,x0,match", [

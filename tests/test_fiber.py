@@ -28,7 +28,7 @@ from cylmaps import (
     schwarzian_numeric,
 )
 from cylmaps import fiber
-from cylmaps.cylinder import base_orbit_angles
+from cylmaps.base import base_orbit_angles
 from cylmaps.fiber import FRACTIONAL_LINEAR, _KERNELS
 
 KAN05 = kan_family(0.5)

@@ -46,7 +46,7 @@ from cylmaps import (
     transverse_exponent_birkhoff,
     transverse_exponent_quadrature,
 )
-from cylmaps import cylinder, fiber, walks
+from cylmaps import base, fiber, walks
 from cylmaps.cylinder import separator_sweep
 from cylmaps.measures import jacobian_max_defect, orbit_points
 
@@ -274,7 +274,7 @@ def test_fl_orbit_follows_the_fiber_maps(values, seed):
     family = fractional_linear_family(profile)
     n = 2000
     t = fl_orbit_as_walk(CylinderSystem(k, family), CylPoint(0.3, 0.5), n, seed=seed).t
-    digits = cylinder.digits(cylinder._stream_key(seed), 0, n, k)
+    digits = base.digits(base._stream_key(seed), 0, n, k)
     y, steps = 0.5, 0
     for i, digit in enumerate(digits.tolist(), 1):
         if abs(t[i]) > 10.0:
@@ -301,7 +301,7 @@ def _arcsine_finals_reference(profile, n, num_walks, seed):
     finals = []
     for sub in np.random.SeedSequence(seed).spawn(num_walks):
         key = int(sub.generate_state(1, np.uint64)[0])
-        t = np.cumsum(values[cylinder.digits(key, 0, n, profile.k)])
+        t = np.cumsum(values[base.digits(key, 0, n, profile.k)])
         finals.append(np.count_nonzero(t > 0.0) / n)
     return np.array(finals)
 
@@ -508,8 +508,8 @@ def test_equidistribution_refuses_an_infinite_modulus_and_a_fractional_bin_count
 
 def _loop_walk(values, t0, n, seed):
     # the general path: the step values gathered off the digit stream, then summed in order
-    key, t = cylinder._stream_key(seed), np.empty(n + 1)
-    t[1:] = np.take(np.asarray(values, dtype=float), cylinder.digits(key, 0, n, len(values)))
+    key, t = base._stream_key(seed), np.empty(n + 1)
+    t[1:] = np.take(np.asarray(values, dtype=float), base.digits(key, 0, n, len(values)))
     return fiber._translation_orbit(t0, t)
 
 
