@@ -233,16 +233,31 @@ def _kan_step(a, y):
 
 
 def _kan_invert_step(a, y):
-    q = 4.0 * a
+    s, q = _kan_invert_terms(a, None, None)
+    return _kan_invert_root(a, s, q, y, a)
+
+
+def _kan_invert_terms(a, s, q):
+    """The first half of _kan_invert_step, which a lane orbit takes once a
+    block of rounds: q <- 4a, s <- 1 + a, then a <- s*s in place; s and q,
+    arrays or None for fresh ones, are returned."""
+    q = np.multiply(4.0, a, out=q)
+    s = np.add(a, 1.0, out=s)
+    np.multiply(s, s, out=a)
+    return s, q
+
+
+def _kan_invert_root(s2, s, q, y, out):
+    """The second half, once a round: out = 2y / (s + sqrt(s2 - q*y)) from
+    the terms of one parameter array; q is scratch, and y + y is 2y
+    exactly, without a scalar."""
     q *= y
-    a += 1.0  # s = 1 + a
-    r = a * a
-    r -= q
-    np.sqrt(r, out=r)
-    r += a
-    np.multiply(2.0, y, out=a)
-    a /= r
-    return a
+    np.subtract(s2, q, out=q)
+    np.sqrt(q, out=q)
+    q += s
+    np.add(y, y, out=out)
+    out /= q
+    return out
 
 
 def _moebius_step(w, y):
@@ -274,18 +289,18 @@ _KERNELS = {
 
 #: heights a scalar orbit loop collects before storing them into its array
 _ORBIT_CHUNK = 4096
-#: steps per lane of a lane-stepped orbit, and the fewest lanes for which
-#: stepping them together beats the scalar loop: a lane orbit takes about
-#: two lane lengths of numpy rounds, and a round of that many lanes costs
-#: about 25 scalar steps, so lanes break even near 50
+#: steps per lane of a lane-stepped orbit, and the fewest lanes that are
+#: stepped together: a lane orbit takes about two lane lengths of numpy
+#: rounds, and a round of 64 lanes costs 14-17 scalar steps (2-core Xeon),
+#: so lanes break even near 30
 _LANE = 2048
 _MIN_LANES = 64
 #: numpy rounds a lane orbit may take, over all its passes, before it goes
 #: to the scalar loop
 _ROUNDS = 8192
-#: rounds whose parameters and heights move between the (lanes, _LANE)
-#: views and a contiguous buffer at once: a column of a view touches one
-#: page per lane
+#: rounds of a lane orbit that share one pass of the parameter terms, and
+#: whose heights move from a buffer to the (lanes, _LANE) view at once: a
+#: column of the view touches one page per lane
 _BLOCK = 64
 
 
@@ -309,6 +324,18 @@ class _Parameters:
         v = self.values[s]
         return v if self.family is None else self.family.displacement(v)
 
+    def lanes(self, lanes: int, length: int) -> np.ndarray:
+        """The first lanes*length parameters lane-major: a C-contiguous
+        (length, lanes) array whose row r, column i holds parameter
+        i*length + r, filled _BLOCK rows at a time from the transposed
+        view of values (a family's displacement reads that view)."""
+        V = self.values[:lanes * length].reshape(lanes, length).T
+        L = np.empty((length, lanes))
+        for b in range(0, length, _BLOCK):
+            v = V[b:b + _BLOCK]
+            L[b:b + _BLOCK] = v if self.family is None else self.family.displacement(v)
+        return L
+
     def bound(self, lo: int) -> float:
         """A bound on |a| over the parameters from lo on, computing none of
         them: sup|p| of the family's profile, or the largest held |a|."""
@@ -324,27 +351,25 @@ def _fiber_orbit(family: FiberFamily, params: _Parameters, y: float,
     out is contiguous.
 
     An inverse-Kan orbit of at least _MIN_LANES lanes of _LANE steps reads
-    all its parameters at once and is stepped in lanes (see
-    :func:`_lane_orbit`): its fibre exponent is negative (Lebesgue measure
-    is invariant, so Jensen's inequality applies), and lanes started from a
-    guess contract onto the true orbit.  Kan's boundaries attract, so its
-    lanes drift to different boundaries and do not meet: a Kan orbit, a
-    short one, and lanes that do not settle within _ROUNDS rounds go to
-    :func:`_scalar_orbit`, which reads the parameters a chunk at a time and
-    fills the rest of a Kan orbit once it proves the height stuck at a
-    float that every parameter left maps to itself; a Kan orbit given its
-    angles computes no parameter past that proof.
+    its lanes' parameters lane-major (:meth:`_Parameters.lanes`) and is
+    stepped in lanes (see :func:`_lane_orbit`): its fibre exponent is
+    negative (Lebesgue measure is invariant, so Jensen's inequality
+    applies), and lanes started from a guess contract onto the true orbit.
+    Kan's boundaries attract, so its lanes drift to different boundaries and
+    do not meet: a Kan orbit, a short one, and lanes that do not settle
+    within _ROUNDS rounds go to :func:`_scalar_orbit`, which reads the
+    parameters (those after the lanes, or all again after a fallback) a
+    chunk at a time and fills the rest of a Kan orbit once it proves the
+    height stuck at a float that every parameter left maps to itself; a
+    Kan orbit given its angles computes no parameter past that proof.
     """
     kernels = _KERNELS[family.kind]
     lanes = params.size // _LANE
     if family.kind == INVERSE_KAN and lanes >= _MIN_LANES:
-        a = params[:]
-        params = _Parameters(a)
         body = lanes * _LANE
-        end = _lane_orbit(kernels["step"], a[:body].reshape(lanes, _LANE), y,
-                          out[:body].reshape(lanes, _LANE))
+        end = _lane_orbit(params.lanes(lanes, _LANE), y, out[:body].reshape(lanes, _LANE))
         if end is not None:
-            params, y, out = _Parameters(a[body:]), end, out[body:]
+            params, y, out = _Parameters(params.values[body:], params.family), end, out[body:]
     _scalar_orbit(kernels, params, y, out)
 
 
@@ -382,11 +407,14 @@ def _scalar_orbit(kernels: dict, params: _Parameters, y: float, out: np.ndarray)
     return y
 
 
-def _lane_orbit(step, A: np.ndarray, y: float, Y: np.ndarray):
-    """Fill Y with the orbit of y over parameters A, both (lanes, length) views
-    of one orbit cut into lanes, stepping all lanes at once with the kind's
-    step kernel; returns the height after the last lane, or None, with Y
-    unfinished, when the lanes do not settle within _ROUNDS rounds.
+def _lane_orbit(A: np.ndarray, y: float, Y: np.ndarray):
+    """Fill Y, a (lanes, length) view of one inverse-Kan orbit cut into
+    lanes, with the orbit of y over the lane-major parameters A (length,
+    lanes), stepping all lanes at once; returns the height after the last
+    lane, or None, with Y unfinished, when the lanes do not settle within
+    _ROUNDS rounds.  A block of _BLOCK rounds takes the root's parameter
+    terms once (_kan_invert_terms) and a round takes the root
+    (_kan_invert_root): the operations of _kan_invert_step, in its order.
 
     Pass 1 starts lane 0 at y and the others at a guess; each later pass
     starts every lane at its predecessor's end in the pass before.  The
@@ -396,8 +424,8 @@ def _lane_orbit(step, A: np.ndarray, y: float, Y: np.ndarray):
     height is then the scalar loop's.  Heights are never NaN or -0.0, so ==
     on them is bit equality.
     """
-    lanes, length = A.shape
-    P = np.empty((_BLOCK, lanes))
+    length, lanes = A.shape
+    P, S, Q = np.empty((3, _BLOCK, lanes))
     # pass 1: lane 0 from y, the others from 1/2
     h = np.full(lanes, 0.5)
     h[0] = y
@@ -405,11 +433,12 @@ def _lane_orbit(step, A: np.ndarray, y: float, Y: np.ndarray):
     for _ in range(0, _ROUNDS, length):
         Y[:, 0] = h
         for b in range(0, length, _BLOCK):
-            P[...] = A[:, b:b + _BLOCK].T
-            # the step writes each round's heights over its parameters, so
+            P[...] = A[b:b + _BLOCK]
+            _kan_invert_terms(P, S, Q)
+            # each round writes its heights over its own row of terms, so
             # P ends holding the heights of columns b + 1 .. b + _BLOCK
-            for p in P:
-                h = step(p, h)
+            for p, s, q in zip(P, S, Q):
+                h = _kan_invert_root(p, s, q, h, p)
             h = h.copy()  # the last row of P, which the next block overwrites
             e = b + _BLOCK
             settled = ends is not None and (h == (Y[:, e] if e < length else ends)).all()

@@ -160,8 +160,9 @@ def _refused_argv():
     for commands, flags in _FLOAT_FLAGS.items():
         for command in commands:
             for flag, values in flags.items():
+                # --flag=value: argparse reads a separate -inf or -1e-6 as an option
                 for value in values:
-                    yield pytest.param([command, flag, value], id=f"{command} {flag} {value}")
+                    yield pytest.param([command, f"{flag}={value}"], id=f"{command} {flag} {value}")
 
 
 @pytest.mark.parametrize("argv", _refused_argv())
@@ -174,6 +175,7 @@ def test_every_refusal_exits_2_before_any_report(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert exit_info.value.code == 2
     assert "error:" in captured.err and "Traceback" not in captured.err
+    assert "expected one argument" not in captured.err
     assert captured.out == ""
     assert not out.exists()
 

@@ -29,6 +29,8 @@ from cylmaps import (
 )
 from cylmaps import fiber
 from cylmaps.base import base_orbit_angles
+from cylmaps.cylinder import CylinderSystem, CylPoint
+from cylmaps.measures import orbit_points
 from cylmaps.fiber import FRACTIONAL_LINEAR, _KERNELS
 
 KAN05 = kan_family(0.5)
@@ -155,6 +157,41 @@ def test_chunked_displacement_is_the_whole_arrays_slice_bit_for_bit(family):
         assert np.array_equal(params[lo:hi].view(np.uint64), want), (lo, hi)
 
 
+@pytest.mark.parametrize("family", [None, INV05, fiber.FiberFamily(fiber.INVERSE_KAN,
+                                                                    StepProfile((0.6, -0.3, 0.0)))],
+                         ids=["held", "cosine", "step"])
+@pytest.mark.parametrize("lanes, length", [(3, 2 * fiber._BLOCK), (5, 3 * fiber._BLOCK + 17),
+                                           (2, 7)])
+def test_lane_major_parameters_are_the_transposed_lanes_bit_for_bit(family, lanes, length):
+    # lanes reads the parameters _BLOCK rows at a time, and a last block may
+    # be short; the parameters past lanes * length are never read
+    xs = base_orbit_angles(3, 0.1234, lanes * length + 11, seed=5)
+    values = xs if family is None else family.displacement(xs)
+    got = fiber._Parameters(xs, family).lanes(lanes, length)
+    assert got.shape == (length, lanes) and got.flags.c_contiguous
+    want = values[:lanes * length].reshape(lanes, length).T
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_inverse_kan_terms_and_roots_are_the_step_bit_for_bit():
+    # the lane orbit's block of terms, then one root a round, rounds every
+    # height as successive step kernels and the apply kernel do
+    heights = [0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, 0.5]
+    coefs = [0.999, -0.999, 0.0, -0.0]
+    y0 = np.repeat(heights, len(coefs))
+    A = np.array([np.roll(np.tile(coefs, len(heights)), r) for r in range(len(coefs))])
+    P, S, Q = np.empty((3,) + A.shape)
+    P[...] = A
+    fiber._kan_invert_terms(P, S, Q)
+    got, step, apply = y0, y0, y0
+    for r in range(A.shape[0]):
+        got = fiber._kan_invert_root(P[r], S[r], Q[r], got, P[r])
+        step = fiber._kan_invert_step(A[r].copy(), step)
+        apply = fiber._kan_invert(A[r], apply, np)
+        assert np.array_equal(got.view(np.uint64), step.view(np.uint64)), r
+        assert np.array_equal(got.view(np.uint64), apply.view(np.uint64)), r
+
+
 @pytest.mark.parametrize("kind", sorted(_KERNELS))
 def test_step_kernel_is_apply_in_place_bit_for_bit(kind):
     # the classifier's in-place fibre step must round as the apply kernel does
@@ -199,24 +236,33 @@ def _lane_and_plain_orbits(family, a, y):
     return got.view(np.uint64), want.view(np.uint64)
 
 
+def _count_lane_kernels(monkeypatch):
+    """Count the calls of the lane orbit's two kernels: the root, one a
+    numpy round, and the parameter terms, one a block of rounds."""
+    calls = {"root": 0, "terms": 0}
+    for name, kernel in (("root", fiber._kan_invert_root), ("terms", fiber._kan_invert_terms)):
+        def counted(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(fiber, f"_kan_invert_{name}", counted)
+    return calls
+
+
 @pytest.fixture
 def paths(monkeypatch):
     """Inverse-Kan orbits of two lanes or more run in lanes; records each
-    lane run's verdict (None: fell back to the scalar loop) and its rounds."""
+    lane run's verdict (None: fell back to the scalar loop) and its rounds,
+    and checks that the run took the parameter terms once a block."""
     monkeypatch.setattr(fiber, "_MIN_LANES", 2)
     seen = {"lanes": [], "rounds": []}
     lane_orbit = fiber._lane_orbit
+    calls = _count_lane_kernels(monkeypatch)
 
-    def traced_lanes(step, *args):
-        rounds = 0
-
-        def counted(p, h):
-            nonlocal rounds
-            rounds += 1
-            return step(p, h)
-
-        seen["lanes"].append(lane_orbit(counted, *args))
-        seen["rounds"].append(rounds)
+    def traced_lanes(*args):
+        calls.update(root=0, terms=0)
+        seen["lanes"].append(lane_orbit(*args))
+        seen["rounds"].append(calls["root"])
+        assert calls["terms"] * fiber._BLOCK == calls["root"]
         return seen["lanes"][-1]
 
     monkeypatch.setattr(fiber, "_lane_orbit", traced_lanes)
@@ -284,23 +330,17 @@ def test_lane_orbit_falls_back_when_identity_lanes_outlast_the_rounds(paths):
 
 
 def test_lane_orbit_rounds_of_a_long_inverse_kan_orbit(monkeypatch):
-    # time-free: the numpy rounds (step-kernel calls) of one 1e6-step INV3
-    # orbit; 4224 when lanes of 2048 steps began to repeat their passes,
-    # 6232 with two passes over lanes of 4096 steps
-    calls = 0
-    step = _KERNELS[fiber.INVERSE_KAN]["step"]
-
-    def counted(p, h):
-        nonlocal calls
-        calls += 1
-        return step(p, h)
-
-    monkeypatch.setitem(_KERNELS[fiber.INVERSE_KAN], "step", counted)
+    # time-free: the numpy rounds (root calls) of one 1e6-step INV3 orbit;
+    # 4224 when lanes of 2048 steps began to repeat their passes, 6232 with
+    # two passes over lanes of 4096 steps; the parameter terms are taken
+    # once a block of rounds
+    calls = _count_lane_kernels(monkeypatch)
     family = inverse_kan_family(0.5)
     a = family.displacement(base_orbit_angles(3, 0.1234, 10**6, seed=5))
     out = np.empty(a.size)
     fiber._fiber_orbit(family, fiber._Parameters(a), 0.4, out)
-    assert 0 < calls <= 4224
+    assert 0 < calls["root"] <= 4224
+    assert calls["terms"] * fiber._BLOCK == calls["root"]
 
 
 @pytest.mark.parametrize("family, rounds", [(inverse_kan_family(0.1), [fiber._ROUNDS]),
@@ -314,6 +354,17 @@ def test_lane_orbit_falls_back_when_lanes_contract_too_slowly(family, rounds, pa
     # boundaries attract, are never run
     assert paths["lanes"] == [None] * len(rounds)
     assert paths["rounds"] == rounds
+
+
+def test_lane_orbit_from_angles_falls_back_to_the_family(paths):
+    # a family's lanes that fall back hand the scalar loop the family and
+    # the angles, which it reads again from the first
+    family = inverse_kan_family(0.1)
+    n = 64 * LANE + 777
+    xs, ys = orbit_points(CylinderSystem(3, family), CylPoint(0.1234, 0.4), n, seed=7)
+    want, _ = _plain_orbit(family.kind, family.displacement(xs), 0.4)
+    assert np.array_equal(ys.view(np.uint64), want.view(np.uint64))
+    assert paths["lanes"] == [None]
 
 
 CHUNK = fiber._ORBIT_CHUNK
