@@ -168,15 +168,15 @@ def _redraw(words: np.ndarray, limit: int) -> np.ndarray:
     return words
 
 
-def _words(key: int, first: int, stop: int, limit: int) -> np.ndarray:
+def _words(key, first: int, stop: int, limit: int) -> np.ndarray:
     """Words first .. stop-1 of stream ``key``: word j is splitmix64's
     output j from the state key, that is the finaliser of key + (j + 1) *
     golden mod 2^64, redrawn by :func:`_redraw` while it is at or above
-    ``limit``."""
+    ``limit``.  A uint64 column of keys gives a row of words per key, for
+    a limit of 2^64, which redraws nothing."""
     counter = np.arange(first + 1, stop + 1, dtype=np.uint64)
     counter *= np.uint64(_GOLDEN)
-    counter += np.uint64(key)
-    return _redraw(_splitmix64(counter), limit)
+    return _redraw(_splitmix64(counter + np.uint64(key)), limit)
 
 
 def digits(key: int, start: int, n: int, k: int) -> np.ndarray:

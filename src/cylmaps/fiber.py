@@ -314,34 +314,44 @@ class _Parameters:
     """The fibre parameters of one orbit, read a slice at a time: slices of
     values, an array the caller holds, or, given a family, the family's
     displacement at slices of values, the orbit's angles, computed when the
-    slice is read.  A chunk's displacement equals the same slice of the
-    whole array's bit for bit: the profiles are elementwise."""
+    slice is read; given a scale, values times scale, such as a cosine
+    profile's unit cosines times its amplitude.  A chunk's parameters equal
+    the same slice of the whole array's bit for bit: both maps are
+    elementwise."""
 
-    def __init__(self, values: np.ndarray, family: FiberFamily | None = None):
-        self.values, self.family, self.size = values, family, values.size
+    def __init__(self, values: np.ndarray, family: FiberFamily | None = None,
+                 scale: float | None = None):
+        self.values, self.family, self.scale, self.size = values, family, scale, values.size
+
+    def _of(self, v: np.ndarray) -> np.ndarray:
+        if self.family is not None:
+            return self.family.displacement(v)
+        return v if self.scale is None else np.multiply(v, self.scale)
 
     def __getitem__(self, s: slice) -> np.ndarray:
-        v = self.values[s]
-        return v if self.family is None else self.family.displacement(v)
+        return self._of(self.values[s])
 
     def lanes(self, lanes: int, length: int) -> np.ndarray:
         """The first lanes*length parameters lane-major: a C-contiguous
         (length, lanes) array whose row r, column i holds parameter
         i*length + r, filled _BLOCK rows at a time from the transposed
-        view of values (a family's displacement reads that view)."""
+        view of values (a family's displacement or the scaling reads that
+        view)."""
         V = self.values[:lanes * length].reshape(lanes, length).T
         L = np.empty((length, lanes))
         for b in range(0, length, _BLOCK):
-            v = V[b:b + _BLOCK]
-            L[b:b + _BLOCK] = v if self.family is None else self.family.displacement(v)
+            L[b:b + _BLOCK] = self._of(V[b:b + _BLOCK])
         return L
 
     def bound(self, lo: int) -> float:
         """A bound on |a| over the parameters from lo on, computing none of
-        them: sup|p| of the family's profile, or the largest held |a|."""
+        them: sup|p| of the family's profile, or the largest held |a|.  A
+        scaled |a| rounds |value| * |scale|, and rounding is monotone, so
+        the largest |value| gives the largest |a| bit for bit."""
         if self.family is not None:
             return self.family.profile.bound()
-        return float(np.abs(self.values[lo:]).max(initial=0.0))
+        top = float(np.abs(self.values[lo:]).max(initial=0.0))
+        return top if self.scale is None else top * abs(self.scale)
 
 
 def _fiber_orbit(family: FiberFamily, params: _Parameters, y: float,
@@ -369,7 +379,8 @@ def _fiber_orbit(family: FiberFamily, params: _Parameters, y: float,
         body = lanes * _LANE
         end = _lane_orbit(params.lanes(lanes, _LANE), y, out[:body].reshape(lanes, _LANE))
         if end is not None:
-            params, y, out = _Parameters(params.values[body:], params.family), end, out[body:]
+            params = _Parameters(params.values[body:], params.family, params.scale)
+            y, out = end, out[body:]
     _scalar_orbit(kernels, params, y, out)
 
 

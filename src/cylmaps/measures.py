@@ -87,8 +87,8 @@ def _orbit(sys: CylinderSystem, p0: CylPoint, n: int, seed,
     profile, c = sys.family.profile, None
     if unit_cosine and isinstance(profile, CosineProfile):
         c = _unit_cosine(xs)
-        # profile.displacement(xs), bit for bit
-        params = _Parameters(np.multiply(c, profile.amplitude))
+        # profile.displacement(xs), bit for bit, scaled a slice at a time
+        params = _Parameters(c, scale=profile.amplitude)
     else:
         params = _Parameters(xs, sys.family)
     if sys.family.kind == FRACTIONAL_LINEAR:

@@ -15,8 +15,10 @@ bits do not depend on numpy's generator algorithms.  Walks are built in
 their output array, and the running ratios are counted in cache-sized
 chunks into theirs: no temporary spans the walk.  Where the answer is exact
 without a running sum, none is taken: a two-step walk of small integers
-reads eight steps per lookup in a byte table, and a ratio counts only the
-chunks whose heights straddle an end of its band.
+reads eight steps per lookup in a byte table, and its final counts, which
+the arcsine ensemble reads, come from its digit bytes, a block of walks at
+a time, with no height built; a ratio counts only the chunks whose heights
+straddle an end of its band, and writes each quotient once.
 """
 
 from __future__ import annotations
@@ -60,8 +62,11 @@ def _running_ratio(t: np.ndarray, low: float, high: float, closed: bool) -> np.n
     A chunk of _CHUNK heights whose [min, max] lies inside the interval
     counts total + 1 .. total + m, and one that does not meet it leaves the
     count at total; only a chunk that straddles an end (or holds a NaN)
-    counts its hits.  Integer counts are exact, so with NaN refused b_n
-    equals n - a_n - c_n and every quotient is correctly rounded."""
+    counts its hits.  Every chunk divides by one float index buffer, lo + 1
+    .. lo + m, advanced in place, so a chunk that leaves the count at total
+    writes its ratios in one pass.  Integer counts and indices are exact,
+    so with NaN refused b_n equals n - a_n - c_n and every quotient is
+    correctly rounded."""
     above, below = (np.greater_equal, np.less_equal) if closed else (np.greater, np.less)
 
     def inside(x):
@@ -75,23 +80,24 @@ def _running_ratio(t: np.ndarray, low: float, high: float, closed: bool) -> np.n
     ratio = np.empty(t.size, dtype=float)
     count = np.empty(min(t.size, _CHUNK), dtype=np.int32 if t.size < 2**31 else np.int64)
     ramp = np.arange(1, count.size + 1, dtype=count.dtype)
+    index = np.arange(1 - _CHUNK, count.size + 1 - _CHUNK, dtype=float)
     total = 0
     for lo in range(0, t.size, _CHUNK):
-        hi = min(lo + _CHUNK, t.size)
-        chunk, c, out = t[lo:hi], count[:hi - lo], ratio[lo:hi]
+        m = min(_CHUNK, t.size - lo)
+        index += _CHUNK  # lo + 1 .. lo + _CHUNK, exact
+        chunk, c, i, out = t[lo:lo + m], count[:m], index[:m], ratio[lo:lo + m]
         lowest, highest = chunk.min(), chunk.max()  # NaN if the chunk holds one
-        np.add(ramp[:hi - lo], lo, out=out, dtype=float)  # lo + 1 .. hi, exact
         if inside(lowest) and inside(highest):  # every height is inside
-            np.add(ramp[:hi - lo], total, out=c)
+            np.add(ramp[:m], total, out=c)
         elif lowest == lowest and not (above(highest, low) and below(lowest, high)):
             # no height is inside (all heights on an infinite end took the branch above)
-            np.divide(total, out, out=out)
+            np.divide(total, i, out=out)
             continue
         else:
             np.cumsum(inside(chunk), out=c)
             c += total
         total = int(c[-1])
-        np.divide(c, out, out=out)
+        np.divide(c, i, out=out)
     return ratio
 
 
@@ -147,6 +153,12 @@ def _require_step(profile) -> StepProfile:
     return profile
 
 
+def _require_walk_seed(seed) -> None:
+    """A walk's seed is None, a non-negative integer or a SeedSequence."""
+    if not isinstance(seed, np.random.SeedSequence):
+        _require_seed(seed)
+
+
 def simulate_walk(profile: StepProfile, t0: float, n: int, seed: int) -> WalkTrace:
     """Walk with i.i.d. uniform digits in {0..k-1}; t_{i+1} = t_i + values[digit].
 
@@ -160,8 +172,7 @@ def simulate_walk(profile: StepProfile, t0: float, n: int, seed: int) -> WalkTra
     (see :class:`WalkTrace`).
     """
     profile = _require_step(profile)
-    if not isinstance(seed, np.random.SeedSequence):
-        _require_seed(seed)
+    _require_walk_seed(seed)
     if not math.isfinite(t0):
         raise PreconditionError(f"walk start must be finite, got {t0}")
     _require_count(n, "walk length")
@@ -246,19 +257,97 @@ def final_counts(profile: StepProfile, n: int, seeds, threshold: float) -> np.nd
     """Row w: the final counts (a_n, b_n, c_n), as int64, of the heights of
     ``simulate_walk(profile, 0.0, n, seeds[w])`` above, inside and below the
     band |t| <= threshold; over n they equal the last ``occupation_ratios``
-    ratios bit for bit.  Steps are finite, so no height is NaN.  The heights
-    are counted a chunk at a time."""
+    ratios bit for bit.  Steps are finite, so no height is NaN.
+
+    The profile, n, the threshold and every seed are checked before the
+    first walk; seeds is a sequence.  A walk that reads a byte table (see
+    :func:`simulate_walk`) is counted from its digit bytes, with no height
+    built (:func:`_byte_counts`); any other walk is drawn by simulate_walk
+    and its heights are counted a chunk at a time."""
+    profile = _require_step(profile)
     _require_count(n, "walk length")
     _require_threshold(threshold)
-    counts = np.zeros((len(seeds), 3), dtype=np.int64)
-    for w, seed in enumerate(seeds):
-        t = simulate_walk(profile, 0.0, n, seed).t
-        for lo in range(1, n + 1, _CHUNK):
-            chunk = t[lo:lo + _CHUNK]
-            counts[w, 0] += np.count_nonzero(chunk > threshold)
-            counts[w, 2] += np.count_nonzero(chunk < -threshold)
+    try:
+        counts = np.zeros((len(seeds), 3), dtype=np.int64)
+    except TypeError:
+        raise PreconditionError(f"seeds must be a sequence, got {seeds!r}") from None
+    for seed in seeds:
+        _require_walk_seed(seed)
+    if _takes_byte_table(profile.values, 0.0, n):
+        _byte_counts(profile.values, n, [_stream_key(seed) for seed in seeds], threshold, counts)
+    else:
+        for w, seed in enumerate(seeds):
+            t = simulate_walk(profile, 0.0, n, seed).t
+            for lo in range(1, n + 1, _CHUNK):
+                chunk = t[lo:lo + _CHUNK]
+                counts[w, 0] += np.count_nonzero(chunk > threshold)
+                counts[w, 2] += np.count_nonzero(chunk < -threshold)
     counts[:, 1] = n - counts[:, 0] - counts[:, 2]
     return counts
+
+
+@lru_cache(maxsize=16)
+def _count_table(v0: float, v1: float) -> np.ndarray:
+    """Entry (d + 121) * 256 + b: how many of the eight partial sums of the
+    byte b (see :func:`_byte_table`) exceed d, for d = -121 .. 120.  The
+    sums lie in -120 .. 120, so d = -121 counts all eight and d = 120 none."""
+    partial = _byte_table(v0, v1).view(np.int8).reshape(256, 8)
+    d = np.arange(-121, 121).reshape(-1, 1, 1)
+    return np.count_nonzero(partial > d, axis=2).astype(np.uint8).reshape(-1)
+
+
+def _byte_counts(values: tuple, n: int, keys: list, threshold: float,
+                 counts: np.ndarray) -> None:
+    """Add to columns 0 and 2 of counts[w] how many heights of the n-step
+    byte-table walk of stream keys[w] from 0 lie above threshold and below
+    -threshold, building no height.
+
+    Heights 8j+1 .. 8j+8 are the start s of byte j of the walk's digits
+    (see :func:`_byte_walk`), the sum of the byte totals before it, plus
+    the byte's partial sums P.  All are integers, so s + P > threshold
+    exactly when P > floor(threshold) - s, and s + P < -threshold when P
+    is not above -floor(threshold) - s - 1: a full byte counts with two
+    :func:`_count_table` reads, and the last partial byte is counted
+    directly.  The threshold is first cut to 2^53, beyond which no height
+    lies.  A block holds the words of as many whole walks as fit in _CHUNK
+    bytes; a longer walk is cut into blocks of _CHUNK bytes, and carries
+    its byte start from one to the next."""
+    table = _count_table(*values)
+    partial = _byte_table(*values).view(np.int8).reshape(256, 8)
+    totals = partial[:, 7].astype(np.int64)
+    floor = math.floor(min(threshold, 2.0**53))
+    length, (full, rest) = -(-n // 64), divmod(n, 8)  # a walk's words, full bytes, last digits
+    span = max(1, _CHUNK // 8)  # words a block
+    per = max(1, span // max(1, length))  # walks a block
+    keys = np.array(keys, dtype=np.uint64).reshape(-1, 1)
+    for w in range(0, len(keys), per):
+        rows = counts[w:w + per]
+        start = np.zeros((len(rows), 1), dtype=np.int64)
+        for j in range(0, length, span):
+            words = _words(keys[w:w + per], j, min(j + span, length), 2**64)
+            data = words.astype("<u8", copy=False).view(np.uint8)
+            m = min(full - 8 * j, data.shape[1])  # the block's full bytes
+            if m > 0:
+                b = data[:, :m]
+                tot = totals[b]
+                s = np.cumsum(tot, axis=1)
+                s -= tot
+                s += start
+                start = s[:, -1:] + tot[:, -1:]
+
+                def above(edge):  # per walk, how many s + P exceed the integer edge
+                    d = np.subtract(edge + 121, s)
+                    np.clip(d, 0, 241, out=d)
+                    d <<= 8
+                    d |= b
+                    return table.take(d).sum(axis=1, dtype=np.int64)
+
+                rows[:, 0] += above(floor)
+                rows[:, 2] += 8 * m - above(-floor - 1)
+            if rest and j + span >= length:  # the last byte, of rest digits
+                h = start + partial[data[:, full - 8 * j], :rest]
+                rows[:, 0] += np.count_nonzero(h > threshold, axis=1)
+                rows[:, 2] += np.count_nonzero(h < -threshold, axis=1)
 
 
 def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
@@ -268,7 +357,9 @@ def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
     Only zero-mean profiles qualify (the mean is taken over the float step
     values, summed exactly).  The limiting frequency is (2/pi) asin(sqrt(eps)).
     Walks use spawned per-walk substreams, so ensembles are reproducible and
-    order-independent; each a_n comes from :func:`final_counts` at threshold 0.
+    order-independent; each a_n comes from :func:`final_counts` at threshold 0,
+    which counts a byte-table walk, such as +-1, from its digit bytes and
+    draws no walk through simulate_walk.
     """
     profile = _require_step(profile)
     if math.fsum(profile.values) != 0.0:

@@ -14,7 +14,8 @@ calling thread, with the same calls and angle-steps at any thread count; the pro
 stage, with the samples of the boxes that have not yet seen both basins; the
 separator's column search makes every classifier call under the
 separator's span, so the separator's point-steps are the classifier's; every
-walk of an ensemble is drawn by ``walks.simulate_walk``.
+walk of an ensemble that no byte table counts is drawn by
+``walks.simulate_walk``.
 """
 
 import importlib
@@ -168,12 +169,15 @@ def test_traced_separator_classifies_under_its_own_span(tracer):
     assert m["fiber.displacement.elements"] == sum(s.work["elements"] for s in disp)
 
 
-def test_traced_arcsine_draws_every_walk_through_simulate_walk(tracer):
-    tr = tracer.Tracer()
-    with tr:
-        walks.arcsine_ensemble(PM1, 100, 5, [0.5], 0)
-    assert tr.restored()
-    (ensemble,) = [s for s in tr.spans if s.name == "walks.arcsine_ensemble"]
-    drawn = [s for s in tr.spans if s.name == "walks.simulate_walk"]
-    assert len(drawn) == 5
-    assert all(s.parent is ensemble and s.work["steps"] == 100 for s in drawn)
+def test_traced_arcsine_draws_only_the_walks_a_byte_table_cannot_count(tracer):
+    # a +-1 ensemble is counted from its digit bytes, with no walk drawn; a
+    # profile off the byte table draws each walk through walks.simulate_walk
+    for profile, drawn_walks in ((PM1, 0), (StepProfile((0.5, -0.5)), 5)):
+        tr = tracer.Tracer()
+        with tr:
+            walks.arcsine_ensemble(profile, 100, 5, [0.5], 0)
+        assert tr.restored()
+        (ensemble,) = [s for s in tr.spans if s.name == "walks.arcsine_ensemble"]
+        drawn = [s for s in tr.spans if s.name == "walks.simulate_walk"]
+        assert len(drawn) == drawn_walks
+        assert all(s.parent is ensemble and s.work["steps"] == 100 for s in drawn)

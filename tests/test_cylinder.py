@@ -42,7 +42,7 @@ from cylmaps import (
     transverse_exponent_birkhoff,
     transverse_exponent_quadrature,
 )
-from cylmaps import base, basins, cylinder, lyapunov, measures
+from cylmaps import base, basins, cylinder, lyapunov, measures, walks
 from cylmaps.base import (
     _digit_layout,
     _mod1,
@@ -932,11 +932,19 @@ _BAD_BOUNDARIES = [2, -1, True, False, 1.0, 0.0, np.float64(0.0), None, "0"]
       for x in (float("nan"), float("inf"), -float("inf"))),
     pytest.param(lambda: check_kan_hypothesis(SYS3, float("nan"), 0.0, 0.1), PreconditionError,
                  id="check_kan_hypothesis-x_minus=nan"),
+    pytest.param(lambda: final_counts(CosineProfile(0.5), 10, [], 1.0), PreconditionError,
+                 id="final_counts-cosine_profile"),
+    *(pytest.param(lambda p=p, s=s: final_counts(p, 10, s, 1.0), PreconditionError,
+                   id=f"final_counts-{name}")
+      for name, p, s in (("last_seed_negative", StepProfile((1.0, -1.0)), [1, 2, -1]),
+                         ("last_seed_float", StepProfile((0.3, -0.7)), [1, 2, 3.0]))),
+    pytest.param(lambda: final_counts(StepProfile((1.0, -1.0)), 10, iter([1, 2]), 1.0),
+                 PreconditionError, id="final_counts-seeds_without_length"),
 ])
 def test_entry_points_refuse_before_any_work(monkeypatch, call, error):
     # every first step raises: a draw, a numpy call in basins, a fibre
-    # parameter, a point, the quadrature nodes, the base orbit or a step
-    # of the base map
+    # parameter, a point, the quadrature nodes, the base orbit, a step
+    # of the base map, a walk or a walk's digit stream
     monkeypatch.setattr(FiberFamily, "displacement", _raises("a fibre parameter"))
     monkeypatch.setattr(cylinder, "advance", _raises("a base-map step"))
     monkeypatch.setattr(cylinder, "advance_rows", _raises("a base-map block"))
@@ -946,6 +954,8 @@ def test_entry_points_refuse_before_any_work(monkeypatch, call, error):
     monkeypatch.setattr(np.random, "default_rng", _raises("a draw"))
     monkeypatch.setattr(lyapunov, "_quadrature_nodes", _raises("a quadrature node"))
     monkeypatch.setattr(lyapunov, "base_orbit_angles", _raises("a base orbit"))
+    monkeypatch.setattr(walks, "simulate_walk", _raises("a walk"))
+    monkeypatch.setattr(walks, "_stream_key", _raises("a digit stream"))
     with pytest.raises(error):
         call()
 

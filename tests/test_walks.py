@@ -614,3 +614,109 @@ def test_equidistribution_refuses_a_modulus_that_leaves_no_fraction_bits(modulus
         circle_equidistribution(tr, modulus, 16)
     below = WalkTrace(t=np.clip(tr.t, -19.0, 19.0), steps_used=PM1.values, seed=1)
     assert 0.0 <= circle_equidistribution(below, 2.0**-52 * 20, 16).cdf_deviation <= 1.0
+
+
+def _loop_counts(heights, threshold):
+    # the per-walk loop: every height of each walk t_1 .. t_n, compared
+    rows = []
+    for t in heights:
+        above, below = np.count_nonzero(t > threshold), np.count_nonzero(t < -threshold)
+        rows.append((above, t.size - above - below, below))
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def _loop_heights(values, n, seeds):
+    return [_loop_walk(values, 0.0, n, seed)[1:] for seed in seeds]
+
+
+_COUNT_THRESHOLDS = [0.0, -0.0, 0.5, 1.0, 2.5, 8.0, 1e300, math.inf]
+
+
+@pytest.mark.parametrize("values", [(1.0, -1.0), (2.0, -1.0), (15.0, -15.0), (0.0, 0.0),
+                                    (1.0, 1.0)])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 10**4, walks._CHUNK + 5,
+                               8 * walks._CHUNK + 100])
+def test_byte_counts_equal_the_walk_loop_bit_for_bit(values, n):
+    # 8 * _CHUNK digits fill one block, so the longest walk is cut along itself
+    profile = StepProfile(values)
+    assert walks._takes_byte_table(values, 0.0, n)
+    seeds = [0, np.uint32(7), *np.random.SeedSequence(11).spawn(2)]
+    heights = _loop_heights(values, n, seeds)
+    for threshold in _COUNT_THRESHOLDS:
+        got = final_counts(profile, n, seeds, threshold)
+        assert got.dtype == np.int64
+        assert got.tobytes() == _loop_counts(heights, threshold).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [8, 200])
+def test_byte_counts_of_blocks_cut_inside_a_walk(monkeypatch, chunk):
+    # a block of one word, or of 25 words: walks of 1000 digits are cut
+    # into 16 or 1 blocks, and blocks of several short walks hold 1-3 each
+    monkeypatch.setattr(walks, "_CHUNK", chunk)
+    seeds = list(range(7))
+    for values, n in (((1.0, -1.0), 1000), ((3.0, -2.0), 1000), ((1.0, -1.0), 13),
+                      ((2.0, -1.0), 64 * 25 + 3)):
+        heights = _loop_heights(values, n, seeds)
+        for threshold in (0.0, 1.0, 3.5):
+            got = final_counts(StepProfile(values), n, seeds, threshold)
+            assert got.tobytes() == _loop_counts(heights, threshold).tobytes()
+
+
+@pytest.mark.parametrize("values", [(16.0, -1.0), (0.3, -0.7), (1.0, -1.0, 0.0)])
+def test_final_counts_off_the_byte_table_draw_each_walk(monkeypatch, values):
+    drawn = []
+
+    def draw(profile, t0, n, seed):
+        drawn.append((t0, n, seed))
+        return simulate_walk(profile, t0, n, seed)
+
+    monkeypatch.setattr(walks, "simulate_walk", draw)
+    seeds = [3, 4]
+    got = final_counts(StepProfile(values), 500, seeds, 1.0)
+    assert drawn == [(0.0, 500, 3), (0.0, 500, 4)]
+    assert got.tobytes() == _loop_counts(_loop_heights(values, 500, seeds), 1.0).tobytes()
+
+
+def test_byte_table_ensembles_draw_no_walk(monkeypatch):
+    # a return to one simulate_walk per walk fails here, with no timing
+    want_counts = final_counts(PM1, 10**4, [1, 2, 3], 1.0)
+    want_points = arcsine_ensemble(PM1, 10**4, 50, [0.5, 0.25], seed=4)
+    monkeypatch.setattr(walks, "simulate_walk", _raises_on_call)
+    assert final_counts(PM1, 10**4, [1, 2, 3], 1.0).tobytes() == want_counts.tobytes()
+    assert arcsine_ensemble(PM1, 10**4, 50, [0.5, 0.25], seed=4) == want_points
+
+
+def _raises_on_call(*args, **kwargs):
+    raise AssertionError("a walk was drawn")
+
+
+def test_byte_counts_allocate_no_walk_sized_array():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        arcsine_ensemble(PM1, 10**4, 2000, [0.5, 0.25], seed=3)
+        ensemble_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        final_counts(PM1, 10**6, [0, 1], 1.0)
+        counts_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 1e6-step walk is 8 MB of heights
+    assert ensemble_peak <= 4 * 2**20
+    assert counts_peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_running_ratio_of_inside_then_straddling_then_a_partial_chunk(threshold):
+    c = walks._CHUNK
+    rng = np.random.default_rng(3)
+    t = np.concatenate([[0.0], rng.uniform(-threshold, threshold, c),  # all inside
+                        rng.normal(0.0, 3 * threshold + 1, c),  # straddling
+                        [threshold + 1]])  # a last chunk of one height
+    assert t.size - 1 == 2 * c + 1
+    tr = WalkTrace(t=t, steps_used=PM1.values, seed=0)
+    st = occupation_ratios(tr, threshold)
+    for got, want in zip((st.a_over_n, st.b_over_n, st.c_over_n),
+                         _occupation_reference(tr, threshold)):
+        assert got.tobytes() == want.tobytes()
