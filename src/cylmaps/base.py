@@ -172,11 +172,18 @@ def _words(key, first: int, stop: int, limit: int) -> np.ndarray:
     """Words first .. stop-1 of stream ``key``: word j is splitmix64's
     output j from the state key, that is the finaliser of key + (j + 1) *
     golden mod 2^64, redrawn by :func:`_redraw` while it is at or above
-    ``limit``.  A uint64 column of keys gives a row of words per key, for
-    a limit of 2^64, which redraws nothing."""
+    ``limit``."""
     counter = np.arange(first + 1, stop + 1, dtype=np.uint64)
     counter *= np.uint64(_GOLDEN)
     return _redraw(_splitmix64(counter + np.uint64(key)), limit)
+
+
+def _digit_bytes(keys, first: int, stop: int) -> np.ndarray:
+    """Bytes first .. stop-1 of the k = 2 stream: byte j holds digit 8j + i
+    in bit i, as the stream's words are read in little-endian order; k = 2
+    redraws nothing.  A uint64 column of keys gives a row of bytes per key."""
+    words = _words(keys, first // 8, -(-stop // 8), 2**64)
+    return words.astype("<u8", copy=False).view(np.uint8)[..., first % 8:][..., :stop - first]
 
 
 def digits(key: int, start: int, n: int, k: int) -> np.ndarray:
@@ -186,8 +193,8 @@ def digits(key: int, start: int, n: int, k: int) -> np.ndarray:
     Digit i is a pure function of (key, i): digit i mod M of word i // M
     of :func:`_words`, with the M and limit of :func:`_digit_layout`.  So a
     stream can be read in any pieces, in any order.  At k = 2 the digits
-    are the 64 bits of each word, least significant first; for a power of
-    two k, log2(k) bits per digit.
+    are the bits of :func:`_digit_bytes`, the one reader of that stream,
+    least significant first; for a power of two k, log2(k) bits per digit.
     """
     _require_count(key, "stream key")
     _require_count(start, "stream start")
@@ -196,23 +203,22 @@ def digits(key: int, start: int, n: int, k: int) -> np.ndarray:
     if key > _MASK64 or k > _MASK64:
         raise PreconditionError(f"stream key and base k must be below 2^64, got {key!r}, {k!r}")
     k = int(k)
+    if k == 2:
+        out = np.unpackbits(_digit_bytes(key, start // 8, -(-(start + n) // 8)), bitorder="little")
+        return out[start % 8:start % 8 + n]
     per_word, limit = _digit_layout(k)
     first = start // per_word
     words = _words(key, first, -(-(start + n) // per_word), limit)
-    if k == 2:
-        out = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
-    else:
-        out = np.empty((words.size, per_word), dtype=np.min_scalar_type(k - 1))
-        base, quotient = np.uint64(k), np.empty_like(words)
-        for d in range(per_word):
-            # floor_divide by a scalar is numpy's fast path; remainder is not
-            np.floor_divide(words, base, out=quotient)
-            words -= quotient * base
-            out[:, d] = words
-            words, quotient = quotient, words
-        out = out.reshape(-1)
+    out = np.empty((words.size, per_word), dtype=np.min_scalar_type(k - 1))
+    base, quotient = np.uint64(k), np.empty_like(words)
+    for d in range(per_word):
+        # floor_divide by a scalar is numpy's fast path; remainder is not
+        np.floor_divide(words, base, out=quotient)
+        words -= quotient * base
+        out[:, d] = words
+        words, quotient = quotient, words
     lo = start - first * per_word
-    return out[lo:lo + n]
+    return out.reshape(-1)[lo:lo + n]
 
 
 def _stream_key(seed) -> int:

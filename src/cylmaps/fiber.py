@@ -311,47 +311,37 @@ def _apply_fiber(family: FiberFamily, x, y):
 
 
 class _Parameters:
-    """The fibre parameters of one orbit, read a slice at a time: slices of
-    values, an array the caller holds, or, given a family, the family's
-    displacement at slices of values, the orbit's angles, computed when the
-    slice is read; given a scale, values times scale, such as a cosine
-    profile's unit cosines times its amplitude.  A chunk's parameters equal
-    the same slice of the whole array's bit for bit: both maps are
-    elementwise."""
+    """The fibre parameters of one orbit, read a slice at a time: of(values[s])
+    for an elementwise map ``of``, such as a family's displacement at the
+    orbit's angles, computed when the slice is read, or values[s] itself
+    for held parameters (of None: np.asarray hands an array back as it is).
+    A chunk's parameters equal the same slice of the whole array's bit for
+    bit, as ``of`` is elementwise.  ``bound`` is at least |a| of every
+    parameter; held parameters may leave it None (see :meth:`bound`)."""
 
-    def __init__(self, values: np.ndarray, family: FiberFamily | None = None,
-                 scale: float | None = None):
-        self.values, self.family, self.scale, self.size = values, family, scale, values.size
-
-    def _of(self, v: np.ndarray) -> np.ndarray:
-        if self.family is not None:
-            return self.family.displacement(v)
-        return v if self.scale is None else np.multiply(v, self.scale)
+    def __init__(self, values: np.ndarray, of=None, bound: float | None = None):
+        self.values, self.of, self.size, self._bound = values, of or np.asarray, values.size, bound
 
     def __getitem__(self, s: slice) -> np.ndarray:
-        return self._of(self.values[s])
+        return self.of(self.values[s])
 
     def lanes(self, lanes: int, length: int) -> np.ndarray:
         """The first lanes*length parameters lane-major: a C-contiguous
         (length, lanes) array whose row r, column i holds parameter
         i*length + r, filled _BLOCK rows at a time from the transposed
-        view of values (a family's displacement or the scaling reads that
-        view)."""
+        view of values (``of`` reads that view)."""
         V = self.values[:lanes * length].reshape(lanes, length).T
         L = np.empty((length, lanes))
         for b in range(0, length, _BLOCK):
-            L[b:b + _BLOCK] = self._of(V[b:b + _BLOCK])
+            L[b:b + _BLOCK] = self.of(V[b:b + _BLOCK])
         return L
 
     def bound(self, lo: int) -> float:
         """A bound on |a| over the parameters from lo on, computing none of
-        them: sup|p| of the family's profile, or the largest held |a|.  A
-        scaled |a| rounds |value| * |scale|, and rounding is monotone, so
-        the largest |value| gives the largest |a| bit for bit."""
-        if self.family is not None:
-            return self.family.profile.bound()
-        top = float(np.abs(self.values[lo:]).max(initial=0.0))
-        return top if self.scale is None else top * abs(self.scale)
+        them: the bound the caller gave, or else the largest held |a|."""
+        if self._bound is not None:
+            return self._bound
+        return float(np.abs(self.values[lo:]).max(initial=0.0))
 
 
 def _fiber_orbit(family: FiberFamily, params: _Parameters, y: float,
@@ -379,7 +369,7 @@ def _fiber_orbit(family: FiberFamily, params: _Parameters, y: float,
         body = lanes * _LANE
         end = _lane_orbit(params.lanes(lanes, _LANE), y, out[:body].reshape(lanes, _LANE))
         if end is not None:
-            params = _Parameters(params.values[body:], params.family, params.scale)
+            params = _Parameters(params.values[body:], params.of, params._bound)
             y, out = end, out[body:]
     _scalar_orbit(kernels, params, y, out)
 

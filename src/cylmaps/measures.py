@@ -87,10 +87,11 @@ def _orbit(sys: CylinderSystem, p0: CylPoint, n: int, seed,
     profile, c = sys.family.profile, None
     if unit_cosine and isinstance(profile, CosineProfile):
         c = _unit_cosine(xs)
-        # profile.displacement(xs), bit for bit, scaled a slice at a time
-        params = _Parameters(c, scale=profile.amplitude)
+        # profile.displacement(xs), bit for bit, scaled a slice at a time;
+        # |c| <= 1, so each rounded |c * amplitude| is at most profile.bound()
+        params = _Parameters(c, functools.partial(np.multiply, profile.amplitude), profile.bound())
     else:
-        params = _Parameters(xs, sys.family)
+        params = _Parameters(xs, sys.family.displacement, profile.bound())
     if sys.family.kind == FRACTIONAL_LINEAR:
         t = np.empty(n, dtype=float)
         t[1:] = params[:n - 1]

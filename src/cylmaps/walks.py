@@ -24,13 +24,14 @@ straddle an end of its band, and writes each quotient once.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .base import _mod1, _stream_key, _words, digits
+from .base import _digit_bytes, _mod1, _stream_key, digits
 from .cylinder import CylinderSystem, _csv
 from .errors import DomainError, PreconditionError, WrongFamilyError, _require_count, _require_seed
 from .fiber import FRACTIONAL_LINEAR, StepProfile, _translation_orbit, poincare_coord
@@ -212,18 +213,16 @@ def _byte_table(v0: float, v1: float) -> np.ndarray:
 
 def _byte_walk(key: int, t0: float, table: np.ndarray, t: np.ndarray) -> None:
     """The k = 2 walk t_0 = t0 .. t_n of stream ``key`` in place in t, eight
-    steps a table read: digit i is bit i % 8 of byte i // 8 of the stream's
-    words in little-endian order, so chunk lo starts at byte (lo % 64) // 8
-    of word lo // 64 (_CHUNK is a multiple of 8).  A chunk's bytes start
-    from the exclusive sums of the byte totals, and each height is its
-    byte's start plus its partial sum."""
+    steps a table read: digit i is bit i % 8 of byte i // 8 of the stream
+    (:func:`cylmaps.base._digit_bytes`), so chunk lo starts at byte lo // 8
+    (_CHUNK is a multiple of 8).  A chunk's bytes start from the exclusive
+    sums of the byte totals, and each height is its byte's start plus its
+    partial sum."""
     t[0] = t0
     n = t.size - 1
     for lo in range(0, n, _CHUNK):
         m = min(_CHUNK, n - lo)
-        words = _words(key, lo // 64, -(-(lo + m) // 64), 2**64)  # k = 2 redraws nothing
-        first = lo % 64 // 8
-        data = words.astype("<u8", copy=False).view(np.uint8)[first:first - (-m // 8)]
+        data = _digit_bytes(key, lo // 8, -(-(lo + m) // 8))
         partial = np.take(table, data).view(np.int8).reshape(-1, 8)
         start = np.empty(data.size, dtype=float)
         start[0] = t[lo]
@@ -260,13 +259,16 @@ def final_counts(profile: StepProfile, n: int, seeds, threshold: float) -> np.nd
     ratios bit for bit.  Steps are finite, so no height is NaN.
 
     The profile, n, the threshold and every seed are checked before the
-    first walk; seeds is a sequence.  A walk that reads a byte table (see
-    :func:`simulate_walk`) is counted from its digit bytes, with no height
-    built (:func:`_byte_counts`); any other walk is drawn by simulate_walk
-    and its heights are counted a chunk at a time."""
+    first walk; seeds is a sequence, and a set or a mapping, whose order is
+    not the caller's, is refused like an iterator.  A walk that reads a
+    byte table (see :func:`simulate_walk`) is counted from its digit bytes,
+    with no height built (:func:`_byte_counts`); any other walk is drawn by
+    simulate_walk and its heights are counted a chunk at a time."""
     profile = _require_step(profile)
     _require_count(n, "walk length")
     _require_threshold(threshold)
+    if isinstance(seeds, (Set, Mapping)):
+        raise PreconditionError(f"seeds must be a sequence, got a {type(seeds).__name__}")
     try:
         counts = np.zeros((len(seeds), 3), dtype=np.int64)
     except TypeError:
@@ -309,24 +311,22 @@ def _byte_counts(values: tuple, n: int, keys: list, threshold: float,
     is not above -floor(threshold) - s - 1: a full byte counts with two
     :func:`_count_table` reads, and the last partial byte is counted
     directly.  The threshold is first cut to 2^53, beyond which no height
-    lies.  A block holds the words of as many whole walks as fit in _CHUNK
+    lies.  A block holds the bytes of as many whole walks as fit in _CHUNK
     bytes; a longer walk is cut into blocks of _CHUNK bytes, and carries
     its byte start from one to the next."""
     table = _count_table(*values)
     partial = _byte_table(*values).view(np.int8).reshape(256, 8)
     totals = partial[:, 7].astype(np.int64)
     floor = math.floor(min(threshold, 2.0**53))
-    length, (full, rest) = -(-n // 64), divmod(n, 8)  # a walk's words, full bytes, last digits
-    span = max(1, _CHUNK // 8)  # words a block
-    per = max(1, span // max(1, length))  # walks a block
+    length, (full, rest) = -(-n // 8), divmod(n, 8)  # a walk's bytes, full bytes, last digits
+    per = max(1, _CHUNK // max(1, length))  # walks a block
     keys = np.array(keys, dtype=np.uint64).reshape(-1, 1)
     for w in range(0, len(keys), per):
         rows = counts[w:w + per]
         start = np.zeros((len(rows), 1), dtype=np.int64)
-        for j in range(0, length, span):
-            words = _words(keys[w:w + per], j, min(j + span, length), 2**64)
-            data = words.astype("<u8", copy=False).view(np.uint8)
-            m = min(full - 8 * j, data.shape[1])  # the block's full bytes
+        for j in range(0, length, _CHUNK):
+            data = _digit_bytes(keys[w:w + per], j, min(j + _CHUNK, length))
+            m = min(full - j, data.shape[1])  # the block's full bytes
             if m > 0:
                 b = data[:, :m]
                 tot = totals[b]
@@ -344,8 +344,8 @@ def _byte_counts(values: tuple, n: int, keys: list, threshold: float,
 
                 rows[:, 0] += above(floor)
                 rows[:, 2] += 8 * m - above(-floor - 1)
-            if rest and j + span >= length:  # the last byte, of rest digits
-                h = start + partial[data[:, full - 8 * j], :rest]
+            if rest and j + _CHUNK >= length:  # the last byte, of rest digits
+                h = start + partial[data[:, full - j], :rest]
                 rows[:, 0] += np.count_nonzero(h > threshold, axis=1)
                 rows[:, 2] += np.count_nonzero(h < -threshold, axis=1)
 

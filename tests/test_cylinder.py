@@ -44,6 +44,7 @@ from cylmaps import (
 )
 from cylmaps import base, basins, cylinder, lyapunov, measures, walks
 from cylmaps.base import (
+    _digit_bytes,
     _digit_layout,
     _mod1,
     _redraw,
@@ -940,6 +941,10 @@ _BAD_BOUNDARIES = [2, -1, True, False, 1.0, 0.0, np.float64(0.0), None, "0"]
                          ("last_seed_float", StepProfile((0.3, -0.7)), [1, 2, 3.0]))),
     pytest.param(lambda: final_counts(StepProfile((1.0, -1.0)), 10, iter([1, 2]), 1.0),
                  PreconditionError, id="final_counts-seeds_without_length"),
+    *(pytest.param(lambda s=s: final_counts(StepProfile((1.0, -1.0)), 10, s, 1.0),
+                   PreconditionError, id=f"final_counts-seeds_{name}")
+      for name, s in (("set", {5, 1}), ("frozenset", frozenset([5, 1])),
+                      ("dict", {5: 0, 1: 0}), ("dict_keys", {5: 0, 1: 0}.keys()))),
 ])
 def test_entry_points_refuse_before_any_work(monkeypatch, call, error):
     # every first step raises: a draw, a numpy call in basins, a fibre
@@ -1146,6 +1151,21 @@ def test_digits_read_in_pieces_are_the_stream(k):
     for start in (0, 1, per_word - 1, per_word, per_word + 1, 2 * per_word, 3 * per_word - 2):
         for n in (0, 1, per_word - 1, per_word, per_word + 1, 2 * per_word + 3):
             assert np.array_equal(digits(key, start, n, k), whole[start:start + n])
+
+
+@pytest.mark.parametrize("first", [0, 3, 8, 13])
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 200])
+def test_digit_bytes_are_the_packed_k2_digits(first, length):
+    # byte j holds digit 8j + i in bit i, for one key and for a column of keys
+    key = _stream_key(7)
+    want = np.packbits(digits(key, 8 * first, 8 * length, 2), bitorder="little")
+    got = _digit_bytes(key, first, first + length)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    keys = np.array([_stream_key(s) for s in (1, 2, 3)], dtype=np.uint64).reshape(-1, 1)
+    rows = _digit_bytes(keys, first, first + length)
+    assert rows.shape == (3, length)
+    for w in range(3):
+        assert np.array_equal(rows[w], _digit_bytes(int(keys[w, 0]), first, first + length))
 
 
 def _chi_square_z(counts):

@@ -148,7 +148,7 @@ def test_chunked_displacement_is_the_whole_arrays_slice_bit_for_bit(family):
     xs = np.concatenate([base_orbit_angles(3, 0.1234, 3 * CHUNK + 77, seed=5),
                          [0.0, 0.25, 0.5, 0.75, 1.0, 1.0 - 2.0**-53, 1.0 / 3.0]])
     whole = family.displacement(xs).view(np.uint64)
-    params = fiber._Parameters(xs, family)
+    params = fiber._Parameters(xs, family.displacement, family.profile.bound())
     for lo, hi in [(0, 1), (0, 7), (3, 12), (5, 5 + CHUNK), (13, 13 + CHUNK + 3),
                    (CHUNK - 1, 3 * CHUNK + 1), (2 * CHUNK + 9, xs.size), (xs.size - 3, xs.size),
                    (0, xs.size)]:
@@ -166,8 +166,12 @@ def test_lane_major_parameters_are_the_transposed_lanes_bit_for_bit(family, lane
     # lanes reads the parameters _BLOCK rows at a time, and a last block may
     # be short; the parameters past lanes * length are never read
     xs = base_orbit_angles(3, 0.1234, lanes * length + 11, seed=5)
-    values = xs if family is None else family.displacement(xs)
-    got = fiber._Parameters(xs, family).lanes(lanes, length)
+    if family is None:
+        values, params = xs, fiber._Parameters(xs)
+    else:
+        values = family.displacement(xs)
+        params = fiber._Parameters(xs, family.displacement, family.profile.bound())
+    got = params.lanes(lanes, length)
     assert got.shape == (length, lanes) and got.flags.c_contiguous
     want = values[:lanes * length].reshape(lanes, length).T
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -421,7 +425,8 @@ def test_scalar_orbit_from_angles_computes_only_the_parameters_it_steps(family, 
     # and once a Kan height sticks at a float that -sup|p| and +sup|p| both
     # fix, no parameter is computed past the first full chunk after that
     xs = base_orbit_angles(3, 0.1234, N_RUN, seed=5)
-    params, out = _Reached(xs, family), np.empty(N_RUN)
+    params = _Reached(xs, family.displacement, family.profile.bound())
+    out = np.empty(N_RUN)
     kernels = _KERNELS[family.kind]
     end = fiber._scalar_orbit(kernels, params, y, out)
     want, want_end = _plain_orbit(family.kind, family.displacement(xs), y)

@@ -648,10 +648,12 @@ def test_byte_counts_equal_the_walk_loop_bit_for_bit(values, n):
         assert got.tobytes() == _loop_counts(heights, threshold).tobytes()
 
 
-@pytest.mark.parametrize("chunk", [8, 200])
+@pytest.mark.parametrize("chunk", [8, 12, 200])
 def test_byte_counts_of_blocks_cut_inside_a_walk(monkeypatch, chunk):
-    # a block of one word, or of 25 words: walks of 1000 digits are cut
-    # into 16 or 1 blocks, and blocks of several short walks hold 1-3 each
+    # a block of 8, 12 or 200 bytes: walks of 1000 digits (125 bytes) are
+    # cut into 16, 11 or 1 blocks, and blocks of 12 bytes start inside the
+    # stream's 8-byte words; walks of 1603 digits (201 bytes, the last of 3
+    # digits) into 26, 17 or 2 blocks; walks of 13 digits share blocks
     monkeypatch.setattr(walks, "_CHUNK", chunk)
     seeds = list(range(7))
     for values, n in (((1.0, -1.0), 1000), ((3.0, -2.0), 1000), ((1.0, -1.0), 13),
