@@ -62,14 +62,17 @@ def rasterize(sys: CylinderSystem, width: int, height: int, n_max: int,
     classifier (``cylinder._column_thresholds``): L = ceil(log12(height + 1))
     classifier calls, each cutting a search into the fewest parts s with
     s^L >= height + 1, so at most 2 * (s - 1) points a column (s = 9, 16
-    points, at height 512).  Cells below the first index are Basin0, from
-    the second on Basin1, and Undecided between, written straight into the
-    int8 cells with Basin0 last, so that it wins where the indices cross;
-    this equals classifying every cell whenever a column's classes are
-    monotone in y, as increasing fibres make them up to rounding.  The
-    search runs on the calling thread.  threads has no effect; it stays
-    only because perfbench/ops.py passes threads=1 and threads=2, and goes
-    when the benchmark stops passing it.
+    points, at height 512).  Every call gathers the coefficients of the
+    columns' first min(n_max, 65,536 // width) rounds from one store that
+    the search fills once (128 rounds at width 512).  Cells below the
+    first index are Basin0, from the second on Basin1, and Undecided
+    between, written straight into the int8 cells with Basin0 last, so
+    that it wins where the indices cross; this equals classifying every
+    cell whenever a column's classes are monotone in y, as increasing
+    fibres make them up to rounding.  The search runs on the calling
+    thread.  threads has no effect; it stays only because perfbench/ops.py
+    passes threads=1 and threads=2, and goes when the benchmark stops
+    passing it.
     """
     _check_classification(sys, n_max, delta)
     _require_count(width, "raster width", 1)

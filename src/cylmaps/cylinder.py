@@ -225,8 +225,41 @@ def _check_classification(sys: CylinderSystem, n_max: int, delta: float) -> None
             f"classification needs an odd base multiplier k, got {sys.k}")
 
 
-def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
-                    delta: float) -> np.ndarray:
+class _BaseOrbits:
+    """The base orbits of a column search's distinct angles: row r of coef
+    holds coef(displacement(the angles after r steps)) for r below its
+    rounds, and angles are the angles after the rows filled so far.  Rows
+    are filled when first read, one displacement call a block of rows, so
+    each is displaced once however many classifier calls read it."""
+
+    def __init__(self, sys: CylinderSystem, angles: np.ndarray, rounds: int):
+        self.sys = sys
+        self.angles = angles
+        self.coef = np.empty((rounds, angles.size))
+        self.filled = 0
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start .. stop - 1 of coef, filling those not yet filled."""
+        if stop > self.filled:
+            X = self.coef[self.filled:stop]
+            self.angles = advance_rows(self.sys.k, self.angles, X)
+            X[:] = _KERNELS[self.sys.family.kind]["coef"](self.sys.family.displacement(X))
+            self.filled = stop
+        return self.coef[start:stop]
+
+
+def _live_angles(x: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and col, or, when most angles of x have no point left, the angles
+    that col still reads, in order, and col renumbered to them."""
+    if 2 * col.size >= x.size:
+        return x, col
+    alive = np.zeros(x.size, dtype=bool)
+    alive[col] = True
+    return x[alive], (np.cumsum(alive) - 1)[col]
+
+
+def classify_points(sys: CylinderSystem, xs, ys, n_max: int, delta: float,
+                    _orbits: _BaseOrbits | None = None, _col=None) -> np.ndarray:
     """First-hitting classification of many points at once.
 
     Returns an int8 array of BasinClass values.  A point is Basin0 the first
@@ -250,6 +283,13 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     questions in one call.  xs and ys are copied first and never written.
     Angles and heights must be finite.
 
+    _orbits and _col are passed by the column search, positionally: its
+    base-orbit store and each point's column in it (the store's angles[_col]
+    are xs).  A block below the store's rounds then gathers its coefficient
+    rows from the store, filling the rows no earlier call has read, and
+    ends at the last stored row; past them the live columns go on from the
+    store's angles.  Alone, a call uses a store that holds no rows.
+
     Even k is refused: the float base orbit k*x mod 1 then sheds low bits each
     step and collapses onto x = 0, whose fiber alone would decide every class.
     """
@@ -263,32 +303,47 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
     out = np.full(x.shape, BasinClass.UNDECIDED, dtype=np.int8)
     out[y < delta] = BasinClass.BASIN0
     out[y > 1.0 - delta] = BasinClass.BASIN1
-    # the undecided points only, as (slot in out, angle, height); when angles
-    # repeat, x holds each distinct angle once and point i reads x[col[i]].
+    # the undecided points only, as (slot in out, column, height); when
+    # angles repeat, the store holds each distinct angle once and point i
+    # reads column col[i].
     # Batches of distinct angles (probe samples, random points) skip the
     # gather: through an identity col they give the same bits, but 400,000
     # distinct Kan points (k 3, n_max 300) took 3.0-3.2 s of CPU against
     # 2.5-2.6 s without it, on a 2-core Xeon host
     idx = np.flatnonzero(out == BasinClass.UNDECIDED)
-    x, y = x[idx], y[idx]
-    shared = bool((np.diff(np.sort(x)) == 0.0).any())
-    if shared:
-        x, col = np.unique(x, return_inverse=True)
+    y = y[idx]
+    if _orbits is None:
+        x, col = x[idx], None
+        if (np.diff(np.sort(x)) == 0.0).any():
+            x, col = np.unique(x, return_inverse=True)
+        _orbits = _BaseOrbits(sys, x, 0)
+    else:
+        col = _col[idx]
     kernels = _KERNELS[sys.family.kind]
     coef, fibre_step = kernels["coef"], kernels["step"]
     # weights of the block's rounds r = 0, 1, ...: 2 * (rounds - r) - 1
     weights = np.arange(2 * _BLOCK_ROUNDS - 1, 0, -2, dtype=np.uint8)[:, None]
+    stored = len(_orbits.coef)
     done = 0
     while idx.size and done < n_max:
         rounds = min(_BLOCK_ROUNDS, max(1, _BLOCK_ELEMENTS // idx.size), n_max - done)
+        if done < stored:
+            # a block below the last stored row gathers its rows and stops there
+            rounds = min(rounds, stored - done)
+            H = _orbits.rows(done, done + rounds).take(col, axis=1)
+        else:
+            if done == stored:  # the first block past the stored rows
+                x = _orbits.angles
+                if col is not None:
+                    x, col = _live_angles(x, col)
+            # row r of X holds the angles of round r: k*x - floor(k*x),
+            # stepped in place, and x goes on to the next block's first round
+            X = np.empty((rounds, x.size))
+            x = advance_rows(sys.k, x, X)
+            H = coef(sys.family.displacement(X))
+            if col is not None:
+                H = H.take(col, axis=1)
         done += rounds
-        # row r of X holds the angles of round r: k*x - floor(k*x), stepped
-        # in place, and x goes on to the next block's first round
-        X = np.empty((rounds, x.size))
-        x = advance_rows(sys.k, x, X)
-        H = coef(sys.family.displacement(X))
-        if shared:
-            H = H.take(col, axis=1)
         # row r of H becomes the heights after round r.  Rows past the first
         # can follow a point's first hit: those heights are never read, and
         # they may leave [0, 1] (an inverse-Kan height above 1 meets a
@@ -301,6 +356,10 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
         hit0 = np.less(H, delta).view(np.uint8)
         code = np.greater(H, 1.0 - delta).view(np.uint8)
         code |= hit0
+        # the heights leave H, which is freed before the next block takes
+        # its rows: a search's stored rows then sit beside one block, not two
+        y = y.copy()
+        del H
         if code.any():  # a block that decides no point compacts nothing
             # a point's code is the largest weight of its hitting rounds,
             # plus 1 for a Basin0 hit: its first hit, whose parity is its class
@@ -314,16 +373,12 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int,
             # can take the next: the heap then does not grow from op to op
             idx = idx[keep]
             y = y[keep]
-            if shared:
-                col = col[keep]
-                if 2 * col.size < x.size:  # most angles have no point left
-                    # keep the live angles in order and renumber col to them
-                    alive = np.zeros(x.size, dtype=bool)
-                    alive[col] = True
-                    col = (np.cumsum(alive) - 1)[col]
-                    x = x[alive]
-            else:
+            if col is None:
                 x = x[keep]
+            else:
+                col = col[keep]
+                if done > stored:
+                    x, col = _live_angles(x, col)
     return out
 
 
@@ -354,7 +409,14 @@ def _column_thresholds(sys: CylinderSystem, xs: np.ndarray, height_at, n: int,
     and the index below each answer above 0 did not, so answers rest on
     classified heights; they equal a scan of every height when the classes
     are monotone in y.
-    classify_points is looked up through this module at call time.
+
+    The search keeps one base-orbit store over its distinct column angles:
+    the coefficient rows of their first min(n_max, _BLOCK_ELEMENTS //
+    columns) rounds, at most _BLOCK_ELEMENTS coefficients, which every level
+    reads, so each stored row is displaced once a search, however many
+    levels read it.  classify_points is looked up through this module at
+    call time, once a level, and gets the store and each point's column
+    positionally.
     """
     lo = np.zeros((2, xs.size), dtype=np.int64)
     hi = np.full((2, xs.size), n, dtype=np.int64)
@@ -365,13 +427,18 @@ def _column_thresholds(sys: CylinderSystem, xs: np.ndarray, height_at, n: int,
     while sections ** levels <= n:
         sections += 1
     part = np.arange(1, sections)
+    angles, column = np.unique(xs, return_inverse=True)
+    orbits = _BaseOrbits(sys, angles, min(n_max, _BLOCK_ELEMENTS // max(1, angles.size)))
     while (lo < hi).any():
         search, col = np.nonzero(lo < hi)
         below, above = lo[search, col], hi[search, col]
         probe = below[:, None] + (above - below)[:, None] * part // sections
-        # one complex point x + iy per probe: unique keeps each distinct point once
-        point, seen = np.unique(xs[col, None] + 1j * height_at(probe), return_inverse=True)
-        cls = classify_points(sys, point.real, point.imag, n_max, delta)[seen].reshape(probe.shape)
+        # one complex point c + iy per probe, c the index of its angle in
+        # angles: unique keeps each distinct point once
+        point, seen = np.unique(column[col, None] + 1j * height_at(probe), return_inverse=True)
+        c = point.real.astype(np.intp)
+        cls = classify_points(sys, angles[c], point.imag, n_max, delta, orbits,
+                              c)[seen].reshape(probe.shape)
         found = np.where(search[:, None] == 0, cls != BasinClass.BASIN0,
                          cls == BasinClass.BASIN1)
         # the probes before the first that finds the answer are passed over

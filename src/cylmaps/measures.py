@@ -70,11 +70,12 @@ def orbit_points(sys: CylinderSystem, p0: CylPoint, n: int,
 
 
 def _orbit(sys: CylinderSystem, p0: CylPoint, n: int, seed,
-           unit_cosine: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+           unit_cosine: bool) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
     """(xs, c, ys): the arrays of orbit_points and, when unit_cosine is set
     and the profile is a cosine, c_i = cos(2*pi*x_i), the unit cosines whose
     scaling gives the fibre parameters, so that no caller takes the cosine
-    of the orbit twice; c is None otherwise.  Unset, the quadratic kinds get
+    of the orbit twice; the cosines are taken in place of the angles, and xs
+    is then None.  c is None otherwise.  Unset, the quadratic kinds get
     the angles, and the family's displacement computes the parameters a
     chunk at a time, only for the steps the orbit loop takes: a Kan orbit
     stuck at a boundary float computes none past the chunk that proves it
@@ -86,9 +87,11 @@ def _orbit(sys: CylinderSystem, p0: CylPoint, n: int, seed,
     xs = base_orbit_angles(sys.k, p0.x, n, seed=seed)
     profile, c = sys.family.profile, None
     if unit_cosine and isinstance(profile, CosineProfile):
-        c = _unit_cosine(xs)
-        # profile.displacement(xs), bit for bit, scaled a slice at a time;
+        # _unit_cosine(xs), bit for bit, in the angles' own array; scaled a
+        # slice at a time they are profile.displacement of the angles, and
         # |c| <= 1, so each rounded |c * amplitude| is at most profile.bound()
+        c = np.cos(np.multiply(2.0 * np.pi, xs, out=xs), out=xs)
+        xs = None
         params = _Parameters(c, functools.partial(np.multiply, profile.amplitude), profile.bound())
     else:
         params = _Parameters(xs, sys.family.displacement, profile.bound())

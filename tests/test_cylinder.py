@@ -539,13 +539,76 @@ def test_columns_sharing_an_angle_classify_as_each_point_alone(kind, profile, mo
 
 def test_the_raster_steps_each_column_angle_once_per_round(monkeypatch):
     # the 512 x 512 raster, counted time-free: its columns share their
-    # angles, which take 692,992 steps in 1,928 rounds (1,870 until the last
-    # point decides, plus the rest of each call's last block) and 77 blocks
+    # angles, which take 558,976 steps in 1,655 displaced rounds and 63
+    # blocks: the search's 128 stored rounds (65,536 // 512 columns), once,
+    # and each of its three level calls' rounds past them
     shapes = _record_displaced_angles(monkeypatch)
     rasterize(SYS3, 512, 512, 5000, 1e-6)
-    assert len(shapes) == 77
-    assert sum(rounds for rounds, _ in shapes) == 1928
-    assert sum(rounds * angles for rounds, angles in shapes) == 692_992
+    assert len(shapes) == 63
+    assert sum(rounds for rounds, _ in shapes) == 1655
+    assert sum(rounds * angles for rounds, angles in shapes) == 558_976
+    assert shapes[:8] == [(16, 512)] * 8
+
+
+def _classify_each_level_alone(monkeypatch):
+    """Make the column search's classifier calls drop its base-orbit store."""
+    classify = cylinder.classify_points
+    monkeypatch.setattr(cylinder, "classify_points", lambda sys_, xs, ys, n_max, delta, *_:
+                        classify(sys_, xs, ys, n_max, delta))
+
+
+@pytest.mark.parametrize("eps, tol, levels", ((0.05, 1e-3, 3), (0.2, 1e-6, 6)))
+def test_the_stored_base_orbits_leave_every_separator_bracket_unchanged(eps, tol, levels,
+                                                                        monkeypatch):
+    # at eps = 0.05 most columns stop at the Undecided band of their first
+    # level; at eps = 0.2 the 2^20-rung ladder takes six levels
+    sys_ = CylinderSystem(3, kan_family(eps))
+    xs = _sweep_angles(42, 100)
+    calls = []
+    classify = cylinder.classify_points
+    monkeypatch.setattr(cylinder, "classify_points",
+                        lambda *a: calls.append(a[1].size) or classify(*a))
+    stored = estimate_separator_batch(sys_, xs, 3000, 1e-6, tol)
+    assert len(calls) == levels
+    assert any(not s.decided for s in stored)
+    monkeypatch.undo()
+    _classify_each_level_alone(monkeypatch)
+    assert stored == estimate_separator_batch(sys_, xs, 3000, 1e-6, tol)
+
+
+def test_the_column_search_displaces_each_stored_row_once(monkeypatch):
+    # a separator search over 202 columns stores the coefficients of their
+    # first 324 rounds (65,536 // 202); its three level calls read every
+    # stored row, and each is displaced once.  (The raster's dyadic column
+    # angles return to their start after 256 rounds, so a row read there
+    # does not tell its round.)
+    xs = _sweep_angles(42, 100)
+    displaced = []
+    displacement = FiberFamily.displacement
+    monkeypatch.setattr(FiberFamily, "displacement", lambda fam, x:
+                        displaced.extend(row.tobytes() for row in x) or displacement(fam, x))
+    calls = []
+    classify = cylinder.classify_points
+    monkeypatch.setattr(cylinder, "classify_points",
+                        lambda *a: calls.append(a[1].size) or classify(*a))
+    estimate_separator_batch(SYS3, xs, 5000, 1e-6, 1e-3)
+    stored = np.empty((_BLOCK_ELEMENTS // xs.size, xs.size))
+    advance_rows(3, np.unique(xs), stored)
+    assert len(calls) == 3
+    assert [displaced.count(row.tobytes()) for row in stored] == [1] * len(stored)
+
+
+def test_a_raster_with_stored_base_orbits_stays_small_in_memory():
+    # the stored rows, at most _BLOCK_ELEMENTS coefficients, sit beside one
+    # block of at most _BLOCK_ELEMENTS heights
+    rasterize(SYS3, 512, 512, 5000, 1e-6)
+    tracemalloc.start()
+    try:
+        rasterize(SYS3, 512, 512, 5000, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2e6
 
 
 def _even_cut(n):
@@ -581,7 +644,7 @@ def test_the_even_cut_closes_every_search_in_its_levels(monkeypatch):
     # from it on, so the n + 1 columns of angles 0 .. n try every answer
     calls = []
 
-    def threshold(sys_, xs, ys, n_max, delta):
+    def threshold(sys_, xs, ys, n_max, delta, *_):
         calls.append(xs.size)
         return np.where(ys < xs, BasinClass.BASIN0, BasinClass.BASIN1).astype(np.int8)
 
@@ -626,6 +689,21 @@ def test_non_square_raster_matches_the_reference_loop_at_any_thread_count(case, 
         assert cells.flags.c_contiguous
         assert cells.dtype == np.int8
         assert np.array_equal(cells, want)
+
+
+@pytest.mark.parametrize("case", RASTER_CASES)
+def test_the_stored_base_orbits_leave_every_column_threshold_unchanged(case, monkeypatch):
+    # 512 columns store 128 rounds, and a budget of 300 takes the level
+    # calls past them
+    sys_, n_max, delta = RASTER_CASES[case]
+    xs = (np.arange(512) + 0.5) / 512
+
+    def thresholds():
+        return _column_thresholds(sys_, xs, lambda j: (j + 0.5) / 48, 48, n_max, delta)
+
+    stored = thresholds()
+    _classify_each_level_alone(monkeypatch)
+    assert stored.tobytes() == thresholds().tobytes()
 
 
 @pytest.mark.parametrize("profile", (CosineProfile(0.5), StepProfile((0.5, -0.5, 0.0))))
