@@ -226,36 +226,44 @@ def _check_classification(sys: CylinderSystem, n_max: int, delta: float) -> None
 
 
 class _BaseOrbits:
-    """The base orbits of a column search's distinct angles: row r of coef
-    holds coef(displacement(the angles after r steps)) for r below its
-    rounds, and angles are the angles after the rows filled so far.  Rows
+    """The base orbits of distinct angles over rounds first .. stop - 1:
+    row r of coef holds coef(displacement(the angles after first + r
+    steps)), and angles are the angles after the rows filled so far.  Rows
     are filled when first read, one displacement call a block of rows, so
-    each is displaced once however many classifier calls read it."""
+    each is displaced once however many classifier calls read it; a store
+    filled in one call keeps that call's array as its coef."""
 
-    def __init__(self, sys: CylinderSystem, angles: np.ndarray, rounds: int):
+    def __init__(self, sys: CylinderSystem, angles: np.ndarray, rounds: int, first: int = 0):
         self.sys = sys
         self.angles = angles
         self.coef = np.empty((rounds, angles.size))
-        self.filled = 0
+        self.first = self.filled = first
+        self.stop = first + rounds
 
     def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start .. stop - 1 of coef, filling those not yet filled."""
+        """The rows of rounds start .. stop - 1, filling those not yet filled."""
         if stop > self.filled:
-            X = self.coef[self.filled:stop]
+            X = self.coef[self.filled - self.first:stop - self.first]
             self.angles = advance_rows(self.sys.k, self.angles, X)
-            X[:] = _KERNELS[self.sys.family.kind]["coef"](self.sys.family.displacement(X))
+            H = _KERNELS[self.sys.family.kind]["coef"](self.sys.family.displacement(X))
+            if len(X) == len(self.coef):
+                self.coef = H
+            else:
+                X[:] = H
             self.filled = stop
-        return self.coef[start:stop]
+        return self.coef[start - self.first:stop - self.first]
 
-
-def _live_angles(x: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x and col, or, when most angles of x have no point left, the angles
-    that col still reads, in order, and col renumbered to them."""
-    if 2 * col.size >= x.size:
-        return x, col
-    alive = np.zeros(x.size, dtype=bool)
-    alive[col] = True
-    return x[alive], (np.cumsum(alive) - 1)[col]
+    def after(self, rounds: int, col):
+        """A store of the rounds rounds from this filled store's stop on,
+        and col renumbered to it: over this store's angles, or, when col
+        holds fewer points than half of them, over the angles col still
+        reads, in order."""
+        x = self.angles
+        if col is not None and 2 * col.size < x.size:
+            alive = np.zeros(x.size, dtype=bool)
+            alive[col] = True
+            x, col = x[alive], (np.cumsum(alive) - 1)[col]
+        return _BaseOrbits(self.sys, x, rounds, self.stop), col
 
 
 def classify_points(sys: CylinderSystem, xs, ys, n_max: int, delta: float,
@@ -269,9 +277,8 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int, delta: float,
 
     The rounds run in blocks: min(_BLOCK_ROUNDS, _BLOCK_ELEMENTS // live)
     rounds, at least one, for live undecided points, cut at n_max.  A block
-    steps the distinct angles of the undecided points once a round, in
-    place as k*x - floor(k*x), which is k*x mod 1 bit for bit, into one row
-    a round; computes the coefficients of all its rows in one call and
+    reads the coefficient rows of its rounds from a base-orbit store, one
+    row a round over the distinct angles of the undecided points, and
     gathers them to the points that share each angle (nothing is gathered
     when no angle repeats); steps the heights row by row with the family's
     in-place step kernel, which rounds as its apply kernel does; and then
@@ -283,12 +290,11 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int, delta: float,
     questions in one call.  xs and ys are copied first and never written.
     Angles and heights must be finite.
 
-    _orbits and _col are passed by the column search, positionally: its
-    base-orbit store and each point's column in it (the store's angles[_col]
-    are xs).  A block below the store's rounds then gathers its coefficient
-    rows from the store, filling the rows no earlier call has read, and
-    ends at the last stored row; past them the live columns go on from the
-    store's angles.  Alone, a call uses a store that holds no rows.
+    A block ends at its store's last row, and the next block goes on with a
+    store of its own rounds over the live angles.  Alone, a call starts from
+    a store of no rows.  The column search passes its store and each point's
+    column in it (the store's angles[_col] are xs) as _orbits and _col,
+    positionally, so that its level calls fill each stored row once.
 
     Even k is refused: the float base orbit k*x mod 1 then sheds low bits each
     step and collapses onto x = 0, whose fiber alone would decide every class.
@@ -316,33 +322,23 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int, delta: float,
         x, col = x[idx], None
         if (np.diff(np.sort(x)) == 0.0).any():
             x, col = np.unique(x, return_inverse=True)
-        _orbits = _BaseOrbits(sys, x, 0)
+        store = _BaseOrbits(sys, x, 0)
     else:
-        col = _col[idx]
-    kernels = _KERNELS[sys.family.kind]
-    coef, fibre_step = kernels["coef"], kernels["step"]
+        store, col = _orbits, _col[idx]
+    fibre_step = _KERNELS[sys.family.kind]["step"]
     # weights of the block's rounds r = 0, 1, ...: 2 * (rounds - r) - 1
     weights = np.arange(2 * _BLOCK_ROUNDS - 1, 0, -2, dtype=np.uint8)[:, None]
-    stored = len(_orbits.coef)
     done = 0
     while idx.size and done < n_max:
         rounds = min(_BLOCK_ROUNDS, max(1, _BLOCK_ELEMENTS // idx.size), n_max - done)
-        if done < stored:
-            # a block below the last stored row gathers its rows and stops there
-            rounds = min(rounds, stored - done)
-            H = _orbits.rows(done, done + rounds).take(col, axis=1)
-        else:
-            if done == stored:  # the first block past the stored rows
-                x = _orbits.angles
-                if col is not None:
-                    x, col = _live_angles(x, col)
-            # row r of X holds the angles of round r: k*x - floor(k*x),
-            # stepped in place, and x goes on to the next block's first round
-            X = np.empty((rounds, x.size))
-            x = advance_rows(sys.k, x, X)
-            H = coef(sys.family.displacement(X))
-            if col is not None:
-                H = H.take(col, axis=1)
+        if done == store.stop:
+            store, col = store.after(rounds, col)
+        rounds = min(rounds, store.stop - done)
+        # distinct angles take their heights in the store's own rows, which
+        # no later block reads: a store of one block ends with it
+        H = store.rows(done, done + rounds)
+        if col is not None:
+            H = H.take(col, axis=1)
         done += rounds
         # row r of H becomes the heights after round r.  Rows past the first
         # can follow a point's first hit: those heights are never read, and
@@ -373,12 +369,10 @@ def classify_points(sys: CylinderSystem, xs, ys, n_max: int, delta: float,
             # can take the next: the heap then does not grow from op to op
             idx = idx[keep]
             y = y[keep]
-            if col is None:
-                x = x[keep]
+            if col is None:  # the store is filled to its stop
+                store.angles = store.angles[keep]
             else:
                 col = col[keep]
-                if done > stored:
-                    x, col = _live_angles(x, col)
     return out
 
 

@@ -535,6 +535,18 @@ def test_columns_sharing_an_angle_classify_as_each_point_alone(kind, profile, mo
     assert [angles for _, angles in shapes] == [
         100, np.unique(left).size if 2 * left.size < 100 else 100]
     assert got.tobytes() == _classify_alone(sys_, xs, ys, 60, delta).tobytes()
+    # distinct angles are not gathered: the second block steps the angle
+    # of each point still live, and those alone
+    xs = rng.uniform(0.0, 1.0, 300)
+    ys = rng.uniform(0.25, 0.75, 300)
+    shapes = _record_displaced_angles(monkeypatch)
+    got = classify_points(sys_, xs, ys, 60, delta)
+    monkeypatch.undo()
+    left = np.count_nonzero(classify_points(sys_, xs, ys, _BLOCK_ROUNDS, delta)
+                            == BasinClass.UNDECIDED)
+    assert 0 < left < 300
+    assert shapes == [(_BLOCK_ROUNDS, 300), (60 - _BLOCK_ROUNDS, left)]
+    assert got.tobytes() == _classify_alone(sys_, xs, ys, 60, delta).tobytes()
 
 
 def test_the_raster_steps_each_column_angle_once_per_round(monkeypatch):
@@ -693,17 +705,19 @@ def test_non_square_raster_matches_the_reference_loop_at_any_thread_count(case, 
 
 @pytest.mark.parametrize("case", RASTER_CASES)
 def test_the_stored_base_orbits_leave_every_column_threshold_unchanged(case, monkeypatch):
-    # 512 columns store 128 rounds, and a budget of 300 takes the level
-    # calls past them
-    sys_, n_max, delta = RASTER_CASES[case]
+    # 512 columns store min(n_max, 128) rounds: budgets of 127 and 128 end
+    # at the last stored row, and 129 and 300 take the level calls past it
+    sys_, _, delta = RASTER_CASES[case]
     xs = (np.arange(512) + 0.5) / 512
+    budgets = (127, 128, 129, 300)
 
     def thresholds():
-        return _column_thresholds(sys_, xs, lambda j: (j + 0.5) / 48, 48, n_max, delta)
+        return [_column_thresholds(sys_, xs, lambda j: (j + 0.5) / 48, 48, n_max,
+                                   delta).tobytes() for n_max in budgets]
 
     stored = thresholds()
     _classify_each_level_alone(monkeypatch)
-    assert stored.tobytes() == thresholds().tobytes()
+    assert stored == thresholds()
 
 
 @pytest.mark.parametrize("profile", (CosineProfile(0.5), StepProfile((0.5, -0.5, 0.0))))

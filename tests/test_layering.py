@@ -1,11 +1,13 @@
 """Import layering: the base map depends on nothing else in the package,
-and the walks read its digit streams through its readers only."""
+the walks read its digit streams through its readers only, and the
+classifier steps base orbits in one place."""
 
 import ast
 import sys
 from pathlib import Path
 
 import cylmaps.base
+import cylmaps.cylinder
 import cylmaps.walks
 
 
@@ -35,3 +37,21 @@ def test_the_walks_name_no_word_level_internals_of_the_base_map():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     internals = {"_words", "_splitmix64", "_redraw", "_digit_layout"}
     assert not names & internals, f"cylmaps.walks names {sorted(names & internals)}"
+
+
+def test_the_classifier_steps_and_displaces_base_orbits_in_its_store_alone():
+    # every coefficient row classify_points reads comes from _BaseOrbits, so
+    # a swap of the base orbit's arithmetic changes that class alone
+    tree = ast.parse(Path(cylmaps.cylinder.__file__).read_text())
+    store = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_BaseOrbits")
+    inside = {id(node) for node in ast.walk(store)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "advance_rows"
+            or isinstance(node, ast.Attribute) and node.attr == "displacement"]
+    assert uses, "no base-orbit step found"
+    outside = [node.lineno for node in uses if id(node) not in inside]
+    assert not outside, f"cylinder.py steps or displaces base orbits at lines {outside}"
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "_live_angles" not in defined
