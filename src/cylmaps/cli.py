@@ -295,7 +295,7 @@ def _run_equidist(args) -> int:
         except OverflowError:  # past the largest float; _check_circle refuses it
             modulus = math.inf
     _check_circle(modulus, args.bins)
-    trace = simulate_walk(StepProfile(tuple(float(Fraction(v)) for v in values)),
+    trace = simulate_walk(StepProfile(tuple(map(Fraction, values))),
                           args.t0, args.n, seed=args.seed)
     rep = circle_equidistribution(trace, modulus, args.bins)
     print(f"equidist modulus={args.modulus} cdf_deviation={rep.cdf_deviation!r} "

@@ -86,7 +86,10 @@ class StepProfile:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        try:
+            vals = tuple(float(v) for v in self.values)
+        except OverflowError:  # an int or Fraction past the largest float
+            raise PreconditionError("step values must be finite") from None
         if not vals:
             raise PreconditionError("step profile needs at least one value")
         if not all(math.isfinite(v) for v in vals):
@@ -177,6 +180,7 @@ class MoebiusMap:
 # A kernel op(p, y, xp) evaluates one family at heights y (float or ndarray)
 # for coefficients p = coef(a) of the driving parameter a.  xp supplies sqrt:
 # numpy for arrays, math in scalar loops; both round it correctly.
+# log_slope(a) is log f'(0) at driving parameter a, on arrays; log f'(1) is log_slope(-a).
 
 def _kan_apply(a, y, xp):
     # y + a*y*(1-y) is exact at y = 0 and y = 1 for every a
@@ -276,15 +280,16 @@ def _moebius_step(w, y):
 
 _KERNELS = {
     KAN: dict(coef=lambda a: a, apply=_kan_apply, step=_kan_step, invert=_kan_invert,
-              derivative=_kan_derivative, schwarzian=_kan_schwarzian, monotone=True),
+              derivative=_kan_derivative, schwarzian=_kan_schwarzian, log_slope=np.log1p,
+              monotone=True),
     INVERSE_KAN: dict(
         coef=lambda a: a, apply=_kan_invert, step=_kan_invert_step, invert=_kan_apply,
         derivative=lambda a, y, xp: 1.0 / _kan_derivative(a, _kan_invert(a, y, xp), xp),
-        schwarzian=_inverse_kan_schwarzian, monotone=False),
+        schwarzian=_inverse_kan_schwarzian, log_slope=lambda a: -np.log1p(a), monotone=False),
     FRACTIONAL_LINEAR: dict(
         coef=lambda c: np.exp(-c), apply=_moebius_apply, step=_moebius_step,
         invert=_moebius_invert, derivative=_moebius_derivative,
-        schwarzian=lambda w, y, xp: 0.0, monotone=False),
+        schwarzian=lambda w, y, xp: 0.0, log_slope=lambda c: c, monotone=False),
 }
 
 #: heights a scalar orbit loop collects before storing them into its array
@@ -344,11 +349,11 @@ class _Parameters:
         return float(np.abs(self.values[lo:]).max(initial=0.0))
 
 
-def _fiber_orbit(family: FiberFamily, params: _Parameters, y: float,
-                 out: np.ndarray) -> None:
-    """out[i] = y_i for y_0 = y, y_{i+1} = f(y_i) at driving parameter a[i]
-    = params[i], for the quadratic kinds, whose coefficient is a itself;
-    out is contiguous.
+def _fiber_orbit(family: FiberFamily, params: _Parameters, y: float) -> np.ndarray:
+    """The heights y_0..y_{n-1} of the orbit y_0 = y, y_{i+1} = f(y_i) at
+    driving parameter params[i], for every kind.  A Moebius orbit is summed
+    in t from t(y) (:func:`_translation_orbit`) and read back through
+    poincare_coord_inv; quadratic heights equal the scalar loop's.
 
     An inverse-Kan orbit of at least _MIN_LANES lanes of _LANE steps reads
     its lanes' parameters lane-major (:meth:`_Parameters.lanes`) and is
@@ -363,15 +368,20 @@ def _fiber_orbit(family: FiberFamily, params: _Parameters, y: float,
     height stuck at a float that every parameter left maps to itself; a
     Kan orbit given its angles computes no parameter past that proof.
     """
-    kernels = _KERNELS[family.kind]
+    if family.kind == FRACTIONAL_LINEAR:
+        t = np.empty(params.size)
+        t[1:] = params[:-1]
+        return poincare_coord_inv(_translation_orbit(poincare_coord(y), t))
+    out = rest = np.empty(params.size)
     lanes = params.size // _LANE
     if family.kind == INVERSE_KAN and lanes >= _MIN_LANES:
         body = lanes * _LANE
         end = _lane_orbit(params.lanes(lanes, _LANE), y, out[:body].reshape(lanes, _LANE))
         if end is not None:
             params = _Parameters(params.values[body:], params.of, params._bound)
-            y, out = end, out[body:]
-    _scalar_orbit(kernels, params, y, out)
+            y, rest = end, out[body:]
+    _scalar_orbit(_KERNELS[family.kind], params, y, rest)
+    return out
 
 
 def _scalar_orbit(kernels: dict, params: _Parameters, y: float, out: np.ndarray) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from .base import base_orbit_angles
 from .cylinder import CylinderSystem
 from .errors import PreconditionError, _require_count
-from .fiber import FRACTIONAL_LINEAR, KAN, FiberFamily, StepProfile
+from .fiber import _KERNELS, FiberFamily, StepProfile
 
 #: |lyap0 + lyap1| below this counts as a vanishing exponent sum
 SUM_SIGN_TOL = 1e-12
@@ -43,18 +43,13 @@ def _require_boundary(boundary) -> None:
 
 
 def _log_boundary_derivative(family: FiberFamily, boundary: int, x) -> np.ndarray:
-    """log f'_x(boundary) for an array of angles, in closed form.
-
-    Quadratic family: f'(0) = 1+a, f'(1) = 1-a with a = p(x);
-    the inverse family reciprocates both; Moebius fibers give exactly +-c.
+    """log f'_x(boundary) for an array of angles, in closed form: the
+    kind's log_slope (fiber._KERNELS) at a = p(x), or at -a for boundary 1.
+    Quadratic family: f'(0) = 1+a, f'(1) = 1-a; the inverse family
+    reciprocates both; Moebius fibers give exactly +-c.
     """
     a = family.displacement(x)
-    signed = a if boundary == 0 else -a
-    if family.kind == FRACTIONAL_LINEAR:
-        return signed
-    # FiberFamily refuses sup|p| >= 1 for the quadratic kinds, so 1 + signed > 0
-    val = np.log1p(signed)
-    return val if family.kind == KAN else -val
+    return _KERNELS[family.kind]["log_slope"](a if boundary == 0 else -a)
 
 
 def _quadrature_nodes(family: FiberFamily, nodes: int) -> np.ndarray:

@@ -18,9 +18,8 @@ import numpy as np
 from .base import base_orbit_angles
 from .cylinder import CylinderSystem, CylPoint, _csv
 from .errors import DomainError, PreconditionError, WrongFamilyError, _require_count, _require_seed
-from .fiber import (FRACTIONAL_LINEAR, INVERSE_KAN, CosineProfile, StepProfile, _fiber_orbit,
-                    _Parameters, _translation_orbit, _unit_cosine, poincare_coord,
-                    poincare_coord_inv)
+from .fiber import (INVERSE_KAN, CosineProfile, StepProfile, _fiber_orbit, _Parameters,
+                    _unit_cosine)
 
 DEFAULT_BURN_IN = 1000
 
@@ -62,8 +61,9 @@ def orbit_points(sys: CylinderSystem, p0: CylPoint, n: int,
     """Arrays of the first n orbit points (x_i, y_i), i = 0..n-1.
 
     Angles come from :func:`cylmaps.base.base_orbit_angles`; the heights
-    follow the fiber maps driven by those angles, Moebius ones carried in t.
-    Quadratic heights equal the scalar loop's bit for bit (:func:`fiber._fiber_orbit`).
+    follow the fiber maps driven by those angles (:func:`fiber._fiber_orbit`):
+    Moebius heights are carried in t and read back through poincare_coord_inv,
+    and quadratic heights equal the scalar loop's bit for bit.
     """
     xs, _, ys = _orbit(sys, p0, n, seed, unit_cosine=False)
     return xs, ys
@@ -80,7 +80,7 @@ def _orbit(sys: CylinderSystem, p0: CylPoint, n: int, seed,
     chunk at a time, only for the steps the orbit loop takes: a Kan orbit
     stuck at a boundary float computes none past the chunk that proves it
     stuck (:func:`fiber._scalar_orbit`).  Moebius fibres translate by every
-    parameter, so they get all of them.
+    parameter, so they read all of them at once.
     base_orbit_angles is looked up through this module at call time."""
     if not 0.0 < p0.y < 1.0:
         raise DomainError("orbit statistics need an interior starting height")
@@ -95,13 +95,7 @@ def _orbit(sys: CylinderSystem, p0: CylPoint, n: int, seed,
         params = _Parameters(c, functools.partial(np.multiply, profile.amplitude), profile.bound())
     else:
         params = _Parameters(xs, sys.family.displacement, profile.bound())
-    if sys.family.kind == FRACTIONAL_LINEAR:
-        t = np.empty(n, dtype=float)
-        t[1:] = params[:n - 1]
-        return xs, c, poincare_coord_inv(_translation_orbit(poincare_coord(p0.y), t))
-    ys = np.empty(n, dtype=float)
-    _fiber_orbit(sys.family, params, p0.y, ys)
-    return xs, c, ys
+    return xs, c, _fiber_orbit(sys.family, params, p0.y)
 
 
 def orbit_histogram(sys: CylinderSystem, p0: CylPoint, n: int, bins_x: int,

@@ -354,15 +354,15 @@ def arcsine_ensemble(profile: StepProfile, n: int, num_walks: int,
                      eps_list, seed: int) -> list[ArcsinePoint]:
     """Fraction of walks whose final a_n/n exceeds 1 - eps, per eps.
 
-    Only zero-mean profiles qualify (the mean is taken over the float step
-    values, summed exactly).  The limiting frequency is (2/pi) asin(sqrt(eps)).
+    Only zero-mean profiles qualify (the float step values are summed as
+    fractions, so exactly).  The limiting frequency is (2/pi) asin(sqrt(eps)).
     Walks use spawned per-walk substreams, so ensembles are reproducible and
     order-independent; each a_n comes from :func:`final_counts` at threshold 0,
     which counts a byte-table walk, such as +-1, from its digit bytes and
     draws no walk through simulate_walk.
     """
     profile = _require_step(profile)
-    if math.fsum(profile.values) != 0.0:
+    if sum(map(Fraction, profile.values)) != 0:
         raise PreconditionError("arcsine statistics need a zero-mean step profile")
     _require_count(n, "walk length", 1)
     _require_count(num_walks, "num_walks", 1)

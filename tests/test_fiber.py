@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ def test_kan_epsilon_gate(eps):
 def test_fractional_linear_requires_profile():
     with pytest.raises(PreconditionError):
         fractional_linear_family(None)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 10**400, Fraction(-(10**400), 3)],
+                         ids=["inf", "nan", "huge-int", "huge-fraction"])
+def test_step_profile_refuses_values_past_the_float_range(value):
+    # an exact value too large for a float is refused, not an OverflowError
+    with pytest.raises(PreconditionError, match="finite"):
+        StepProfile((1.0, value))
 
 
 def test_step_profile_mean():
@@ -234,8 +243,7 @@ def _plain_orbit(kind, a, y):
 
 def _lane_and_plain_orbits(family, a, y):
     """(_fiber_orbit, plain loop) heights as uint64 bit patterns."""
-    got = np.empty(a.size)
-    fiber._fiber_orbit(family, fiber._Parameters(a), y, got)
+    got = fiber._fiber_orbit(family, fiber._Parameters(a), y)
     want, _ = _plain_orbit(family.kind, a, y)
     return got.view(np.uint64), want.view(np.uint64)
 
@@ -341,8 +349,7 @@ def test_lane_orbit_rounds_of_a_long_inverse_kan_orbit(monkeypatch):
     calls = _count_lane_kernels(monkeypatch)
     family = inverse_kan_family(0.5)
     a = family.displacement(base_orbit_angles(3, 0.1234, 10**6, seed=5))
-    out = np.empty(a.size)
-    fiber._fiber_orbit(family, fiber._Parameters(a), 0.4, out)
+    fiber._fiber_orbit(family, fiber._Parameters(a), 0.4)
     assert 0 < calls["root"] <= 4224
     assert calls["terms"] * fiber._BLOCK == calls["root"]
 

@@ -1,11 +1,13 @@
 """Import layering: the base map depends on nothing else in the package,
-the walks read its digit streams through its readers only, and the
-classifier steps base orbits in one place."""
+the walks read its digit streams through its readers only, the classifier
+steps base orbits in one place, and per-kind fibre arithmetic lives in
+cylmaps.fiber."""
 
 import ast
 import sys
 from pathlib import Path
 
+import cylmaps
 import cylmaps.base
 import cylmaps.cylinder
 import cylmaps.walks
@@ -55,3 +57,31 @@ def test_the_classifier_steps_and_displaces_base_orbits_in_its_store_alone():
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "_live_angles" not in defined
+
+
+def _kind_compares(tree):
+    """(compare, allowed) for each comparison against a .kind attribute:
+    allowed when it is the one != test of an if whose body is one raise."""
+    refusals = {id(node.test) for node in ast.walk(tree)
+                if isinstance(node, ast.If) and len(node.body) == 1
+                and isinstance(node.body[0], ast.Raise)
+                and isinstance(node.test, ast.Compare) and len(node.test.ops) == 1
+                and isinstance(node.test.ops[0], ast.NotEq)}
+    return [(node, id(node) in refusals) for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(isinstance(side, ast.Attribute) and side.attr == "kind"
+                    for side in (node.left, *node.comparators))]
+
+
+def test_only_the_fibre_module_branches_on_the_fibre_kind():
+    # every per-kind piece of arithmetic is a _KERNELS entry or a branch of
+    # cylmaps.fiber; elsewhere a kind is compared only to refuse a family
+    package = Path(cylmaps.__file__).parent
+    refusals, branches = [], []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("fiber.py", "cli.py"):
+            continue
+        for node, allowed in _kind_compares(ast.parse(path.read_text())):
+            (refusals if allowed else branches).append(f"{path.name}:{node.lineno}")
+    assert not branches, f"branches on a fibre kind outside cylmaps.fiber: {branches}"
+    assert {name.split(":")[0] for name in refusals} >= {"cylinder.py", "measures.py", "walks.py"}

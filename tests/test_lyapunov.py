@@ -19,7 +19,8 @@ from cylmaps import (
     transverse_exponent_birkhoff,
     transverse_exponent_quadrature,
 )
-from cylmaps.fiber import INVERSE_KAN, KAN
+from cylmaps.fiber import FRACTIONAL_LINEAR, INVERSE_KAN, KAN
+from cylmaps.lyapunov import _log_boundary_derivative
 
 EXPECTED_KAN_05 = -0.06933646419507394  # log((1 + sqrt(0.75))/2)
 
@@ -150,3 +151,22 @@ def test_basin_measure_link():
     decided_large = (classify_points(inv_sys, xs, ys, 5000, 1e-6) != BasinClass.UNDECIDED).mean()
     assert decided_small < 0.05
     assert decided_large < 0.05
+
+
+@pytest.mark.parametrize("kind", [KAN, INVERSE_KAN, FRACTIONAL_LINEAR])
+@pytest.mark.parametrize("profile", [CosineProfile(0.5), StepProfile((0.5, -0.5, 0.25))],
+                         ids=["cosine", "step"])
+@pytest.mark.parametrize("boundary", [0, 1])
+def test_log_boundary_derivative_is_the_closed_form_bit_for_bit(kind, profile, boundary):
+    # log f'(0) = log1p(a), log f'(1) = log1p(-a), negated for the inverse
+    # kind, and +-c for Moebius fibers, each rounded as written here
+    family = FiberFamily(kind, profile)
+    rng = np.random.default_rng(42)
+    x = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53], rng.uniform(0.0, 1.0, 4093)])
+    a = family.displacement(x)
+    signed = a if boundary == 0 else -a
+    want = {KAN: np.log1p(signed), INVERSE_KAN: -np.log1p(signed),
+            FRACTIONAL_LINEAR: signed}[kind]
+    got = _log_boundary_derivative(family, boundary, x)
+    assert got.shape == x.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

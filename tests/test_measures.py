@@ -437,6 +437,22 @@ def test_moebius_orbit_stays_on_the_cylinder():
     assert i > 10
 
 
+def test_moebius_cosine_orbit_reads_back_the_partial_sums_bit_for_bit():
+    from cylmaps import CosineProfile, poincare_coord, poincare_coord_inv
+
+    # t_0 = t(y_0), t_{i+1} = t_i + c_i, each sum rounded in turn, and every
+    # height the inverse coordinate of its t, over 1.0 at step 1868 and back
+    family = fractional_linear_family(CosineProfile(0.8))
+    xs, ys = orbit_points(CylinderSystem(3, family), START, 4200, seed=3)
+    t, ts = poincare_coord(START.y), []
+    for c in family.displacement(xs).tolist():
+        ts.append(t)
+        t += c
+    want = poincare_coord_inv(np.array(ts))
+    assert np.array_equal(ys.view(np.uint64), want.view(np.uint64))
+    assert (ys == 1.0).any()
+
+
 @pytest.mark.parametrize("n", [0, 1, 10**5])
 def test_moebius_orbit_is_the_exact_partial_sum(n):
     from cylmaps import StepProfile, fractional_linear_family, poincare_coord_inv

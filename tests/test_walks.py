@@ -137,6 +137,13 @@ def test_arcsine_rejects_drift():
         arcsine_ensemble(StepProfile((1.0, 1.0, -1.0)), 100, 10, [0.5], seed=1)
 
 
+@pytest.mark.parametrize("values", [(1e308, 1e308), (-1e308, -1e308, 5e-324)])
+def test_arcsine_decides_zero_mean_without_overflow(values):
+    # math.fsum overflows on these sums; the exact sum is far from 0
+    with pytest.raises(PreconditionError, match="zero-mean"):
+        arcsine_ensemble(StepProfile(values), 100, 10, [0.5], seed=1)
+
+
 def test_arcsine_checks_eps_before_simulating(monkeypatch):
     def no_walks(*args, **kwargs):
         raise AssertionError("walks simulated before eps was checked")
